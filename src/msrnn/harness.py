@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import (AttentionRow, Model, _inv_freq, attention_step, decode_step,
-                    rms_norm, rotate, silu, stacked_positions)
+                    rms_norm, rotate, silu)
 from .policies import (AccumulatedScores, PolicyKind, accumulate_row, apply_policy,
                        decide_layer)
 from .remap import remap_positions
@@ -120,10 +120,6 @@ def _validate_chunk_len(model: Model, chunk_len: int, remap: bool) -> None:
         )
 
 
-def _remap_fn(retained: Sequence[int]) -> np.ndarray:
-    return remap_positions(retained)
-
-
 def _decode_chunk_sequential(model: Model, ids: Sequence[int], kind: PolicyKind | None,
                              remap: bool, trace: RetentionTrace | None) -> float:
     config = model.config
@@ -131,7 +127,7 @@ def _decode_chunk_sequential(model: Model, ids: Sequence[int], kind: PolicyKind 
                        capacity=kind.k if kind else None, trace=trace)
     acc = AccumulatedScores(config.n_layers, config.n_heads) \
         if kind is not None and kind.needs_scores else None
-    position_fn = _remap_fn if remap else None
+    position_fn = remap_positions if remap else None
     total = 0.0
     for t, token in enumerate(ids):
         logits, rows = decode_step(model, state, token, t, position_fn)
@@ -340,8 +336,20 @@ class ScriptedTrace:
             for row in reader:
                 if not row:
                     continue
-                t, layer, head, slot = (int(v) for v in row[:4])
-                cells.setdefault((t, layer, head), {})[slot] = float(row[4])
+                where = f"{path}:{reader.line_num}"
+                try:  # a short or long row fails the unpacking
+                    t, layer, head, slot, p = row
+                    t, layer, head, slot, p = int(t), int(layer), int(head), int(slot), float(p)
+                except ValueError:
+                    raise ValueError(f"{where}: expected {len(SCRIPT_COLUMNS)} numeric fields "
+                                     f"{SCRIPT_COLUMNS}, got {row}") from None
+                if min(t, layer, head, slot) < 0:
+                    raise ValueError(f"{where}: negative index in {row}")
+                slots = cells.setdefault((t, layer, head), {})
+                if slot in slots:
+                    raise ValueError(f"{where}: duplicate row for step {t}, layer {layer}, "
+                                     f"head {head}, state_slot {slot}")
+                slots[slot] = p
         if not cells:
             raise ValueError(f"scripted trace {path} holds no rows")
         n_steps = max(key[0] for key in cells) + 1
@@ -374,8 +382,11 @@ def _check_row(row: np.ndarray, size: int, where: str) -> np.ndarray:
     if row.shape != (size,):
         raise ValueError(f"{where}: row length {row.shape} does not match "
                          f"multi-state size {size}")
-    if abs(float(row.sum()) - 1.0) > ROW_SUM_TOL:
-        raise ValueError(f"{where}: probabilities sum to {float(row.sum())!r}, not 1")
+    total = float(row.sum())
+    if not (abs(total - 1.0) <= ROW_SUM_TOL):  # NaN fails this test too
+        raise ValueError(f"{where}: probabilities sum to {total!r}, not 1")
+    if row.min() < 0:
+        raise ValueError(f"{where}: negative probability {float(row.min())!r}")
     return row
 
 
@@ -488,7 +499,7 @@ def generate(model: Model, prompt: Sequence[int], max_steps: int,
                        capacity=kind.k if kind else None, trace=trace)
     acc = AccumulatedScores(config.n_layers, config.n_heads) \
         if kind is not None and kind.needs_scores else None
-    position_fn = _remap_fn if remap else None
+    position_fn = remap_positions if remap else None
     out = list(prompt)
     logits = None
     for t, token in enumerate(out):

@@ -1,9 +1,10 @@
 """Toy decoder-only transformer core.
 
 Single-token decoding against an explicit multi-state: pre-norm attention and
-feed-forward blocks with residual connections, rotary-style positions applied
-to queries and cached keys at attention time, float32 arithmetic throughout.
-Keys are cached unrotated so a step can re-rotate them at remapped positions.
+feed-forward blocks with residual connections, rotary-style positions, float32
+arithmetic throughout. Keys are rotated once, when they are cached, unless
+positions are remapped: then they are cached unrotated and re-rotated at the
+remapped positions every step.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,9 +24,10 @@ WEIGHT_VERSION = 1
 FF_GATE_NAME = "silu"
 RMS_EPS = np.float32(1e-5)
 
-# Callable mapping one head's retained original positions (newest last) to
-# real-valued rotation positions; None means the identity assignment.
-PositionFn = Callable[[Sequence[int]], np.ndarray]
+# Callable mapping a layer's (n_heads, size) retained original positions
+# (newest last in each row) to real-valued rotation positions of the same
+# shape; None means the identity assignment.
+PositionFn = Callable[[np.ndarray], np.ndarray]
 
 
 class WeightFormatError(ValueError):
@@ -405,17 +407,6 @@ def attention_step(q_rot: np.ndarray, keys_rot: np.ndarray, values: np.ndarray,
     return ctx.reshape(-1) @ w_o, AttentionRow(probs)
 
 
-def stacked_positions(position_fn: PositionFn | None,
-                      pos_lists: list[list[int]]) -> np.ndarray:
-    """(n_heads, size) float64 rotation positions for equal-length head lists."""
-    if position_fn is None:
-        return np.asarray(pos_lists, dtype=np.float64)
-    first = position_fn(pos_lists[0])
-    if all(pl == pos_lists[0] for pl in pos_lists[1:]):
-        return np.broadcast_to(first, (len(pos_lists), first.shape[0])).copy()
-    return np.stack([first] + [position_fn(pl) for pl in pos_lists[1:]])
-
-
 def decode_step(model: Model, state: MultiState, token: int, step: int,
                 position_fn: PositionFn | None = None,
                 ) -> tuple[np.ndarray, list[AttentionRow]]:
@@ -424,6 +415,13 @@ def decode_step(model: Model, state: MultiState, token: int, step: int,
     Appends the new K/V rows to every layer's state before attention (the
     newest token attends to itself), returns the next-token logits and the
     per-layer attention rows the policies need. Eviction is the caller's job.
+
+    Without `position_fn` the new query and key are rotated once, at
+    position `step`, the key before it is cached, and attention runs over
+    the cached keys as they are (rotation is element-wise, so this equals
+    rotating every key at every step). With it, keys are cached unrotated;
+    each layer's (H, S) retained positions are remapped in one call and the
+    keys rotated afresh at every step.
     """
     config, w = model
     if not (0 <= token < config.vocab_size):
@@ -438,15 +436,17 @@ def decode_step(model: Model, state: MultiState, token: int, step: int,
         q = (h @ lw.w_q).reshape(n_heads, config.head_dim)
         k = (h @ lw.w_k).reshape(n_heads, config.head_dim)
         v = (h @ lw.w_v).reshape(n_heads, config.head_dim)
+        if position_fn is None:
+            qk = rotate(np.concatenate((q, k)), step, inv_freq)
+            q, k = qk[:n_heads], qk[n_heads:]
         for head in range(n_heads):
             state.append(layer, head, k[head], v[head], meta)
-        pos_lists = [state.retained_positions(layer, head) for head in range(n_heads)]
-        positions = stacked_positions(position_fn, pos_lists)
-        keys = np.stack([state.keys(layer, head) for head in range(n_heads)])
-        values = np.stack([state.values(layer, head) for head in range(n_heads)])
-        keys_rot = rotate(keys, positions, inv_freq)
-        q_rot = rotate(q, positions[:, -1], inv_freq)
-        ctx, row = attention_step(q_rot, keys_rot, values, lw.w_o)
+        keys, values, positions = state.layer_view(layer)
+        if position_fn is not None:
+            remapped = position_fn(positions)
+            keys = rotate(keys, remapped, inv_freq)
+            q = rotate(q, remapped[:, -1], inv_freq)
+        ctx, row = attention_step(q, keys, values, lw.w_o)
         x = x + ctx
         x = x + silu(rms_norm(x, lw.ff_norm) @ lw.ff_in) @ lw.ff_out
         rows.append(row)

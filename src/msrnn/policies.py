@@ -139,11 +139,8 @@ class AccumulatedScores:
             self._acc[layer][head] = accumulate_row(self._acc[layer][head], probs[head])
 
     def drop(self, layer: int, head: int, index: int) -> None:
-        self._acc[layer][head] = np.delete(self._acc[layer][head], index)
-
-
-def accumulate_scores(acc: AccumulatedScores, layer: int, row: AttentionRow) -> None:
-    acc.accumulate(layer, row.probs)
+        acc = self._acc[layer][head]
+        self._acc[layer][head] = np.concatenate((acc[:index], acc[index + 1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +231,7 @@ def apply_policy(kind: PolicyKind, state: MultiState, rows: list[AttentionRow],
     for layer in range(state.n_layers):
         row = rows[layer]
         if kind.needs_scores:
-            accumulate_scores(acc, layer, row)
+            acc.accumulate(layer, row.probs)
         size = state.size(layer, 0)
         per_head = decide_layer(kind, size, state.n_heads, row.probs,
                                 acc.layer(layer) if kind.needs_scores else None)

@@ -31,21 +31,27 @@ def remap_gap(gap: int) -> float:
     return math.log(math.log(gap))
 
 
-def remap_positions(retained: Sequence[int]) -> np.ndarray:
-    """Remapped rotation positions for a strictly increasing retained set.
+def remap_positions(retained: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Remapped rotation positions for strictly increasing retained sets.
 
-    Element 0 is always 0.0; element j is the cumulative sum of the remapped
-    gaps between consecutive retained originals. float64 throughout.
+    `retained` is one set (1-D) or one set per row (2-D, e.g. a layer's
+    (H, S) position array); each row is remapped on its own. Element 0 of a
+    row is always 0.0; element j is the cumulative sum of the remapped gaps
+    between consecutive retained originals, added in order, so every value
+    equals the running sum of `remap_gap`. float64 throughout.
     """
-    if len(retained) == 0:
+    retained = np.asarray(retained, dtype=np.int64)
+    if retained.shape[-1] == 0:
         raise ValueError("retained set is empty")
-    out = np.empty(len(retained), dtype=np.float64)
-    out[0] = 0.0
-    prev = retained[0]
-    for j in range(1, len(retained)):
-        cur = retained[j]
-        if cur <= prev:
-            raise ValueError(f"retained positions must strictly increase, got {prev} then {cur}")
-        out[j] = out[j - 1] + remap_gap(cur - prev)
-        prev = cur
-    return out
+    gaps = np.diff(retained, axis=-1)
+    if (gaps < 1).any():
+        bad = tuple(np.argwhere(gaps < 1)[0])
+        after = bad[:-1] + (bad[-1] + 1,)
+        raise ValueError(f"retained positions must strictly increase, "
+                         f"got {retained[bad]} then {retained[after]}")
+    out = np.zeros(retained.shape, dtype=np.float64)
+    out[..., 1:] = gaps
+    wide = gaps > GAP_KNEE
+    if wide.any():
+        out[..., 1:][wide] = [remap_gap(g) for g in gaps[wide].tolist()]
+    return np.cumsum(out, axis=-1, out=out)

@@ -1,9 +1,9 @@
 """Bounded multi-state storage and the retention event trace.
 
-The multi-state is the recurrent state of the decoder: per layer and head an
-ordered list of cached key/value rows plus metadata. Policies shrink it by
-evicting entries; every append and evict lands in a RetentionTrace that the
-analysis tools consume.
+The multi-state is the recurrent state of the decoder: per layer, preallocated
+buffers that hold each head's ordered key/value rows plus metadata. Policies
+shrink it by evicting entries; every append and evict lands in a
+RetentionTrace that the analysis tools consume.
 """
 
 from __future__ import annotations
@@ -121,33 +121,45 @@ class RetentionTrace:
             header = next(reader, None)
             if header != list(TRACE_COLUMNS):
                 raise ValueError(f"bad retention trace header in {path}: {header}")
-            rows = [row for row in reader if row]
+            rows = []
+            for row in reader:
+                if not row:
+                    continue
+                try:  # a short or long row fails the unpacking
+                    step, layer, head, action, position, token = row
+                    event = (int(step), int(layer), int(head), action, int(position), int(token))
+                except ValueError:
+                    raise ValueError(f"{path}:{reader.line_num}: expected {len(TRACE_COLUMNS)} "
+                                     f"fields {TRACE_COLUMNS}, all integers except the "
+                                     f"action, got {row}") from None
+                rows.append(event)
         if not rows:
             raise ValueError(f"retention trace {path} holds no events")
-        n_layers = max(int(r[1]) for r in rows) + 1
-        n_heads = max(int(r[2]) for r in rows) + 1
-        trace = cls(n_layers, n_heads)
+        trace = cls(max(r[1] for r in rows) + 1, max(r[2] for r in rows) + 1)
         for r in rows:
-            trace.record(int(r[0]), int(r[1]), int(r[2]), r[3], int(r[4]), int(r[5]))
+            trace.record(*r)
         return trace
 
 
-class _HeadState:
-    """Contiguous K/V rows plus aligned metadata for one (layer, head)."""
-
-    def __init__(self, head_dim: int):
-        self.keys = np.zeros((0, head_dim), dtype=np.float32)
-        self.values = np.zeros((0, head_dim), dtype=np.float32)
-        self.metas: list[StateMeta] = []
+# metadata columns are (original position, entry step, token id)
+_POS = 0
+# rows per head that an unbounded state starts with; it doubles when full
+_FIRST_ROWS = 16
 
 
 class MultiState:
     """Per-layer, per-head ordered multi-state of cached K/V rows.
 
-    `capacity=None` gives the unbounded g(t)=t cache; an integer k gives the
-    bounded g(t)=min(t,k) regime, where callers append first and policies
-    evict afterwards (lists may hold k+1 entries transiently within a step).
-    Appending and evicting never reorders the surviving entries.
+    Each layer holds one preallocated (H, rows, d) float32 key buffer and one
+    value buffer, an aligned (H, rows, 3) int64 metadata buffer (original
+    position, entry step, token id) and a size per head; head h's entries
+    are rows 0..size-1, oldest first. `capacity=None` gives the unbounded
+    g(t)=t cache, whose buffers start small and double when full; an integer
+    k gives the bounded g(t)=min(t,k) regime with rows = k+1, where callers
+    append first and policies evict afterwards (a head holds k+1 entries
+    transiently within a step, never more). Appending writes one row and
+    evicting shifts the head's tail left by one in place, so neither
+    allocates, and the surviving entries never reorder.
     """
 
     def __init__(self, n_layers: int, n_heads: int, head_dim: int,
@@ -163,65 +175,116 @@ class MultiState:
         self.head_dim = head_dim
         self.capacity = capacity
         self.trace = trace
-        self._heads = [[_HeadState(head_dim) for _ in range(n_heads)] for _ in range(n_layers)]
+        rows = _FIRST_ROWS if capacity is None else capacity + 1
+        self._sizes = [[0] * n_heads for _ in range(n_layers)]
+        self._keys = [np.zeros((n_heads, rows, head_dim), dtype=np.float32)
+                      for _ in range(n_layers)]
+        self._values = [np.zeros((n_heads, rows, head_dim), dtype=np.float32)
+                        for _ in range(n_layers)]
+        self._meta = [np.zeros((n_heads, rows, 3), dtype=np.int64) for _ in range(n_layers)]
+        self._flat = [self._flat_views(layer) for layer in range(n_layers)]
         self._last_step = -1
+
+    def _flat_views(self, layer: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        # 1-D views of each head's rows: a left shift on them is one memmove
+        keys, values, meta = self._keys[layer], self._values[layer], self._meta[layer]
+        return [(keys[h].reshape(-1), values[h].reshape(-1), meta[h].reshape(-1))
+                for h in range(self.n_heads)]
+
+    def _grow(self, layer: int) -> None:
+        """Double an unbounded layer's rows, keeping its entries."""
+        for bufs in (self._keys, self._values, self._meta):
+            old = bufs[layer]
+            new = np.zeros((old.shape[0], 2 * old.shape[1]) + old.shape[2:], dtype=old.dtype)
+            new[:, :old.shape[1]] = old
+            bufs[layer] = new
+        self._flat[layer] = self._flat_views(layer)
 
     @property
     def growth_tag(self) -> str:
         return GROWTH_UNBOUNDED if self.capacity is None else GROWTH_BOUNDED
 
-    def _head(self, layer: int, head: int) -> _HeadState:
+    def _check(self, layer: int, head: int) -> None:
         if not (0 <= layer < self.n_layers and 0 <= head < self.n_heads):
             raise ValueError(f"layer/head ({layer}, {head}) out of range")
-        return self._heads[layer][head]
 
     def size(self, layer: int, head: int) -> int:
-        return len(self._head(layer, head).metas)
+        self._check(layer, head)
+        return self._sizes[layer][head]
 
     def append(self, layer: int, head: int, key: np.ndarray, value: np.ndarray,
                meta: StateMeta) -> None:
-        hs = self._head(layer, head)
-        key = np.asarray(key, dtype=np.float32)
-        value = np.asarray(value, dtype=np.float32)
-        if key.shape != (self.head_dim,) or value.shape != (self.head_dim,):
+        self._check(layer, head)
+        if np.shape(key) != (self.head_dim,) or np.shape(value) != (self.head_dim,):
             raise ValueError(
                 f"key/value rows must have shape ({self.head_dim},), "
-                f"got {key.shape} and {value.shape}"
+                f"got {np.shape(key)} and {np.shape(value)}"
             )
-        if hs.metas and meta.original_position <= hs.metas[-1].original_position:
+        size = self._sizes[layer][head]
+        meta_rows = self._meta[layer]
+        if size and meta.original_position <= meta_rows[head, size - 1, _POS]:
             raise ValueError(
                 f"original_position {meta.original_position} not greater than current "
-                f"maximum {hs.metas[-1].original_position}"
+                f"maximum {meta_rows[head, size - 1, _POS]}"
             )
-        hs.keys = np.concatenate([hs.keys, key[None, :]])
-        hs.values = np.concatenate([hs.values, value[None, :]])
-        hs.metas.append(meta)
+        if size == meta_rows.shape[1]:
+            if self.capacity is not None:
+                raise ValueError(
+                    f"bounded state already holds k+1 = {size} entries at layer "
+                    f"{layer}, head {head}; evict before appending"
+                )
+            self._grow(layer)
+            meta_rows = self._meta[layer]
+        self._keys[layer][head, size] = key
+        self._values[layer][head, size] = value
+        meta_rows[head, size] = (meta.original_position, meta.entry_step, meta.token_id)
+        self._sizes[layer][head] = size + 1
         self._last_step = max(self._last_step, meta.entry_step)
         if self.trace is not None:
             self.trace.record(meta.entry_step, layer, head, ACTION_APPEND,
                               meta.original_position, meta.token_id)
 
     def evict(self, layer: int, head: int, index: int) -> StateMeta:
-        hs = self._head(layer, head)
-        if not (0 <= index < len(hs.metas)):
-            raise ValueError(f"evict index {index} out of range for size {len(hs.metas)}")
-        meta = hs.metas.pop(index)
-        hs.keys = np.delete(hs.keys, index, axis=0)
-        hs.values = np.delete(hs.values, index, axis=0)
+        self._check(layer, head)
+        size = self._sizes[layer][head]
+        if not (0 <= index < size):
+            raise ValueError(f"evict index {index} out of range for size {size}")
+        keys, values, meta_rows = self._flat[layer][head]
+        position, step, token = meta_rows[3 * index:3 * index + 3].tolist()
+        d = self.head_dim
+        keys[index * d:(size - 1) * d] = keys[(index + 1) * d:size * d]
+        values[index * d:(size - 1) * d] = values[(index + 1) * d:size * d]
+        meta_rows[3 * index:3 * (size - 1)] = meta_rows[3 * (index + 1):3 * size]
+        self._sizes[layer][head] = size - 1
         if self.trace is not None:
-            self.trace.record(self._last_step, layer, head, ACTION_EVICT,
-                              meta.original_position, meta.token_id)
-        return meta
+            self.trace.record(self._last_step, layer, head, ACTION_EVICT, position, token)
+        return StateMeta(original_position=position, entry_step=step, token_id=token)
 
     def keys(self, layer: int, head: int) -> np.ndarray:
-        return self._head(layer, head).keys
+        """(size, head_dim) view of one head's cached keys, oldest first.
+
+        The view is valid until the next append or evict on this state.
+        """
+        return self._keys[layer][head, :self.size(layer, head)]
 
     def values(self, layer: int, head: int) -> np.ndarray:
-        return self._head(layer, head).values
+        """(size, head_dim) view of one head's cached values; see `keys`."""
+        return self._values[layer][head, :self.size(layer, head)]
 
-    def metas(self, layer: int, head: int) -> list[StateMeta]:
-        return list(self._head(layer, head).metas)
+    def layer_view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, values, positions) views of one layer: (H, S, d), (H, S, d), (H, S).
+
+        Every head of the layer must hold the same number S of entries. The
+        views are valid until the next append or evict on this state.
+        """
+        self._check(layer, 0)
+        sizes = self._sizes[layer]
+        size = sizes[0]
+        if any(s != size for s in sizes):
+            raise ValueError(f"heads of layer {layer} differ in size: {sizes}")
+        return (self._keys[layer][:, :size], self._values[layer][:, :size],
+                self._meta[layer][:, :size, _POS])
 
     def retained_positions(self, layer: int, head: int) -> list[int]:
         """Original positions currently cached, in list order (strictly increasing)."""
-        return [m.original_position for m in self._head(layer, head).metas]
+        return self._meta[layer][head, :self.size(layer, head), _POS].tolist()

@@ -233,6 +233,39 @@ def test_unreadable_inputs_fail_cleanly(tmp_path, capsys):
     assert "script" in capsys.readouterr().err
 
 
+def _single_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+    return lines[0]
+
+
+def test_malformed_script_rows_fail_cleanly(tmp_path, capsys):
+    script = tmp_path / "script.csv"
+    sim = ["simulate-trace", "--script", str(script), "--policy", "window",
+           "--k", "2", "--out-dir", str(tmp_path / "sim")]
+    header = "step,layer,head,state_slot,probability\n"
+    script.write_text(header + "0,0,0,0,1.0\n1,0,0,0,0.5\n1,0,0,0,0.5\n")
+    assert main(sim) == 1
+    assert "script.csv:4: duplicate row" in _single_error_line(capsys)
+    script.write_text(header + "0,0,0,0,1.0\n1,0\n")
+    assert main(sim) == 1
+    assert "script.csv:3:" in _single_error_line(capsys)
+    script.write_text(header + "0,0,0,zero,1.0\n")
+    assert main(sim) == 1
+    assert "script.csv:2:" in _single_error_line(capsys)
+
+
+def test_short_trace_row_fails_cleanly(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("step,layer,head,action,original_position,token_id\n"
+                     "0,0,0,append,0,1\n1,0,0,append\n")
+    assert main(["analyze", "lifetime", "--trace", str(trace),
+                 "--out-dir", str(tmp_path / "an")]) == 1
+    assert "trace.csv:3: expected 6 fields" in _single_error_line(capsys)
+
+
 def test_full_capacity_policy_report_matches_topline(tmp_path):
     # k at least the chunk length means no eviction ever fires, so the
     # bounded run writes byte-identical reports to the unbounded one

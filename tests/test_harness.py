@@ -9,7 +9,7 @@ from msrnn import (Model, MultiState, RetentionTrace, ScriptedTrace,
                    read_token_stream, sequential_perplexity,
                    simulate_with_rule, trace_driven_simulate, uniform_rule,
                    write_token_stream, zero_model)
-from msrnn.harness import _window_visible, nll_of
+from msrnn.harness import _check_row, _window_visible, nll_of
 
 from conftest import make_config, make_model, make_stream
 
@@ -167,6 +167,30 @@ def test_scripted_trace_validation(tmp_path):
     script = ScriptedTrace.read_csv(path)
     with pytest.raises(ValueError):
         trace_driven_simulate(script, parse_policy("window", k=2))
+
+
+def test_check_row_rejects_nan_and_negative_entries():
+    good = _check_row(np.array([0.25, 0.75]), 2, "here")
+    assert good.dtype == np.float32
+    for bad in ([np.nan, 1.0], [-0.5, 1.5], [-1e-7, 1.0 + 1e-7], [0.5, 0.4]):
+        with pytest.raises(ValueError, match="^here: "):
+            _check_row(np.array(bad), 2, "here")
+    with pytest.raises(ValueError, match="row length"):
+        _check_row(np.array([1.0]), 2, "here")
+
+
+def test_scripted_trace_rejects_malformed_rows(tmp_path):
+    path = tmp_path / "bad.csv"
+    header = "step,layer,head,state_slot,probability\n"
+    for body, message in [
+        ("0,0,0,0,0.5\n0,0,0,0,0.5\n", "bad.csv:3: duplicate row"),
+        ("0,0,0,0,1.0\n1,0,0\n", "bad.csv:3: expected 5 numeric"),
+        ("0,0,0,x,1.0\n", "bad.csv:2: expected 5 numeric"),
+        ("0,0,-1,0,1.0\n", "bad.csv:2: negative index"),
+    ]:
+        path.write_text(header + body)
+        with pytest.raises(ValueError, match=message):
+            ScriptedTrace.read_csv(path)
 
 
 def test_simulation_window_fifo():
