@@ -63,7 +63,6 @@ class RunConfig:
     truncate: bool
     trace_out: str | None
     out_dir: str
-    threads: int
     script: str | None
     trace_in: str | None
     tag_file: str | None
@@ -131,8 +130,8 @@ def _coerce(field: str, value, kind: str):
 
 
 _FIELD_TYPES = {
-    "seed": "int", "k": "int", "pin": "int", "chunk_len": "int", "threads": "int",
-    "layer": "int", "head": "int", "max_steps": "int", "remap": "bool",
+    "seed": "int", "k": "int", "pin": "int", "chunk_len": "int", "layer": "int",
+    "head": "int", "max_steps": "int", "remap": "bool",
     "truncate": "bool", "mem_layers": "int", "mem_heads": "int",
     "mem_head_dim": "int", "mem_bytes_per_element": "int", "mem_budget": "int",
 }
@@ -165,7 +164,6 @@ def _shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-out", dest="trace_out",
                         help="write the retention trace CSV here")
     parser.add_argument("--out-dir", dest="out_dir", help="output directory")
-    parser.add_argument("--threads", type=int, help="worker threads over chunks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,7 +241,6 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         truncate=bool(get("truncate", False)),
         trace_out=get("trace_out"),
         out_dir=get("out_dir", "out"),
-        threads=get("threads", 1),
         script=get("script"),
         trace_in=get("trace_in"),
         tag_file=get("tag_file"),
@@ -258,8 +255,6 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         mem_bytes_per_element=get("mem_bytes_per_element", 2),
         mem_budget=get("mem_budget"),
     )
-    if cfg.threads < 1:
-        raise CliError("threads: must be >= 1")
     try:
         cfg.policy_kind()
     except ValueError as exc:
@@ -326,11 +321,10 @@ def _cmd_perplexity(cfg: RunConfig, parallel: bool) -> None:
             raise CliError("remap: masked-parallel evaluation keeps original positions")
         if kind is None:
             raise CliError("policy: perplexity-parallel needs a policy")
-        report = masked_parallel_perplexity(model, stream, kind, trace=trace,
-                                            threads=cfg.threads)
+        report = masked_parallel_perplexity(model, stream, kind, trace=trace)
     else:
         report = sequential_perplexity(model, stream, kind, remap=cfg.remap,
-                                       trace=trace, threads=cfg.threads)
+                                       trace=trace)
     out = _out_dir(cfg)
     _write_report(report, out)
     if trace is not None:

@@ -3,30 +3,32 @@ scripted policy simulation, and greedy generation.
 
 Sequential mode is the ground truth: one decode_step per token against an
 explicit multi-state, policy applied after each step. Masked-parallel mode
-pushes a whole chunk through each layer at once and emulates the same
-evictions with attention masks: static band+prefix masks for the window
-family, masks grown row-by-row from the attention weights for H2O/TOVA.
-Both modes share every numeric helper, so probabilities, decisions, and
-perplexities agree exactly; the acceptance tolerance is slack on top.
+is layer-major over the same kernel: it pushes the whole chunk through one
+layer (`decode_layer`, then `apply_layer_policy`, token by token) before the
+next, so each row's attention mask is the policy's retained set for that
+layer: the band+prefix of the window family, the score-driven sets of
+H2O/TOVA. Both modes run the same code per (token, layer), so
+probabilities, decisions, and perplexities agree exactly; the acceptance
+tolerance is slack on top.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import (AttentionRow, Model, _inv_freq, attention_step, decode_step,
-                    rms_norm, rotate, silu)
-from .policies import (AccumulatedScores, PolicyKind, accumulate_row, apply_policy,
-                       decide_layer)
+from .model import AttentionRow, Model, decode_layer, decode_step
+from .policies import AccumulatedScores, PolicyKind, apply_layer_policy, apply_policy
 from .remap import remap_positions
-from .state import (ACTION_APPEND, ACTION_EVICT, MultiState, RetentionTrace,
-                    StateMeta)
+from .state import MultiState, RetentionTrace, StateMeta
+
+# unused here: bench/tracing.py patches these names on this module
+from .model import attention_step, rms_norm, rotate  # noqa: F401
+from .policies import accumulate_row, decide_layer  # noqa: F401
 
 SCRIPT_COLUMNS = ("step", "layer", "head", "state_slot", "probability")
 ROW_SUM_TOL = 1e-6
@@ -112,21 +114,21 @@ def nll_of(logits: np.ndarray, target: int) -> float:
     return (m + math.log(float(np.exp(x - m).sum()))) - float(x[target])
 
 
-def _validate_chunk_len(model: Model, chunk_len: int, remap: bool) -> None:
-    if not remap and chunk_len > model.config.train_context_len:
-        raise ValueError(
-            f"chunk_len {chunk_len} exceeds train_context_len "
-            f"{model.config.train_context_len}; enable remapping to go longer"
-        )
+def _new_state(n_layers: int, n_heads: int, head_dim: int, kind: PolicyKind | None,
+               trace: RetentionTrace | None,
+               ) -> tuple[MultiState, AccumulatedScores | None]:
+    """An empty multi-state bounded by `kind`, plus the scores H2O policies need."""
+    state = MultiState(n_layers, n_heads, head_dim,
+                       capacity=kind.k if kind else None, trace=trace)
+    acc = AccumulatedScores(n_layers, n_heads) \
+        if kind is not None and kind.needs_scores else None
+    return state, acc
 
 
 def _decode_chunk_sequential(model: Model, ids: Sequence[int], kind: PolicyKind | None,
                              remap: bool, trace: RetentionTrace | None) -> float:
     config = model.config
-    state = MultiState(config.n_layers, config.n_heads, config.head_dim,
-                       capacity=kind.k if kind else None, trace=trace)
-    acc = AccumulatedScores(config.n_layers, config.n_heads) \
-        if kind is not None and kind.needs_scores else None
+    state, acc = _new_state(config.n_layers, config.n_heads, config.head_dim, kind, trace)
     position_fn = remap_positions if remap else None
     total = 0.0
     for t, token in enumerate(ids):
@@ -140,161 +142,73 @@ def _decode_chunk_sequential(model: Model, ids: Sequence[int], kind: PolicyKind 
 
 def sequential_perplexity(model: Model, stream: TokenStream,
                           kind: PolicyKind | None = None, *, remap: bool = False,
-                          trace: RetentionTrace | None = None,
-                          threads: int = 1) -> PerplexityReport:
+                          trace: RetentionTrace | None = None) -> PerplexityReport:
     """Token-by-token perplexity under a policy (None = unbounded topline).
 
     Chunks are independent: the state resets between them and the first token
     of each chunk is never scored. A provided trace captures the first chunk
     only (steps are chunk-local).
     """
-    _validate_stream(model, stream)
-    _validate_chunk_len(model, stream.chunk_len, remap)
-    parts = stream.chunks()
-
-    def run(one) -> ChunkResult:
-        index, (start, ids) = one
-        chunk_trace = trace if (index == 0 and trace is not None) else None
-        nll = _decode_chunk_sequential(model, ids, kind, remap, chunk_trace)
-        return ChunkResult(start=start, n_scored=len(ids) - 1, nll=nll)
-
-    results = _map_ordered(run, list(enumerate(parts)), threads)
-    return PerplexityReport(chunks=tuple(results))
+    return _score_chunks(model, stream, remap, trace,
+                         lambda ids, tr: _decode_chunk_sequential(model, ids, kind, remap, tr))
 
 
-def _validate_stream(model: Model, stream: TokenStream) -> None:
-    vocab = model.config.vocab_size
+def _score_chunks(model: Model, stream: TokenStream, remap: bool,
+                  trace: RetentionTrace | None,
+                  decode_chunk: Callable[[Sequence[int], RetentionTrace | None], float],
+                  ) -> PerplexityReport:
+    """Score every chunk with `decode_chunk(ids, trace)`; the first one gets the trace."""
+    config = model.config
     for i, tok in enumerate(stream.ids):
-        if tok >= vocab:
-            raise ValueError(f"stream token {tok} at index {i} out of range for vocab {vocab}")
-
-
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        if tok >= config.vocab_size:
+            raise ValueError(f"stream token {tok} at index {i} out of range "
+                             f"for vocab {config.vocab_size}")
+    if not remap and stream.chunk_len > config.train_context_len:
+        raise ValueError(f"chunk_len {stream.chunk_len} exceeds train_context_len "
+                         f"{config.train_context_len}; enable remapping to go longer")
+    results = []
+    for index, (start, ids) in enumerate(stream.chunks()):
+        nll = decode_chunk(ids, trace if index == 0 else None)
+        results.append(ChunkResult(start=start, n_scored=len(ids) - 1, nll=nll))
+    return PerplexityReport(chunks=tuple(results))
 
 
 # ---------------------------------------------------------------------------
 # masked-parallel evaluation
 
 
-def _window_visible(t: int, k: int, pin: int) -> list[int]:
-    """Columns row t attends to under the static band+prefix mask.
-
-    Matches sequential FIFO exactly: the k states retained after step t-1
-    plus the fresh token itself (k+1 columns once saturated).
-    """
-    if t < k + 1:
-        return list(range(t + 1))
-    band_lo = t - (k - pin)
-    return list(range(pin)) + list(range(band_lo, t + 1))
-
-
 def _decode_chunk_parallel(model: Model, ids: Sequence[int], kind: PolicyKind,
                            trace: RetentionTrace | None) -> float:
     config, w = model
-    n_heads, head_dim = config.n_heads, config.head_dim
-    inv_freq = _inv_freq(head_dim, config.rope_base)
-    T = len(ids)
-    positions = np.arange(T, dtype=np.float64)
-    x = w.token_embedding[list(ids)].copy()
-    window_family = kind.family == "window"
-
-    for layer, lw in enumerate(w.layers):
-        # row-wise projections: same gemv shapes as sequential decoding
-        q = np.empty((T, config.hidden_dim), dtype=np.float32)
-        k_proj = np.empty_like(q)
-        v_proj = np.empty_like(q)
-        for t in range(T):
-            h = rms_norm(x[t], lw.attn_norm)
-            q[t] = h @ lw.w_q
-            k_proj[t] = h @ lw.w_k
-            v_proj[t] = h @ lw.w_v
-        qh = np.ascontiguousarray(q.reshape(T, n_heads, head_dim).transpose(1, 0, 2))
-        kh = np.ascontiguousarray(k_proj.reshape(T, n_heads, head_dim).transpose(1, 0, 2))
-        vh = np.ascontiguousarray(v_proj.reshape(T, n_heads, head_dim).transpose(1, 0, 2))
-        k_rot = rotate(kh, np.broadcast_to(positions, (n_heads, T)), inv_freq)
-        q_rot = rotate(qh, np.broadcast_to(positions, (n_heads, T)), inv_freq)
-
-        retained: list[list[int]] = [[] for _ in range(n_heads)]
-        acc: list[np.ndarray] = [np.zeros(0, dtype=np.float64) for _ in range(n_heads)]
-        attn_out = np.empty((T, config.hidden_dim), dtype=np.float32)
-        for t in range(T):
-            if window_family:
-                visible = [_window_visible(t, kind.k, kind.pin)] * n_heads
-            else:
-                visible = [retained[h] + [t] for h in range(n_heads)]
-            if trace is not None:
-                for head in range(n_heads):
-                    trace.record(t, layer, head, ACTION_APPEND, t, ids[t])
-            idx = [np.asarray(visible[h], dtype=np.intp) for h in range(n_heads)]
-            keys_g = np.stack([k_rot[h][idx[h]] for h in range(n_heads)])
-            vals_g = np.stack([vh[h][idx[h]] for h in range(n_heads)])
-            q_t = np.ascontiguousarray(q_rot[:, t, :])
-            ctx, row = attention_step(q_t, keys_g, vals_g, lw.w_o)
-            attn_out[t] = ctx
-
-            if window_family:
-                if len(visible[0]) == kind.k + 1:
-                    evicted = visible[0][kind.pin]
-                    if trace is not None:
-                        for head in range(n_heads):
-                            trace.record(t, layer, head, ACTION_EVICT, evicted, ids[evicted])
-            else:
-                if kind.needs_scores:
-                    for h in range(n_heads):
-                        acc[h] = accumulate_row(acc[h], row.probs[h])
-                size = len(visible[0])
-                acc_l = np.stack(acc) if kind.needs_scores else None
-                per_head = decide_layer(kind, size, n_heads, row.probs, acc_l)
-                for h in range(n_heads):
-                    new = visible[h]
-                    drop = per_head[h]
-                    if drop is not None:
-                        evicted = new[drop]
-                        new = new[:drop] + new[drop + 1:]
-                        if kind.needs_scores:
-                            acc[h] = np.delete(acc[h], drop)
-                        if trace is not None:
-                            trace.record(t, layer, h, ACTION_EVICT, evicted, ids[evicted])
-                    retained[h] = new
-
-        for t in range(T):
-            xt = x[t] + attn_out[t]
-            x[t] = xt + silu(rms_norm(xt, lw.ff_norm) @ lw.ff_in) @ lw.ff_out
+    state, acc = _new_state(config.n_layers, config.n_heads, config.head_dim, kind, trace)
+    metas = [StateMeta(original_position=t, entry_step=t, token_id=token)
+             for t, token in enumerate(ids)]
+    x = w.token_embedding[list(ids)]
+    for layer in range(config.n_layers):
+        for t, meta in enumerate(metas):
+            x[t], row = decode_layer(model, layer, state, x[t], meta)
+            apply_layer_policy(kind, state, layer, row, acc)
 
     total = 0.0
-    for t in range(T - 1):
+    for t in range(len(ids) - 1):
         total += nll_of(x[t] @ w.lm_head, ids[t + 1])
     return total
 
 
 def masked_parallel_perplexity(model: Model, stream: TokenStream, kind: PolicyKind,
-                               *, trace: RetentionTrace | None = None,
-                               threads: int = 1) -> PerplexityReport:
-    """One-pass per-chunk evaluation that emulates sequential eviction with masks.
+                               *, trace: RetentionTrace | None = None) -> PerplexityReport:
+    """Per-chunk evaluation that runs the chunk through one layer at a time.
 
-    Window/WindowPin use the closed-form band+prefix mask; H2O and TOVA grow
-    their masks row by row from the layer's own attention weights. Positions
-    stay original (no remapping in this mode).
+    Each layer sees the whole chunk before the next layer starts; the
+    policy's retained sets act as the attention masks (band+prefix for the
+    window family, grown row by row from the layer's own attention weights
+    for H2O and TOVA). Positions stay original (no remapping in this mode).
     """
     if kind is None:
         raise ValueError("masked-parallel evaluation needs a policy; "
                          "use sequential_perplexity for the unbounded topline")
-    _validate_stream(model, stream)
-    _validate_chunk_len(model, stream.chunk_len, remap=False)
-    parts = stream.chunks()
-
-    def run(one) -> ChunkResult:
-        index, (start, ids) = one
-        chunk_trace = trace if (index == 0 and trace is not None) else None
-        nll = _decode_chunk_parallel(model, ids, kind, chunk_trace)
-        return ChunkResult(start=start, n_scored=len(ids) - 1, nll=nll)
-
-    results = _map_ordered(run, list(enumerate(parts)), threads)
-    return PerplexityReport(chunks=tuple(results))
+    return _score_chunks(model, stream, False, trace,
+                         lambda ids, tr: _decode_chunk_parallel(model, ids, kind, tr))
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +308,7 @@ def _simulate(row_source: RowRule, kind: PolicyKind | None, steps: int,
               n_layers: int, n_heads: int,
               record_script: bool) -> tuple[ScriptedTrace | None, RetentionTrace]:
     trace = RetentionTrace(n_layers, n_heads)
-    state = MultiState(n_layers, n_heads, head_dim=0,
-                       capacity=kind.k if kind else None, trace=trace)
-    acc = AccumulatedScores(n_layers, n_heads) \
-        if kind is not None and kind.needs_scores else None
+    state, acc = _new_state(n_layers, n_heads, 0, kind, trace)
     empty = np.zeros(0, dtype=np.float32)
     script_rows = [] if record_script else None
     for t in range(steps):
@@ -495,10 +406,7 @@ def generate(model: Model, prompt: Sequence[int], max_steps: int,
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     config = model.config
-    state = MultiState(config.n_layers, config.n_heads, config.head_dim,
-                       capacity=kind.k if kind else None, trace=trace)
-    acc = AccumulatedScores(config.n_layers, config.n_heads) \
-        if kind is not None and kind.needs_scores else None
+    state, acc = _new_state(config.n_layers, config.n_heads, config.head_dim, kind, trace)
     position_fn = remap_positions if remap else None
     out = list(prompt)
     logits = None

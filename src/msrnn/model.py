@@ -2,9 +2,10 @@
 
 Single-token decoding against an explicit multi-state: pre-norm attention and
 feed-forward blocks with residual connections, rotary-style positions, float32
-arithmetic throughout. Keys are rotated once, when they are cached, unless
-positions are remapped: then they are cached unrotated and re-rotated at the
-remapped positions every step.
+arithmetic throughout. `decode_layer` is the one layer kernel: `decode_step`
+runs it token-major, the masked-parallel evaluator layer-major. Keys are
+rotated once, when they are cached, unless positions are remapped: then they
+are cached unrotated and re-rotated at the remapped positions every step.
 """
 
 from __future__ import annotations
@@ -93,6 +94,8 @@ class ModelWeights:
     lm_head: np.ndarray          # (hidden, vocab)
 
     def validate(self, config: ModelConfig) -> None:
+        if len(self.layers) != config.n_layers:
+            raise ShapeMismatchError(f"{len(self.layers)} layers, config has {config.n_layers}")
         for name, arr, shape in _iter_blocks(config, self):
             if arr.dtype != np.float32:
                 raise ValueError(f"block {name} must be float32, got {arr.dtype}")
@@ -121,13 +124,22 @@ def _layer_block_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]
     ]
 
 
+def _block_shapes(config: ModelConfig):
+    """(name, shape) for every block, in the frozen file order."""
+    yield "token_embedding", (config.vocab_size, config.hidden_dim)
+    for i in range(config.n_layers):
+        for name, shape in _layer_block_shapes(config):
+            yield f"layer{i}.{name}", shape
+    yield "lm_head", (config.hidden_dim, config.vocab_size)
+
+
 def _iter_blocks(config: ModelConfig, weights: ModelWeights):
     """(name, array, expected shape) for every block, in the frozen file order."""
-    yield "token_embedding", weights.token_embedding, (config.vocab_size, config.hidden_dim)
-    for i, lw in enumerate(weights.layers):
-        for name, shape in _layer_block_shapes(config):
-            yield f"layer{i}.{name}", getattr(lw, name), shape
-    yield "lm_head", weights.lm_head, (config.hidden_dim, config.vocab_size)
+    arrays = [weights.token_embedding]
+    arrays += [getattr(lw, name) for lw in weights.layers for name, _ in _layer_block_shapes(config)]
+    arrays.append(weights.lm_head)
+    for (name, shape), arr in zip(_block_shapes(config), arrays):
+        yield name, arr, shape
 
 
 def init_random_model(config: ModelConfig, seed: int) -> ModelWeights:
@@ -147,35 +159,22 @@ def init_random_model(config: ModelConfig, seed: int) -> ModelWeights:
             block = block + 1.0
         return block.astype(np.float32)
 
-    token_embedding = draw((config.vocab_size, config.hidden_dim))
-    layers = []
-    for _ in range(config.n_layers):
-        layers.append(LayerWeights(
-            attn_norm=draw((config.hidden_dim,), gain=True),
-            w_q=draw((config.hidden_dim, config.hidden_dim)),
-            w_k=draw((config.hidden_dim, config.hidden_dim)),
-            w_v=draw((config.hidden_dim, config.hidden_dim)),
-            w_o=draw((config.hidden_dim, config.hidden_dim)),
-            ff_norm=draw((config.hidden_dim,), gain=True),
-            ff_in=draw((config.hidden_dim, config.ff_dim)),
-            ff_out=draw((config.ff_dim, config.hidden_dim)),
-        ))
-    lm_head = draw((config.hidden_dim, config.vocab_size))
-    weights = ModelWeights(token_embedding, layers, lm_head)
-    weights.validate(config)
-    return weights
+    return _assemble(config, {name: draw(shape, gain=name.endswith("_norm"))
+                              for name, shape in _block_shapes(config)})
 
 
 def zero_model(config: ModelConfig) -> ModelWeights:
     """All-zero weights: every logit is 0, so next-token distributions are uniform."""
-    layers = [LayerWeights(*[np.zeros(shape, dtype=np.float32)
-                             for _, shape in _layer_block_shapes(config)])
-              for _ in range(config.n_layers)]
-    weights = ModelWeights(
-        token_embedding=np.zeros((config.vocab_size, config.hidden_dim), dtype=np.float32),
-        layers=layers,
-        lm_head=np.zeros((config.hidden_dim, config.vocab_size), dtype=np.float32),
-    )
+    return _assemble(config, {name: np.zeros(shape, dtype=np.float32)
+                              for name, shape in _block_shapes(config)})
+
+
+def _assemble(config: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelWeights:
+    """Validated weights from blocks keyed by their weight-file names."""
+    layers = [LayerWeights(**{name: arrays[f"layer{i}.{name}"]
+                              for name, _ in _layer_block_shapes(config)})
+              for i in range(config.n_layers)]
+    weights = ModelWeights(arrays["token_embedding"], layers, arrays["lm_head"])
     weights.validate(config)
     return weights
 
@@ -273,8 +272,7 @@ def load_weights(path: str) -> tuple[ModelConfig, ModelWeights]:
         raise MalformedHeaderError(f"{path}: header is not ASCII text") from None
     config, blocks = _parse_header_lines(header_text.splitlines(), path)
 
-    expected = [(name, shape) for name, _, shape in
-                _iter_blocks(config, _shape_probe(config))]
+    expected = list(_block_shapes(config))
     declared = dict(blocks)
     if len(blocks) != len(expected) or [n for n, _ in blocks] != [n for n, _ in expected]:
         raise ShapeMismatchError(f"{path}: block list does not match config")
@@ -297,29 +295,19 @@ def load_weights(path: str) -> tuple[ModelConfig, ModelWeights]:
         n = int(np.prod(shape))
         arrays[name] = flat[offset:offset + n].reshape(shape).copy()
         offset += n
-    layers = [LayerWeights(**{bn: arrays[f"layer{i}.{bn}"]
-                              for bn, _ in _layer_block_shapes(config)})
-              for i in range(config.n_layers)]
-    weights = ModelWeights(arrays["token_embedding"], layers, arrays["lm_head"])
-    weights.validate(config)
-    return config, weights
-
-
-def _shape_probe(config: ModelConfig) -> ModelWeights:
-    # zero-size stand-in used only to enumerate block names/shapes
-    probe = np.zeros(0, dtype=np.float32)
-    layers = [LayerWeights(*([probe] * 8)) for _ in range(config.n_layers)]
-    return ModelWeights(probe, layers, probe)
+    return config, _assemble(config, arrays)
 
 
 # ---------------------------------------------------------------------------
-# numerics shared by sequential decoding and masked-parallel evaluation;
-# both paths must route through these helpers so attention probabilities
-# (and therefore eviction decisions) come out bit-identical.
+# numerics of the layer kernel; every mode runs them through decode_layer, so
+# attention probabilities (and therefore eviction decisions) come out
+# bit-identical whatever order the tokens are fed in.
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    ms = np.mean(np.square(x), dtype=np.float32)
+    # `x` is one (hidden,) vector: a float32 sum divided by the length is
+    # np.mean's own arithmetic, without its Python-level wrapper
+    ms = np.add.reduce(np.square(x), dtype=np.float32) / np.float32(x.shape[-1])
     inv = np.float32(1.0) / np.sqrt(ms + RMS_EPS)
     return (x * inv) * gain
 
@@ -407,48 +395,63 @@ def attention_step(q_rot: np.ndarray, keys_rot: np.ndarray, values: np.ndarray,
     return ctx.reshape(-1) @ w_o, AttentionRow(probs)
 
 
+def decode_layer(model: Model, layer: int, state: MultiState, x: np.ndarray,
+                 meta: StateMeta, position_fn: PositionFn | None = None,
+                 ) -> tuple[np.ndarray, AttentionRow]:
+    """One layer's multi-state update for one token: append, attend, feed forward.
+
+    `x` is the token's (hidden,) residual stream entering the layer and
+    `meta` its state entry; the new K/V rows are appended to every head of
+    the layer before attention (the token attends to itself). Returns the
+    residual stream leaving the layer and the attention row the policies
+    need. Eviction is the caller's job.
+
+    Without `position_fn` the query and key are rotated once, at the
+    token's position, the key before it is cached, and attention runs over
+    the cached keys as they are (rotation is element-wise, so this equals
+    rotating every key at every step). With it, keys are cached unrotated;
+    the layer's (H, S) retained positions are remapped in one call and the
+    keys rotated afresh.
+    """
+    config, w = model
+    lw = w.layers[layer]
+    n_heads = config.n_heads
+    inv_freq = _inv_freq(config.head_dim, config.rope_base)
+    h = rms_norm(x, lw.attn_norm)
+    q = (h @ lw.w_q).reshape(n_heads, config.head_dim)
+    k = (h @ lw.w_k).reshape(n_heads, config.head_dim)
+    v = (h @ lw.w_v).reshape(n_heads, config.head_dim)
+    if position_fn is None:
+        qk = rotate(np.concatenate((q, k)), meta.original_position, inv_freq)
+        q, k = qk[:n_heads], qk[n_heads:]
+    for head in range(n_heads):
+        state.append(layer, head, k[head], v[head], meta)
+    keys, values, positions = state.layer_view(layer)
+    if position_fn is not None:
+        remapped = position_fn(positions)
+        keys = rotate(keys, remapped, inv_freq)
+        q = rotate(q, remapped[:, -1], inv_freq)
+    ctx, row = attention_step(q, keys, values, lw.w_o)
+    x = x + ctx
+    x = x + silu(rms_norm(x, lw.ff_norm) @ lw.ff_in) @ lw.ff_out
+    return x, row
+
+
 def decode_step(model: Model, state: MultiState, token: int, step: int,
                 position_fn: PositionFn | None = None,
                 ) -> tuple[np.ndarray, list[AttentionRow]]:
-    """Decode one token against the multi-state.
+    """Decode one token against the multi-state, one `decode_layer` per layer.
 
-    Appends the new K/V rows to every layer's state before attention (the
-    newest token attends to itself), returns the next-token logits and the
-    per-layer attention rows the policies need. Eviction is the caller's job.
-
-    Without `position_fn` the new query and key are rotated once, at
-    position `step`, the key before it is cached, and attention runs over
-    the cached keys as they are (rotation is element-wise, so this equals
-    rotating every key at every step). With it, keys are cached unrotated;
-    each layer's (H, S) retained positions are remapped in one call and the
-    keys rotated afresh at every step.
+    Returns the next-token logits and the per-layer attention rows the
+    policies need. Eviction is the caller's job.
     """
     config, w = model
     if not (0 <= token < config.vocab_size):
         raise ValueError(f"token {token} out of range for vocab {config.vocab_size}")
-    inv_freq = _inv_freq(config.head_dim, config.rope_base)
-    n_heads = config.n_heads
     x = w.token_embedding[token]
-    rows: list[AttentionRow] = []
     meta = StateMeta(original_position=step, entry_step=step, token_id=token)
-    for layer, lw in enumerate(w.layers):
-        h = rms_norm(x, lw.attn_norm)
-        q = (h @ lw.w_q).reshape(n_heads, config.head_dim)
-        k = (h @ lw.w_k).reshape(n_heads, config.head_dim)
-        v = (h @ lw.w_v).reshape(n_heads, config.head_dim)
-        if position_fn is None:
-            qk = rotate(np.concatenate((q, k)), step, inv_freq)
-            q, k = qk[:n_heads], qk[n_heads:]
-        for head in range(n_heads):
-            state.append(layer, head, k[head], v[head], meta)
-        keys, values, positions = state.layer_view(layer)
-        if position_fn is not None:
-            remapped = position_fn(positions)
-            keys = rotate(keys, remapped, inv_freq)
-            q = rotate(q, remapped[:, -1], inv_freq)
-        ctx, row = attention_step(q, keys, values, lw.w_o)
-        x = x + ctx
-        x = x + silu(rms_norm(x, lw.ff_norm) @ lw.ff_in) @ lw.ff_out
+    rows: list[AttentionRow] = []
+    for layer in range(config.n_layers):
+        x, row = decode_layer(model, layer, state, x, meta, position_fn)
         rows.append(row)
-    logits = x @ w.lm_head
-    return logits, rows
+    return x @ w.lm_head, rows

@@ -6,9 +6,11 @@ TOVA (evict the state the newest query attends to least, per head or with
 head-averaged rows). Every argmin breaks ties toward the lowest index.
 
 The core deciders are pure functions over probability rows / accumulated
-scores; `apply_policy` wires them to a MultiState for sequential decoding,
-and the masked-parallel evaluator reuses the same functions over mask
-bookkeeping so both modes take identical decisions.
+scores. `apply_layer_policy` wires them to one layer of a MultiState;
+sequential decoding calls it for every layer through `apply_policy`, and the
+masked-parallel evaluator calls it layer by layer, so a policy's retained
+sets are the parallel mode's attention masks and both modes take identical
+decisions.
 """
 
 from __future__ import annotations
@@ -217,29 +219,34 @@ def decide_layer(kind: PolicyKind, size: int, n_heads: int, probs: np.ndarray,
     return policy_h2o(acc, kind.k, kind.headwise)
 
 
-def apply_policy(kind: PolicyKind, state: MultiState, rows: list[AttentionRow],
-                 acc: AccumulatedScores | None = None) -> PolicyDecision:
-    """Apply one step's policy to every layer of the multi-state.
+def apply_layer_policy(kind: PolicyKind, state: MultiState, layer: int, row: AttentionRow,
+                       acc: AccumulatedScores | None = None) -> list[int | None]:
+    """Apply one step's policy to one layer of the multi-state.
 
-    H2O kinds fold the fresh rows into `acc` before deciding. Evictions are
+    H2O kinds fold the fresh row into `acc` before deciding. Evictions are
     applied to the state (which records them in its trace) and the matching
-    accumulator entries are dropped.
+    accumulator entries are dropped. Returns the per-head evicted indices.
     """
     if kind.needs_scores and acc is None:
         raise ValueError(f"policy {kind.name} needs an AccumulatedScores instance")
-    decision = PolicyDecision()
-    for layer in range(state.n_layers):
-        row = rows[layer]
-        if kind.needs_scores:
-            acc.accumulate(layer, row.probs)
-        size = state.size(layer, 0)
-        per_head = decide_layer(kind, size, state.n_heads, row.probs,
-                                acc.layer(layer) if kind.needs_scores else None)
-        for head, idx in enumerate(per_head):
-            if idx is None:
-                continue
+    if kind.needs_scores:
+        acc.accumulate(layer, row.probs)
+    per_head = decide_layer(kind, state.size(layer, 0), state.n_heads, row.probs,
+                            acc.layer(layer) if kind.needs_scores else None)
+    for head, idx in enumerate(per_head):
+        if idx is not None:
             state.evict(layer, head, idx)
             if acc is not None:
                 acc.drop(layer, head, idx)
-            decision.evictions.append((layer, head, idx))
+    return per_head
+
+
+def apply_policy(kind: PolicyKind, state: MultiState, rows: list[AttentionRow],
+                 acc: AccumulatedScores | None = None) -> PolicyDecision:
+    """Apply one step's policy to every layer of the multi-state."""
+    decision = PolicyDecision()
+    for layer in range(state.n_layers):
+        per_head = apply_layer_policy(kind, state, layer, rows[layer], acc)
+        decision.evictions += [(layer, head, idx) for head, idx in enumerate(per_head)
+                               if idx is not None]
     return decision

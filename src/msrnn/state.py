@@ -183,7 +183,10 @@ class MultiState:
                         for _ in range(n_layers)]
         self._meta = [np.zeros((n_heads, rows, 3), dtype=np.int64) for _ in range(n_layers)]
         self._flat = [self._flat_views(layer) for layer in range(n_layers)]
-        self._last_step = -1
+        # latest entry step appended to each layer: the step an eviction is
+        # stamped with, per layer because the masked-parallel evaluator runs
+        # a whole chunk through one layer before the next
+        self._last_step = [-1] * n_layers
 
     def _flat_views(self, layer: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         # 1-D views of each head's rows: a left shift on them is one memmove
@@ -239,7 +242,7 @@ class MultiState:
         self._values[layer][head, size] = value
         meta_rows[head, size] = (meta.original_position, meta.entry_step, meta.token_id)
         self._sizes[layer][head] = size + 1
-        self._last_step = max(self._last_step, meta.entry_step)
+        self._last_step[layer] = max(self._last_step[layer], meta.entry_step)
         if self.trace is not None:
             self.trace.record(meta.entry_step, layer, head, ACTION_APPEND,
                               meta.original_position, meta.token_id)
@@ -257,7 +260,7 @@ class MultiState:
         meta_rows[3 * index:3 * (size - 1)] = meta_rows[3 * (index + 1):3 * size]
         self._sizes[layer][head] = size - 1
         if self.trace is not None:
-            self.trace.record(self._last_step, layer, head, ACTION_EVICT, position, token)
+            self.trace.record(self._last_step[layer], layer, head, ACTION_EVICT, position, token)
         return StateMeta(original_position=position, entry_step=step, token_id=token)
 
     def keys(self, layer: int, head: int) -> np.ndarray:

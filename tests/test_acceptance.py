@@ -359,7 +359,7 @@ def test_10_cli_determinism(tmp_path):
              "--out-dir", str(root / "p"), "--trace-out", trace],
             ["perplexity-parallel", "--seed", "5", "--stream", str(stream),
              "--policy", "h2o-layer", "--k", "16", "--chunk-len", "32",
-             "--threads", "2", "--out-dir", str(root / "pp")],
+             "--out-dir", str(root / "pp")],
             ["perplexity", "--seed", "5", "--stream", str(stream),
              "--policy", "window", "--k", "8", "--chunk-len", "64",
              "--remap", "--out-dir", str(root / "pr")],

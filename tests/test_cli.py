@@ -39,8 +39,6 @@ def test_parse_config_defaults_and_types():
     assert cfg.mem_state_sizes == [64, 128]
     with pytest.raises(CliError):
         parse_config(["memory-report", "--state-sizes", "64,big"])
-    with pytest.raises(CliError):
-        parse_config(["perplexity", "--threads", "0"])
 
 
 def test_config_file_merge_and_overrides(tmp_path):

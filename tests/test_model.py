@@ -8,7 +8,7 @@ from msrnn import (MalformedHeaderError, Model, ModelConfig, MultiState,
                    apply_position, attention_step, decode_step,
                    init_random_model, load_weights, rms_norm, save_weights,
                    zero_model)
-from msrnn.model import _iter_blocks, silu
+from msrnn.model import RMS_EPS, _iter_blocks, silu
 
 from conftest import make_config, make_model
 
@@ -82,6 +82,11 @@ def test_shape_mismatch_error(tmp_path):
     path.write_bytes(data.replace(b"block layer1.ff_out 32 16\n", b"", 1))
     with pytest.raises(ShapeMismatchError):
         load_weights(path)
+    config = make_config()
+    weights = init_random_model(config, 0)
+    weights.layers.pop()
+    with pytest.raises(ShapeMismatchError):
+        save_weights(str(tmp_path / "short.bin"), config, weights)
 
 
 def test_truncated_blob_error(tmp_path):
@@ -106,6 +111,14 @@ def test_rms_norm_value():
     ms = (9.0 + 16.0) / 2.0
     expected = x / math.sqrt(ms + 1e-5) * gain
     np.testing.assert_allclose(rms_norm(x, gain), expected, rtol=1e-6)
+    # bit for bit the np.mean form, whose float32 sum and division it inlines
+    rng = np.random.default_rng(0)
+    for n in (1, 2, 3, 7, 16, 33, 128, 1000, 4096):
+        x = (rng.standard_normal(n) * rng.uniform(1e-3, 1e3)).astype(np.float32)
+        gain = rng.uniform(0.5, 1.5, n).astype(np.float32)
+        ms = np.mean(np.square(x), dtype=np.float32)
+        expected = (x * (np.float32(1.0) / np.sqrt(ms + RMS_EPS))) * gain
+        assert np.array_equal(rms_norm(x, gain), expected)
 
 
 def test_silu_stability():

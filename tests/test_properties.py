@@ -1,13 +1,16 @@
 """Property tests: the layer-buffer multi-state against a plain-list model,
-and row-wise remapping of position arrays."""
+row-wise remapping of position arrays, and sequential decoding against
+masked-parallel evaluation."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msrnn import (ACTION_APPEND, ACTION_EVICT, MultiState, RetentionTrace,
-                   StateMeta, TraceEvent, remap_gap, remap_positions)
+from msrnn import (ACTION_APPEND, ACTION_EVICT, Model, ModelConfig, MultiState,
+                   RetentionTrace, StateMeta, TokenStream, TraceEvent,
+                   init_random_model, masked_parallel_perplexity, parse_policy,
+                   remap_gap, remap_positions, sequential_perplexity, zero_model)
 
 
 @settings(max_examples=100, deadline=None)
@@ -22,7 +25,7 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
     # reference: per (layer, head) a list of (position, step, token, key, value)
     ref = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
     events = []
-    last_step = -1
+    last_step = [-1] * n_layers  # evictions carry the latest step appended to their layer
     next_pos = 0
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     n_ops = data.draw(st.integers(0, 80), label="n_ops")
@@ -43,7 +46,7 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
                 continue
             state.append(layer, head, key, value, meta)
             entries.append((next_pos, step, token, key, value))
-            last_step = max(last_step, step)
+            last_step[layer] = max(last_step[layer], step)
             events.append(TraceEvent(step, layer, head, ACTION_APPEND, next_pos, token))
         else:
             index = data.draw(st.integers(-1, len(entries)), label="index")
@@ -54,7 +57,7 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
             got = state.evict(layer, head, index)
             pos, step, token, _, _ = entries.pop(index)
             assert got == StateMeta(original_position=pos, entry_step=step, token_id=token)
-            events.append(TraceEvent(last_step, layer, head, ACTION_EVICT, pos, token))
+            events.append(TraceEvent(last_step[layer], layer, head, ACTION_EVICT, pos, token))
 
         for l in range(n_layers):
             for h in range(n_heads):
@@ -123,3 +126,38 @@ def test_remap_positions_2d_equals_rows(rows):
         for prev, cur in zip(r, r[1:]):
             running.append(running[-1] + remap_gap(cur - prev))
         assert np.array_equal(out, running)
+
+
+# the seven policy forms; a trailing "+" takes a drawn pinned prefix
+POLICY_FORMS = ("window", "window+", "h2o-head", "h2o-layer", "tova-head",
+                "tova-layer", "tova-layer+")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       n_layers=st.integers(1, 2),
+       n_heads=st.integers(1, 3),
+       head_dim=st.sampled_from([2, 4]),
+       form=st.sampled_from(POLICY_FORMS),
+       zero=st.booleans())
+def test_sequential_equals_masked_parallel(data, n_layers, n_heads, head_dim, form, zero):
+    # token-major and layer-major runs of the same kernel: equal NLLs and
+    # traces, bit for bit; zero weights make every attention row an exact tie
+    pinned = form.endswith("+")
+    k = data.draw(st.integers(2 if pinned else 1, 8), label="k")
+    policy = form + str(data.draw(st.integers(1, k - 1), label="pin")) if pinned else form
+    kind = parse_policy(policy, k)
+    config = ModelConfig(n_layers=n_layers, n_heads=n_heads, head_dim=head_dim,
+                         hidden_dim=n_heads * head_dim, ff_dim=8, vocab_size=8,
+                         train_context_len=24)
+    weights = zero_model(config) if zero else \
+        init_random_model(config, data.draw(st.integers(0, 2**16), label="seed"))
+    model = Model(config, weights)
+    ids = data.draw(st.lists(st.integers(0, 7), min_size=2, max_size=24), label="ids")
+    stream = TokenStream(ids=tuple(ids), chunk_len=data.draw(st.integers(2, 24), label="chunk"))
+    seq_trace = RetentionTrace(n_layers, n_heads)
+    par_trace = RetentionTrace(n_layers, n_heads)
+    seq = sequential_perplexity(model, stream, kind, trace=seq_trace)
+    par = masked_parallel_perplexity(model, stream, kind, trace=par_trace)
+    assert [c.nll for c in par.chunks] == [c.nll for c in seq.chunks]
+    assert par_trace.sorted_events() == seq_trace.sorted_events()
