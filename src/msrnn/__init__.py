@@ -21,9 +21,9 @@ from .model import (MalformedHeaderError, Model, ModelConfig, ModelWeights,
                     apply_position, attention_step, decode_step,
                     init_random_model, load_weights, rms_norm, save_weights,
                     zero_model)
-from .policies import (POLICY_FORMS, AccumulatedScores, PolicyDecision,
-                       PolicyKind, accumulate_row, apply_policy,
-                       parse_policy, recent_window)
+from .policies import (POLICY_FORMS, AccumulatedScores, PolicyKind,
+                       accumulate_row, apply_policy, parse_policy,
+                       recent_window)
 from .remap import remap_gap, remap_positions
 from .state import (ACTION_APPEND, ACTION_EVICT, MultiState, RetentionTrace,
                     StateMeta, TraceEvent)
@@ -32,7 +32,7 @@ __all__ = [
     "ACTION_APPEND", "ACTION_EVICT", "AccumulatedScores", "ChunkResult",
     "MalformedHeaderError", "MemoryReport", "Model", "ModelConfig",
     "ModelWeights", "MultiState", "POLICY_FORMS", "PerplexityReport",
-    "PolicyDecision", "PolicyKind", "RetentionTrace", "ScriptedTrace",
+    "PolicyKind", "RetentionTrace", "ScriptedTrace",
     "ShapeMismatchError", "StateMeta", "TokenStream", "TraceEvent",
     "TruncatedBlobError", "WeightFormatError", "accumulate_row",
     "apply_policy", "apply_position", "attention_step", "decode_step",

@@ -366,10 +366,6 @@ class AttentionRow:
     def size(self) -> int:
         return self.probs.shape[1]
 
-    def head_mean(self) -> np.ndarray:
-        # float64 row-by-row accumulation; matches a plain per-column sum
-        return np.mean(self.probs, axis=0, dtype=np.float64)
-
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
     m = scores.max(axis=-1, keepdims=True)

@@ -15,7 +15,7 @@ decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,13 +86,6 @@ def parse_policy(text: str, k: int, pin: int | None = None) -> PolicyKind | None
         raise ValueError(f"policy {text!r} embeds pin {embedded} but --pin is {pin}")
     effective = embedded if embedded is not None else (pin or 0)
     return PolicyKind(family=family, k=k, pin=effective)
-
-
-@dataclass
-class PolicyDecision:
-    """Evictions for one step: (layer, head, list index) triples."""
-
-    evictions: list[tuple[int, int, int]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +235,7 @@ def apply_layer_policy(kind: PolicyKind, state: MultiState, layer: int, row: Att
 
 
 def apply_policy(kind: PolicyKind, state: MultiState, rows: list[AttentionRow],
-                 acc: AccumulatedScores | None = None) -> PolicyDecision:
+                 acc: AccumulatedScores | None = None) -> None:
     """Apply one step's policy to every layer of the multi-state."""
-    decision = PolicyDecision()
     for layer in range(state.n_layers):
-        per_head = apply_layer_policy(kind, state, layer, rows[layer], acc)
-        decision.evictions += [(layer, head, idx) for head, idx in enumerate(per_head)
-                               if idx is not None]
-    return decision
+        apply_layer_policy(kind, state, layer, rows[layer], acc)

@@ -16,9 +16,6 @@ import numpy as np
 ACTION_APPEND = "append"
 ACTION_EVICT = "evict"
 
-GROWTH_UNBOUNDED = "unbounded"
-GROWTH_BOUNDED = "min(t,k)"
-
 TRACE_COLUMNS = ("step", "layer", "head", "action", "original_position", "token_id")
 
 
@@ -203,10 +200,6 @@ class MultiState:
             bufs[layer] = new
         self._flat[layer] = self._flat_views(layer)
 
-    @property
-    def growth_tag(self) -> str:
-        return GROWTH_UNBOUNDED if self.capacity is None else GROWTH_BOUNDED
-
     def _check(self, layer: int, head: int) -> None:
         if not (0 <= layer < self.n_layers and 0 <= head < self.n_heads):
             raise ValueError(f"layer/head ({layer}, {head}) out of range")
@@ -247,21 +240,20 @@ class MultiState:
             self.trace.record(meta.entry_step, layer, head, ACTION_APPEND,
                               meta.original_position, meta.token_id)
 
-    def evict(self, layer: int, head: int, index: int) -> StateMeta:
+    def evict(self, layer: int, head: int, index: int) -> None:
         self._check(layer, head)
         size = self._sizes[layer][head]
         if not (0 <= index < size):
             raise ValueError(f"evict index {index} out of range for size {size}")
         keys, values, meta_rows = self._flat[layer][head]
-        position, step, token = meta_rows[3 * index:3 * index + 3].tolist()
+        if self.trace is not None:
+            position, _, token = meta_rows[3 * index:3 * index + 3].tolist()
+            self.trace.record(self._last_step[layer], layer, head, ACTION_EVICT, position, token)
         d = self.head_dim
         keys[index * d:(size - 1) * d] = keys[(index + 1) * d:size * d]
         values[index * d:(size - 1) * d] = values[(index + 1) * d:size * d]
         meta_rows[3 * index:3 * (size - 1)] = meta_rows[3 * (index + 1):3 * size]
         self._sizes[layer][head] = size - 1
-        if self.trace is not None:
-            self.trace.record(self._last_step[layer], layer, head, ACTION_EVICT, position, token)
-        return StateMeta(original_position=position, entry_step=step, token_id=token)
 
     def keys(self, layer: int, head: int) -> np.ndarray:
         """(size, head_dim) view of one head's cached keys, oldest first.

@@ -17,7 +17,7 @@ def write_stream(path, n=96, vocab=256, seed=11):
 def test_parse_config_policy_validation():
     base = ["perplexity", "--seed", "1", "--stream", "s.txt"]
     cfg = parse_config(base + ["--policy", "tova-layer+2", "--k", "8"])
-    kind = cfg.policy_kind()
+    kind = cfg.kind
     assert (kind.family, kind.k, kind.pin) == ("tova-layer", 8, 2)
     with pytest.raises(CliError):
         parse_config(base + ["--policy", "window+4", "--k", "4"])
@@ -39,6 +39,8 @@ def test_parse_config_defaults_and_types():
     assert cfg.mem_state_sizes == [64, 128]
     with pytest.raises(CliError):
         parse_config(["memory-report", "--state-sizes", "64,big"])
+    with pytest.raises(CliError):
+        parse_config(["memory-report", "--state-sizes", ","])
 
 
 def test_config_file_merge_and_overrides(tmp_path):
@@ -71,6 +73,31 @@ def test_config_file_merge_and_overrides(tmp_path):
         parse_config(["perplexity", "--config", str(cfg_file)])
     with pytest.raises(CliError):
         parse_config(["perplexity", "--config", str(tmp_path / "missing.cfg")])
+
+
+def test_config_file_unknown_keys_fail(tmp_path, capsys):
+    stream = write_stream(tmp_path / "s.txt", n=40)
+    cfg_file = tmp_path / "run.cfg"
+    base = ["perplexity", "--config", str(cfg_file), "--seed", "5",
+            "--stream", str(stream), "--chunk-len", "16",
+            "--out-dir", str(tmp_path / "o")]
+    # a misspelt key, a removed flag and a positional are not option dests
+    for key, value in (("polcy", "h2o-head"), ("threads", "2"), ("what", "lifetime")):
+        cfg_file.write_text(f"{key} = {value}\nk = 8\n")
+        assert main(base) == 1
+        line = _single_error_line(capsys)
+        assert line.startswith("error: config:") and "run.cfg" in line
+        assert repr(key) in line
+    assert not (tmp_path / "o").exists()
+    # a file value that its flag's type rejects is blamed on the file
+    cfg_file.write_text("k = eight\n")
+    assert main(base) == 1
+    line = _single_error_line(capsys)
+    assert line.startswith("error: config:") and "--k" in line and "'eight'" in line
+    # another command's key is accepted, so one file can serve several commands
+    cfg_file.write_text("max_steps = 3\npolicy = window\nk = 8\n")
+    assert main(base) == 0
+    assert (tmp_path / "o" / "report.txt").exists()
 
 
 def test_model_source_rules(tmp_path, capsys):
@@ -207,8 +234,11 @@ def test_analyze_requires_inputs(tmp_path, capsys):
     assert "--k" in capsys.readouterr().err
 
 
-def test_memory_report_cli(tmp_path):
+def test_memory_report_cli(tmp_path, capsys):
     out = str(tmp_path / "mem")
+    assert main(["memory-report", "--state-sizes", ",", "--out-dir", out]) == 1
+    assert "--state-sizes" in _single_error_line(capsys)
+    assert not (tmp_path / "mem").exists()
     assert main(["memory-report", "--out-dir", out]) == 0
     lines = (tmp_path / "mem" / "memory.csv").read_text().splitlines()
     assert lines[0] == "state_size,bytes,gigabytes,max_batch"

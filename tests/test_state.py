@@ -30,8 +30,7 @@ def test_append_and_evict_bookkeeping():
     assert state.keys(0, 0).shape == (4, 3)
     assert np.array_equal(state.keys(0, 0)[2], key + 2)
 
-    evicted = state.evict(0, 0, 1)
-    assert evicted.original_position == 1
+    state.evict(0, 0, 1)
     assert state.retained_positions(0, 0) == [0, 2, 3]
     assert np.array_equal(state.values(0, 0)[1], key - 2)
     # surviving rows stay contiguous and in order
@@ -54,9 +53,7 @@ def test_append_rejects_bad_shapes_and_positions():
         state.size(0, 1)
 
 
-def test_growth_tag():
-    assert MultiState(1, 1, 2).growth_tag == "unbounded"
-    assert MultiState(1, 1, 2, capacity=4).growth_tag == "min(t,k)"
+def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         MultiState(1, 1, 2, capacity=0)
 
