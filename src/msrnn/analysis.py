@@ -1,10 +1,8 @@
-"""Retention analyses over trace event logs, plus the cache memory model.
+"""Retention analyses over trace lifespans, plus the cache memory model.
 
-Everything here replays RetentionTrace events; nothing touches model math.
 Retention matrices mirror the kept/dropped figures (rows = steps, columns =
 original positions), lifetimes measure how long positions survive, tag tables
-aggregate lifetimes per part-of-speech-style labels, and the memory report is
-the closed-form multi-state footprint.
+aggregate them per label, and the memory report is the closed-form footprint.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import RetentionTrace
+from .state import RetentionTrace, write_csv_rows
 
 UNKNOWN_TAG = "UNK"
 AVERAGE_ROW = "Avg."
@@ -27,32 +25,21 @@ def retention_matrix(trace: RetentionTrace, layer: int,
 
     Cell (t, p) is 1.0 when position p is retained after step t's events.
     With `head=None` the matrix is the mean over heads (fractional cells for
-    head-wise policies). Strictly lower-triangular-plus-diagonal: nothing is
-    retained before it appears.
+    head-wise policies).
     """
-    if not (0 <= layer < trace.n_layers):
-        raise ValueError(f"layer {layer} out of range for {trace.n_layers}")
-    steps = trace.n_steps
-    if steps == 0:
-        raise ValueError("trace holds no events")
-    heads = range(trace.n_heads) if head is None else [head]
-    matrix = np.zeros((steps, steps), dtype=np.float64)
-    for h in heads:
-        if not (0 <= h < trace.n_heads):
-            raise ValueError(f"head {h} out of range for {trace.n_heads}")
-        for t, retained in enumerate(trace.retained_sets(layer, h)):
-            for p in retained:
-                matrix[t, p] += 1.0
-    matrix /= len(list(heads))
-    return matrix
+    if head is not None and not (0 <= head < trace.n_heads):
+        raise ValueError(f"head {head} out of range for {trace.n_heads}")
+    grid = trace.retained_grid(layer)
+    heads = grid if head is None else grid[head:head + 1]
+    return heads.sum(axis=0, dtype=np.int32) / len(heads)
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"] + [str(p) for p in range(matrix.shape[1])])
-        for t in range(matrix.shape[0]):
-            writer.writerow([t] + [f"{v:.6g}" for v in matrix[t]])
+    # distinct by bit pattern, so -0.0 keeps its own text
+    bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.int64)
+    write_csv_rows(path, ["step"] + [str(p) for p in range(matrix.shape[1])],
+                   [(np.arange(len(bits))[:, None], str),
+                    (bits, lambda b: f"{np.int64(b).view(np.float64):.6g}")])
 
 
 def write_matrix_pgm(matrix: np.ndarray, path: str) -> None:
@@ -65,32 +52,12 @@ def write_matrix_pgm(matrix: np.ndarray, path: str) -> None:
 
 
 def token_lifetime(trace: RetentionTrace) -> dict[int, float]:
-    """Mean steps retained per original position, averaged over layers and heads.
-
-    Lifetime of one appearance is eviction_step - entry_step, or n_steps -
-    entry_step when never evicted.
-    """
-    steps = trace.n_steps
-    if steps == 0:
-        raise ValueError("trace holds no events")
-    totals: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    entry: dict[tuple[int, int, int], int] = {}
-    for ev in trace.sorted_events():
-        key = (ev.layer, ev.head, ev.original_position)
-        if ev.action == "append":
-            entry[key] = ev.step
-        else:
-            started = entry.pop(key, None)
-            if started is None:
-                raise ValueError(f"evict without matching append: {ev}")
-            totals[ev.original_position] = totals.get(ev.original_position, 0.0) \
-                + (ev.step - started)
-            counts[ev.original_position] = counts.get(ev.original_position, 0) + 1
-    for (_layer, _head, position), started in entry.items():
-        totals[position] = totals.get(position, 0.0) + (steps - started)
-        counts[position] = counts.get(position, 0) + 1
-    return {p: totals[p] / counts[p] for p in sorted(totals)}
+    """Mean steps retained per original position, averaged over layers and heads:
+    an appearance lives from its append step to its evict step, or to n_steps."""
+    _, _, positions, starts, ends = trace.lifespans()
+    distinct, index = np.unique(positions, return_inverse=True)
+    means = np.bincount(index, weights=ends - starts) / np.bincount(index)
+    return dict(zip(distinct.tolist(), means.tolist()))
 
 
 def read_tag_file(path: str) -> dict[int, str]:
@@ -126,8 +93,7 @@ def lifetime_by_tag(trace: RetentionTrace,
         buckets.setdefault(tags.get(position, UNKNOWN_TAG), []).append(life)
     rows = [(tag, sum(vals) / len(vals)) for tag, vals in buckets.items()]
     rows.sort(key=lambda r: (-r[1], r[0]))
-    overall = sum(lifetimes.values()) / len(lifetimes)
-    return [(AVERAGE_ROW, overall)] + rows
+    return [(AVERAGE_ROW, sum(lifetimes.values()) / len(lifetimes))] + rows
 
 
 def recent_proportion(trace: RetentionTrace, k: int, exclude_prefix: int = 0) -> float:
@@ -139,22 +105,13 @@ def recent_proportion(trace: RetentionTrace, k: int, exclude_prefix: int = 0) ->
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    steps = trace.n_steps
-    if steps == 0:
-        raise ValueError("trace holds no events")
-    recent = 0
-    total = 0
-    for layer in range(trace.n_layers):
-        for head in range(trace.n_heads):
-            for t, retained in enumerate(trace.retained_sets(layer, head)):
-                for p in retained:
-                    if p < exclude_prefix:
-                        continue
-                    total += 1
-                    if p > t - k:
-                        recent += 1
+    _, _, positions, starts, ends = trace.lifespans()
+    kept = positions >= exclude_prefix
+    total = int((ends - starts)[kept].sum())
     if total == 0:
         raise ValueError("trace retains nothing outside the excluded prefix")
+    # retained over steps [start, end), position p is recent while t < p + k
+    recent = int(np.maximum(np.minimum(ends, positions + k) - starts, 0)[kept].sum())
     return recent / total
 
 
@@ -174,10 +131,6 @@ class MemoryReport:
     total_bytes: int
     gigabytes: float
     max_batch: int | None
-
-    @property
-    def fields(self) -> tuple:
-        return (self.state_size, self.total_bytes, self.gigabytes, self.max_batch)
 
 
 def memory_report(n_layers: int, n_heads: int, head_dim: int, state_size: int,

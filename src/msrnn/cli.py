@@ -37,6 +37,10 @@ MODEL_DEFAULTS = {
 }
 
 
+# the commands that run a policy; only these parse --policy, --k and --pin as one
+POLICY_COMMANDS = ("perplexity", "perplexity-parallel", "generate", "simulate-trace")
+
+
 class CliError(ValueError):
     """User-facing error: printed as one machine-parseable line."""
 
@@ -184,7 +188,8 @@ def parse_config(argv: Sequence[str]) -> argparse.Namespace:
 
     The file's values become the chosen command's defaults, so explicit
     flags win and each value goes through its flag's type. The namespace
-    carries the parsed policy as `kind` and the command's handler as `run`.
+    carries the parsed policy as `kind` (None for commands that run no
+    policy) and the command's handler as `run`.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -199,7 +204,7 @@ def parse_config(argv: Sequence[str]) -> argparse.Namespace:
             args = parser.parse_args(argv)
         except CliError as exc:  # argv alone parsed above, so a file value failed
             raise CliError(f"config: {args.config}: {str(exc).removeprefix('usage: ')}") from None
-    args.kind = _policy_kind(args)
+    args.kind = _policy_kind(args) if args.command in POLICY_COMMANDS else None
     return args
 
 

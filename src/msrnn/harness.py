@@ -291,17 +291,36 @@ class ScriptedTrace:
         return cls(n_layers=n_layers, n_heads=n_heads, rows=rows)
 
 
-def _check_row(row: np.ndarray, size: int, where: str) -> np.ndarray:
-    row = np.asarray(row, dtype=np.float32)
-    if row.shape != (size,):
-        raise ValueError(f"{where}: row length {row.shape} does not match "
-                         f"multi-state size {size}")
-    total = float(row.sum())
-    if not (abs(total - 1.0) <= ROW_SUM_TOL):  # NaN fails this test too
-        raise ValueError(f"{where}: probabilities sum to {total!r}, not 1")
-    if row.min() < 0:
-        raise ValueError(f"{where}: negative probability {float(row.min())!r}")
-    return row
+def _check_rows(rows: Sequence, size: int, where: Callable[[int], str]) -> np.ndarray:
+    """Stack one layer's per-head rows into an (H, size) float32 block and check it.
+
+    One pass over the block checks every row's sum and sign (a NaN fails the
+    sum); an error names `where(head)` for the first bad head, with the
+    check that failed first on that head as the message.
+    """
+    try:
+        block = np.stack(rows, dtype=np.float32, casting="unsafe")
+    except ValueError:  # rows of different lengths, or a row that is not numeric
+        if len(rows) == 1:
+            raise
+        block = None
+    if block is None or block.shape != (len(rows), size):
+        if len(rows) == 1:
+            raise ValueError(f"{where(0)}: row length {np.shape(rows[0])} does not match "
+                             f"multi-state size {size}")
+        # some row is off: check head by head, so the first bad head is named
+        return np.concatenate([_check_rows([row], size, lambda _, head=head: where(head))
+                               for head, row in enumerate(rows)])
+    totals = block.sum(axis=1)
+    lows = block.min(axis=1)
+    bad_sum = ~(np.abs(totals.astype(np.float64) - 1.0) <= ROW_SUM_TOL)
+    bad = bad_sum | (lows < 0)
+    if bad.any():
+        head = int(np.argmax(bad))
+        if bad_sum[head]:
+            raise ValueError(f"{where(head)}: probabilities sum to {float(totals[head])!r}, not 1")
+        raise ValueError(f"{where(head)}: negative probability {float(lows[head])!r}")
+    return block
 
 
 def _simulate(row_source: RowRule, kind: PolicyKind | None, steps: int,
@@ -317,17 +336,14 @@ def _simulate(row_source: RowRule, kind: PolicyKind | None, steps: int,
             for head in range(n_heads):
                 state.append(layer, head, empty, empty, meta)
         rows = []
-        step_script = []
         for layer in range(n_layers):
-            size = state.size(layer, 0)
-            per_head = []
-            for head in range(n_heads):
-                row = row_source(t, layer, head, state.retained_positions(layer, head))
-                per_head.append(_check_row(row, size, f"step {t}, layer {layer}, head {head}"))
-            rows.append(AttentionRow(np.stack(per_head)))
-            step_script.append(per_head)
+            block = _check_rows(
+                [row_source(t, layer, head, state.retained_positions(layer, head))
+                 for head in range(n_heads)],
+                state.size(layer, 0), lambda head: f"step {t}, layer {layer}, head {head}")
+            rows.append(AttentionRow(block))
         if script_rows is not None:
-            script_rows.append(step_script)
+            script_rows.append([list(row.probs) for row in rows])
         if kind is not None:
             apply_policy(kind, state, rows, acc)
     script = None

@@ -8,15 +8,22 @@ RetentionTrace that the analysis tools consume.
 
 from __future__ import annotations
 
-import csv
+from array import array
+from collections import namedtuple
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 ACTION_APPEND = "append"
 ACTION_EVICT = "evict"
+# an action's code is its index, so appends sort before evicts
+ACTIONS = (ACTION_APPEND, ACTION_EVICT)
+_CODES = {action: code for code, action in enumerate(ACTIONS)}
 
 TRACE_COLUMNS = ("step", "layer", "head", "action", "original_position", "token_id")
+# one trace row, built on demand from the columnar store
+TraceEvent = namedtuple("TraceEvent", TRACE_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -36,27 +43,26 @@ class StateMeta:
             )
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    step: int
-    layer: int
-    head: int
-    action: str
-    original_position: int
-    token_id: int
-
-
-def _event_sort_key(ev: TraceEvent) -> tuple:
-    # appends before evicts within a step so replay never removes a missing entry
-    return (ev.step, ev.layer, ev.head, 0 if ev.action == ACTION_APPEND else 1, ev.original_position)
+def write_csv_rows(path: str, header: Sequence[str], blocks: list[tuple]) -> None:
+    """csv.writer's bytes from (values, fmt) blocks of row-aligned 2-D arrays;
+    a block formats each distinct value once and gathers the texts back."""
+    texts, cells = [], []
+    for values, fmt in blocks:
+        distinct = np.unique(values)
+        cells.append(np.searchsorted(distinct, values) + len(texts))
+        texts += map(fmt, distinct.tolist())
+    rows = (",".join(map(texts.__getitem__, row)) for row in np.hstack(cells).tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([",".join(header), *rows]) + "\r\n")
 
 
 class RetentionTrace:
     """Append/evict event log over a full decoding run.
 
-    Events are kept in insertion order; `sorted_events` puts them in the
-    canonical (step, layer, head, append-before-evict, position) order used
-    for file output and cross-run comparison.
+    The store is one int64 table in insertion order, a column per
+    TRACE_COLUMNS field (the action as its ACTIONS index). The canonical
+    (step, layer, head, append-before-evict, position) order of file output
+    and `sorted_events` is one lexsort, cached until the next `record`.
     """
 
     def __init__(self, n_layers: int, n_heads: int):
@@ -64,77 +70,118 @@ class RetentionTrace:
             raise ValueError("n_layers and n_heads must be >= 1")
         self.n_layers = n_layers
         self.n_heads = n_heads
-        self.events: list[TraceEvent] = []
+        self.n_steps = 0
+        self._log = array("q")
+        self._order: np.ndarray | None = None
 
     def record(self, step: int, layer: int, head: int, action: str,
                original_position: int, token_id: int) -> None:
-        if action not in (ACTION_APPEND, ACTION_EVICT):
+        if action not in _CODES:
             raise ValueError(f"unknown trace action {action!r}")
         if not (0 <= layer < self.n_layers and 0 <= head < self.n_heads):
             raise ValueError(f"layer/head ({layer}, {head}) out of range")
-        self.events.append(TraceEvent(step, layer, head, action, original_position, token_id))
+        self._log.extend((step, layer, head, _CODES[action], original_position, token_id))
+        if step >= self.n_steps:
+            self.n_steps = step + 1
+        self._order = None
+
+    def _table(self) -> np.ndarray:  # a view: the log cannot grow while one lives
+        return np.frombuffer(self._log, dtype=np.int64).reshape(-1, len(TRACE_COLUMNS))
+
+    def _sorted_order(self) -> np.ndarray:
+        if self._order is None:
+            self._order = np.lexsort(self._table().T[4::-1])
+        return self._order
+
+    def _events(self, order: np.ndarray) -> list[TraceEvent]:
+        # a block of rows at a time, with one int object per distinct value
+        table, events, ints = self._table(), [], {}
+        for start in range(0, len(order), 512):
+            events += [TraceEvent(ints.setdefault(s, s), l, h, ACTIONS[a],
+                                  ints.setdefault(p, p), ints.setdefault(t, t))
+                       for s, l, h, a, p, t in table[order[start:start + 512]].tolist()]
+        return events
 
     @property
-    def n_steps(self) -> int:
-        if not self.events:
-            return 0
-        return max(ev.step for ev in self.events) + 1
+    def events(self) -> list[TraceEvent]:
+        return self._events(np.arange(len(self._log) // len(TRACE_COLUMNS)))
 
     def sorted_events(self) -> list[TraceEvent]:
-        return sorted(self.events, key=_event_sort_key)
+        return self._events(self._sorted_order())
+
+    def lifespans(self) -> tuple[np.ndarray, ...]:
+        """(layer, head, position, append step, end step) of every appearance.
+
+        The end is the evict step, or n_steps if never evicted. One lexsort lines
+        up each (layer, head, position)'s events; an irregular one raises ValueError.
+        """
+        if not self._log:
+            raise ValueError("trace holds no events")
+        table = self._table()[np.lexsort(self._table().T[[3, 0, 4, 2, 1]])]  # last key first
+        step, layer, head, action, position, _ = table.T
+        # whether the event before is of the same (layer, head, position)
+        same = np.append(False, (table[1:, [1, 2, 4]] == table[:-1, [1, 2, 4]]).all(axis=1))
+        # each position opens with its append, and an evict may directly follow it
+        regular = np.where(same, (action == 1) & ~np.roll(same, 1), action == 0) \
+            & (step >= 0) & (position >= 0) & (position < self.n_steps)
+        if not regular.all():
+            i = np.argmax(~regular)
+            mine = (layer == layer[i]) & (head == head[i]) & (position == position[i])
+            got = ", ".join(f"{ACTIONS[a]} at step {s}" for a, s in zip(action[mine], step[mine]))
+            raise ValueError(f"irregular trace at layer {layer[i]}, head {head[i]}, position "
+                             f"{position[i]}: {got}; each needs one append and at most one "
+                             f"evict, no earlier, at steps >= 0 and positions 0..n_steps-1")
+        ends = np.where(np.append(same[1:], False), np.roll(step, -1), self.n_steps)
+        return tuple(column[action == 0] for column in (layer, head, position, step, ends))
+
+    def retained_grid(self, layer: int) -> np.ndarray:
+        """(n_heads, n_steps, n_steps) int8, 1 where a position is retained after a step:
+        +1 at appends, -1 at ends (a spare row takes n_steps), one cumsum over steps."""
+        if not (0 <= layer < self.n_layers):
+            raise ValueError(f"layer {layer} out of range for {self.n_layers}")
+        layers, heads, positions, starts, ends = self.lifespans()
+        mine = layers == layer
+        grid = np.zeros((self.n_heads, self.n_steps + 1, self.n_steps), dtype=np.int8)
+        grid[heads[mine], starts[mine], positions[mine]] = 1
+        grid[heads[mine], ends[mine], positions[mine]] -= 1
+        return np.cumsum(grid[:, :-1], axis=1, dtype=np.int8)
 
     def retained_sets(self, layer: int, head: int) -> list[set[int]]:
-        """Post-step retained original positions for one (layer, head).
-
-        Element t is the set right after step t's appends and evictions.
-        """
-        per_step: dict[int, list[TraceEvent]] = {}
-        for ev in self.events:
-            if ev.layer == layer and ev.head == head:
-                per_step.setdefault(ev.step, []).append(ev)
-        snapshots: list[set[int]] = []
-        alive: set[int] = set()
-        for t in range(self.n_steps):
-            for ev in sorted(per_step.get(t, []), key=_event_sort_key):
-                if ev.action == ACTION_APPEND:
-                    alive.add(ev.original_position)
-                else:
-                    alive.discard(ev.original_position)
-            snapshots.append(set(alive))
-        return snapshots
+        """Retained positions of one (layer, head) right after each step's events."""
+        return [set(np.flatnonzero(row).tolist()) for row in self.retained_grid(layer)[head]]
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for ev in self.sorted_events():
-                writer.writerow([ev.step, ev.layer, ev.head, ev.action,
-                                 ev.original_position, ev.token_id])
+        rows = self._table()[self._sorted_order()]
+        write_csv_rows(path, TRACE_COLUMNS, [
+            (rows[:, :3], str), (rows[:, 3:4], ACTIONS.__getitem__), (rows[:, 4:], str)])
 
     @classmethod
     def read_csv(cls, path: str) -> "RetentionTrace":
+        """Read a trace CSV with LF or CRLF rows, skipping blank lines."""
+        log = array("q")
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != list(TRACE_COLUMNS):
-                raise ValueError(f"bad retention trace header in {path}: {header}")
-            rows = []
-            for row in reader:
-                if not row:
+            fields = fh.readline().rstrip("\r\n").split(",")
+            if fields != list(TRACE_COLUMNS):
+                raise ValueError(f"bad retention trace header in {path}: {fields}")
+            for lineno, line in enumerate(fh, start=2):
+                row = line.rstrip("\r\n").split(",")
+                if row == [""]:
                     continue
                 try:  # a short or long row fails the unpacking
                     step, layer, head, action, position, token = row
-                    event = (int(step), int(layer), int(head), action, int(position), int(token))
-                except ValueError:
-                    raise ValueError(f"{path}:{reader.line_num}: expected {len(TRACE_COLUMNS)} "
-                                     f"fields {TRACE_COLUMNS}, all integers except the "
-                                     f"action, got {row}") from None
-                rows.append(event)
-        if not rows:
+                    log.extend((int(step), int(layer), int(head), _CODES[action],
+                                int(position), int(token)))
+                except (KeyError, ValueError, OverflowError):
+                    raise ValueError(f"{path}:{lineno}: expected {len(TRACE_COLUMNS)} fields "
+                                     f"{TRACE_COLUMNS}, all integers except the action "
+                                     f"({ACTION_APPEND} or {ACTION_EVICT}), got {row}") from None
+        if not log:
             raise ValueError(f"retention trace {path} holds no events")
-        trace = cls(max(r[1] for r in rows) + 1, max(r[2] for r in rows) + 1)
-        for r in rows:
-            trace.record(*r)
+        step, layer, head = np.array(log, dtype=np.int64).reshape(-1, len(TRACE_COLUMNS)).T[:3]
+        if min(layer.min(), head.min()) < 0:
+            raise ValueError(f"{path}: negative layer or head")
+        trace = cls(int(layer.max()) + 1, int(head.max()) + 1)
+        trace._log, trace.n_steps = log, max(int(step.max()) + 1, 0)
         return trace
 
 

@@ -294,6 +294,45 @@ def test_short_trace_row_fails_cleanly(tmp_path, capsys):
     assert "trace.csv:3: expected 6 fields" in _single_error_line(capsys)
 
 
+TRACE_HEADER = "step,layer,head,action,original_position,token_id\n"
+
+
+def test_irregular_traces_fail_cleanly(tmp_path, capsys):
+    # the analyses count events, so a trace whose (layer, head, position)
+    # lacks one append and at most one later evict is refused by every one
+    trace = tmp_path / "trace.csv"
+    start = "0,0,0,append,0,7\n1,0,1,append,1,8\n"
+    for body, message in [
+        ("2,0,1,append,1,8\n", "layer 0, head 1, position 1: append at step 1, "
+                                "append at step 2;"),
+        ("2,0,1,evict,5,8\n", "layer 0, head 1, position 5: evict at step 2;"),
+        ("0,0,1,evict,1,8\n", "layer 0, head 1, position 1: evict at step 0, "
+                               "append at step 1;"),
+        ("2,0,0,evict,0,7\n3,0,0,evict,0,7\n", "layer 0, head 0, position 0: append at "
+                                                "step 0, evict at step 2, evict at step 3;"),
+    ]:
+        trace.write_text(TRACE_HEADER + start + body)
+        for what, extra in [("retention", []), ("lifetime", []), ("recent", ["--k", "2"])]:
+            assert main(["analyze", what, "--trace", str(trace),
+                         "--out-dir", str(tmp_path / "an")] + extra) == 1
+            assert f"error: irregular trace at {message}" in _single_error_line(capsys)
+
+
+def test_analyze_recent_takes_pin_without_policy(tmp_path, capsys):
+    from msrnn import parse_policy, simulate_with_rule, uniform_rule
+    _, trace = simulate_with_rule(uniform_rule, parse_policy("window+2", k=6), steps=20)
+    path = tmp_path / "t.csv"
+    trace.write_csv(path)
+    out = tmp_path / "an"
+    assert main(["analyze", "recent", "--trace", str(path), "--k", "6", "--pin", "2",
+                 "--out-dir", str(out)]) == 0
+    assert (out / "recent.txt").read_text() == "recent_proportion 1\n"
+    # a command that runs a policy still refuses a pin without one
+    assert main(["perplexity", "--seed", "1", "--stream", str(path), "--pin", "2",
+                 "--out-dir", str(out)]) == 1
+    assert "policy: pin given but policy is none" in _single_error_line(capsys)
+
+
 def test_full_capacity_policy_report_matches_topline(tmp_path):
     # k at least the chunk length means no eviction ever fires, so the
     # bounded run writes byte-identical reports to the unbounded one

@@ -9,7 +9,7 @@ from msrnn import (Model, MultiState, RetentionTrace, ScriptedTrace,
                    read_token_stream, sequential_perplexity,
                    simulate_with_rule, trace_driven_simulate, uniform_rule,
                    write_token_stream, zero_model)
-from msrnn.harness import _check_row, nll_of
+from msrnn.harness import _check_rows, nll_of
 
 from conftest import make_config, make_model, make_stream
 
@@ -169,13 +169,41 @@ def test_scripted_trace_validation(tmp_path):
 
 
 def test_check_row_rejects_nan_and_negative_entries():
-    good = _check_row(np.array([0.25, 0.75]), 2, "here")
-    assert good.dtype == np.float32
+    def where(head):
+        return f"here {head}"
+
+    good = _check_rows([np.array([0.25, 0.75])], 2, where)
+    assert good.dtype == np.float32 and good.shape == (1, 2)
     for bad in ([np.nan, 1.0], [-0.5, 1.5], [-1e-7, 1.0 + 1e-7], [0.5, 0.4]):
-        with pytest.raises(ValueError, match="^here: "):
-            _check_row(np.array(bad), 2, "here")
+        with pytest.raises(ValueError, match="^here 0: "):
+            _check_rows([np.array(bad)], 2, where)
     with pytest.raises(ValueError, match="row length"):
-        _check_row(np.array([1.0]), 2, "here")
+        _check_rows([np.array([1.0])], 2, where)
+
+
+def test_check_rows_names_the_first_bad_head():
+    # the first bad head wins, with the check that fails first on it
+    good, short, unsummed, negative = [0.5, 0.5], [1.0], [0.5, 0.4], [-0.5, 1.5]
+    for rows, message in [
+        ([good, unsummed, short], "^h1: probabilities sum to"),
+        ([good, short, unsummed], "^h1: row length \\(1,\\)"),
+        ([good, negative, unsummed], "^h1: negative probability -0.5"),
+        ([good, good, [np.nan, 1.0]], "^h2: probabilities sum to nan"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            _check_rows([np.array(r) for r in rows], 2, lambda head: f"h{head}")
+    block = _check_rows([good, [0.25, 0.75]], 2, lambda head: f"h{head}")
+    assert block.dtype == np.float32 and block.tolist() == [good, [0.25, 0.75]]
+
+
+def test_block_row_sums_equal_per_row_sums():
+    # the block check sums a layer's rows with one call; on float32 that is
+    # bit for bit each row's own sum, so the 1e-6 tolerance sees the same value
+    rng = np.random.default_rng(11)
+    for size in range(1, 514):
+        block = rng.random((16, size)).astype(np.float32)
+        block /= block.sum(axis=1, keepdims=True)
+        assert block.sum(axis=1).tolist() == [row.sum() for row in block]
 
 
 def test_scripted_trace_rejects_malformed_rows(tmp_path):

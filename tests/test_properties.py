@@ -1,18 +1,26 @@
 """Property tests: the layer-buffer multi-state against a plain-list model,
-row-wise remapping of position arrays, sequential decoding against
-masked-parallel evaluation, trace CSV round trips, and damaged weight files."""
+row-wise remapping of position arrays and its bounds, sequential decoding
+against masked-parallel evaluation, simulator replay, the vectorised
+retention analyses against a per-event set replay, trace CSV round trips and
+reads against the csv module, and damaged weight files."""
+
+import csv
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from msrnn import (ACTION_APPEND, ACTION_EVICT, Model, ModelConfig, MultiState,
                    RetentionTrace, StateMeta, TokenStream, TraceEvent,
-                   WeightFormatError, init_random_model, load_weights,
-                   masked_parallel_perplexity, parse_policy, remap_gap,
-                   remap_positions, save_weights, sequential_perplexity,
+                   WeightFormatError, init_random_model, lifetime_by_tag,
+                   load_weights, masked_parallel_perplexity, parse_policy,
+                   recent_proportion, remap_gap, remap_positions,
+                   retention_matrix, save_weights, sequential_perplexity,
+                   simulate_with_rule, token_lifetime, trace_driven_simulate,
                    zero_model)
+from msrnn.state import TRACE_COLUMNS
 
 
 @settings(max_examples=100, deadline=None)
@@ -164,6 +172,173 @@ def test_sequential_equals_masked_parallel(data, n_layers, n_heads, head_dim, fo
     assert par_trace.sorted_events() == seq_trace.sorted_events()
 
 
+@settings(max_examples=200, deadline=None)
+@given(start=st.integers(0, 10**6),
+       gaps=st.lists(st.integers(1, 10**12), min_size=0, max_size=40))
+def test_remap_positions_monotone_with_bounded_span(start, gaps):
+    # every remapped gap lies in (0, 10], so the k retained states of a cache
+    # span at most 10*(k-1) however far apart their originals are
+    retained = np.cumsum([start] + gaps)
+    got = remap_positions(retained)
+    assert got[0] == 0.0
+    assert (np.diff(got) > 0).all()
+    assert got[-1] <= 10 * (len(retained) - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       n_layers=st.integers(1, 2),
+       n_heads=st.integers(1, 3),
+       steps=st.integers(1, 24),
+       form=st.sampled_from(POLICY_FORMS),
+       tied=st.booleans())
+def test_replayed_script_gives_the_same_events(data, n_layers, n_heads, steps, form, tied):
+    # the script simulate_with_rule records replays to the identical trace,
+    # for every policy form; small integer weights make ties common
+    pinned = form.endswith("+")
+    k = data.draw(st.integers(2 if pinned else 1, 8), label="k")
+    policy = form + str(data.draw(st.integers(1, k - 1), label="pin")) if pinned else form
+    kind = parse_policy(policy, k)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def rule(t, layer, head, retained):
+        weights = rng.integers(1, 3, len(retained)) if tied else rng.random(len(retained)) + 0.01
+        return (weights / weights.sum()).astype(np.float32)
+
+    script, trace = simulate_with_rule(rule, kind, steps, n_layers, n_heads)
+    assert trace_driven_simulate(script, kind).events == trace.events
+
+
+def _replay_order(ev: TraceEvent) -> tuple:
+    return (ev.step, ev.layer, ev.head, 0 if ev.action == ACTION_APPEND else 1,
+            ev.original_position)
+
+
+def _oracle_steps(trace: RetentionTrace) -> int:
+    return max(ev.step for ev in trace.events) + 1
+
+
+def _oracle_sets(trace: RetentionTrace, layer: int, head: int) -> list[set[int]]:
+    # per-event replay: the retained set right after each step's events
+    per_step: dict[int, list[TraceEvent]] = {}
+    for ev in trace.events:
+        if ev.layer == layer and ev.head == head:
+            per_step.setdefault(ev.step, []).append(ev)
+    snapshots, alive = [], set()
+    for t in range(_oracle_steps(trace)):
+        for ev in sorted(per_step.get(t, []), key=_replay_order):
+            if ev.action == ACTION_APPEND:
+                alive.add(ev.original_position)
+            else:
+                alive.discard(ev.original_position)
+        snapshots.append(set(alive))
+    return snapshots
+
+
+def _oracle_matrix(trace: RetentionTrace, layer: int, head: int | None) -> np.ndarray:
+    steps = _oracle_steps(trace)
+    heads = range(trace.n_heads) if head is None else [head]
+    matrix = np.zeros((steps, steps), dtype=np.float64)
+    for h in heads:
+        for t, retained in enumerate(_oracle_sets(trace, layer, h)):
+            for p in retained:
+                matrix[t, p] += 1.0
+    return matrix / len(heads)
+
+
+def _oracle_lifetime(trace: RetentionTrace) -> dict[int, float]:
+    steps = _oracle_steps(trace)
+    totals: dict[int, float] = {}
+    counts: dict[int, int] = {}
+    entry: dict[tuple[int, int, int], int] = {}
+    for ev in sorted(trace.events, key=_replay_order):
+        key = (ev.layer, ev.head, ev.original_position)
+        if ev.action == ACTION_APPEND:
+            entry[key] = ev.step
+        else:
+            started = entry.pop(key)
+            totals[key[2]] = totals.get(key[2], 0.0) + (ev.step - started)
+            counts[key[2]] = counts.get(key[2], 0) + 1
+    for (_, _, position), started in entry.items():
+        totals[position] = totals.get(position, 0.0) + (steps - started)
+        counts[position] = counts.get(position, 0) + 1
+    return {p: totals[p] / counts[p] for p in sorted(totals)}
+
+
+def _oracle_by_tag(lifetimes: dict[int, float], tags: dict[int, str]) -> list:
+    buckets: dict[str, list[float]] = {}
+    for position, life in lifetimes.items():
+        buckets.setdefault(tags.get(position, "UNK"), []).append(life)
+    rows = sorted(((tag, sum(v) / len(v)) for tag, v in buckets.items()),
+                  key=lambda r: (-r[1], r[0]))
+    return [("Avg.", sum(lifetimes.values()) / len(lifetimes))] + rows
+
+
+def _oracle_recent(trace: RetentionTrace, k: int, exclude_prefix: int) -> float | None:
+    recent = total = 0
+    for layer in range(trace.n_layers):
+        for head in range(trace.n_heads):
+            for t, retained in enumerate(_oracle_sets(trace, layer, head)):
+                for p in retained:
+                    if p >= exclude_prefix:
+                        total += 1
+                        recent += p > t - k
+    return recent / total if total else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       n_layers=st.integers(1, 2),
+       n_heads=st.integers(1, 3),
+       steps=st.integers(1, 12))
+def test_vectorised_analyses_equal_set_replay(data, n_layers, n_heads, steps):
+    # well-formed traces: each (layer, head, position) gets one append and at
+    # most one evict no earlier; recorded in shuffled order
+    events = []
+    for layer in range(n_layers):
+        for head in range(n_heads):
+            for p in sorted(data.draw(st.sets(st.integers(0, steps - 1)), label="positions")):
+                start = data.draw(st.integers(0, steps - 1), label="append")
+                end = data.draw(st.none() | st.integers(start, steps - 1), label="evict")
+                token = data.draw(st.integers(0, 9), label="token")
+                events.append((start, layer, head, ACTION_APPEND, p, token))
+                if end is not None:
+                    events.append((end, layer, head, ACTION_EVICT, p, token))
+    assume(events)
+    data.draw(st.randoms(use_true_random=False), label="order").shuffle(events)
+    trace = RetentionTrace(n_layers, n_heads)
+    for ev in events:
+        trace.record(*ev)
+
+    steps = _oracle_steps(trace)
+    if any(ev.original_position >= steps for ev in trace.events):
+        # a position past the last step has no column in the retention matrix
+        for analysis in (lambda: retention_matrix(trace, 0), lambda: token_lifetime(trace),
+                         lambda: recent_proportion(trace, 1)):
+            with pytest.raises(ValueError, match="irregular trace"):
+                analysis()
+        return
+    for layer in range(n_layers):
+        for head in [None, *range(n_heads)]:
+            assert np.array_equal(retention_matrix(trace, layer, head),
+                                  _oracle_matrix(trace, layer, head))
+            if head is not None:
+                assert trace.retained_sets(layer, head) == _oracle_sets(trace, layer, head)
+    lifetimes = _oracle_lifetime(trace)
+    assert token_lifetime(trace) == lifetimes
+    tags = {p: data.draw(st.sampled_from("AB"), label="tag")
+            for p in data.draw(st.sets(st.integers(0, steps)), label="tagged")}
+    assert lifetime_by_tag(trace, tags) == _oracle_by_tag(lifetimes, tags)
+    k = data.draw(st.integers(1, steps + 1), label="k")
+    for exclude in (0, data.draw(st.integers(1, steps), label="exclude")):
+        expected = _oracle_recent(trace, k, exclude)
+        if expected is None:
+            with pytest.raises(ValueError, match="retains nothing"):
+                recent_proportion(trace, k, exclude_prefix=exclude)
+        else:
+            assert recent_proportion(trace, k, exclude_prefix=exclude) == expected
+
+
 events = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3), st.integers(0, 3),
                             st.sampled_from([ACTION_APPEND, ACTION_EVICT]),
                             st.integers(0, 10**6), st.integers(0, 10**6)),
@@ -171,14 +346,72 @@ events = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 3), st.integer
 
 
 @settings(max_examples=100, deadline=None)
-@given(events=events)
-def test_trace_csv_round_trip(tmp_path_factory, events):
+@given(events=events, newline=st.sampled_from(["\r\n", "\n"]), blank=st.booleans())
+def test_trace_csv_round_trip(tmp_path_factory, events, newline, blank):
+    # write_csv ends rows with "\r\n" as the csv module does; an LF copy,
+    # and one with blank lines, reads back to the same trace
     trace = RetentionTrace(4, 4)
     for ev in events:
         trace.record(*ev)
     path = tmp_path_factory.mktemp("trace") / "trace.csv"
     trace.write_csv(path)
-    assert RetentionTrace.read_csv(path).sorted_events() == trace.sorted_events()
+    written = path.read_bytes()
+    lines = written.decode().split("\r\n")
+    if blank:
+        lines.insert(2, "")
+    path.write_bytes(newline.join(lines).encode())
+    back = RetentionTrace.read_csv(path)
+    assert back.sorted_events() == trace.sorted_events()
+    assert back.n_steps == trace.n_steps
+    back.write_csv(path)
+    assert path.read_bytes() == written
+
+
+def _csv_module_read(path) -> list[tuple] | str:
+    # the csv-module reader the row loop replaced: rows, or the bad line's prefix
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == list(TRACE_COLUMNS)
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                step, layer, head, action, position, token = row
+                if action not in (ACTION_APPEND, ACTION_EVICT):
+                    raise ValueError(action)
+                rows.append((int(step), int(layer), int(head), action, int(position), int(token)))
+            except ValueError:
+                return f"{path}:{reader.line_num}: "
+    return rows
+
+
+# no quotes: the writer never quotes a cell, and the row loop reads none
+FIELDS = ("0", "1", "7", "-2", " 3", "+4", "3.0", "1_0", "", "x", "append", "evict",
+          " append", "drop")
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.one_of(
+           st.lists(st.sampled_from(FIELDS), min_size=0, max_size=7),
+           st.tuples(*[st.sampled_from(("0", "2", "-1"))] * 3, st.sampled_from(FIELDS[10:14]),
+                     *[st.sampled_from(("0", "5", " 3", "+4"))] * 2)), max_size=6),
+       ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=6, max_size=6))
+def test_trace_csv_reader_agrees_with_csv_module(tmp_path_factory, rows, ends):
+    # LF, CRLF and CR rows, blank lines and bad rows: the same events, or an
+    # error at the same path:line, as the csv module gives
+    path = tmp_path_factory.mktemp("trace") / "t.csv"
+    path.write_bytes((",".join(TRACE_COLUMNS) + "\r\n"
+                      + "".join(",".join(r) + e for r, e in zip(rows, ends))).encode())
+    expected = _csv_module_read(path)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            RetentionTrace.read_csv(path)
+    elif not expected or min(min(r[1], r[2]) for r in expected) < 0:
+        with pytest.raises(ValueError, match="no events|negative layer or head"):
+            RetentionTrace.read_csv(path)
+    else:
+        assert RetentionTrace.read_csv(path).events == [TraceEvent(*r) for r in expected]
 
 
 def test_damaged_weight_files_load_or_fail_cleanly(tmp_path):
