@@ -18,24 +18,22 @@ from .harness import (ChunkResult, PerplexityReport, ScriptedTrace,
                       write_token_stream)
 from .model import (MalformedHeaderError, Model, ModelConfig, ModelWeights,
                     ShapeMismatchError, TruncatedBlobError, WeightFormatError,
-                    apply_position, attention_step, decode_step,
-                    init_random_model, load_weights, rms_norm, save_weights,
-                    zero_model)
+                    attention_step, decode_step, init_random_model,
+                    load_weights, rms_norm, save_weights, zero_model)
 from .policies import (POLICY_FORMS, AccumulatedScores, PolicyKind,
                        accumulate_row, apply_policy, parse_policy,
                        recent_window)
 from .remap import remap_gap, remap_positions
 from .state import (ACTION_APPEND, ACTION_EVICT, MultiState, RetentionTrace,
-                    StateMeta, TraceEvent)
+                    TraceEvent)
 
 __all__ = [
     "ACTION_APPEND", "ACTION_EVICT", "AccumulatedScores", "ChunkResult",
     "MalformedHeaderError", "MemoryReport", "Model", "ModelConfig",
     "ModelWeights", "MultiState", "POLICY_FORMS", "PerplexityReport",
-    "PolicyKind", "RetentionTrace", "ScriptedTrace",
-    "ShapeMismatchError", "StateMeta", "TokenStream", "TraceEvent",
-    "TruncatedBlobError", "WeightFormatError", "accumulate_row",
-    "apply_policy", "apply_position", "attention_step", "decode_step",
+    "PolicyKind", "RetentionTrace", "ScriptedTrace", "ShapeMismatchError",
+    "TokenStream", "TraceEvent", "TruncatedBlobError", "WeightFormatError",
+    "accumulate_row", "apply_policy", "attention_step", "decode_step",
     "generate", "init_random_model", "lifetime_by_tag", "load_weights",
     "marker_rule", "masked_parallel_perplexity", "memory_report",
     "parse_policy", "read_tag_file", "read_token_stream",

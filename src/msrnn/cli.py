@@ -37,10 +37,6 @@ MODEL_DEFAULTS = {
 }
 
 
-# the commands that run a policy; only these parse --policy, --k and --pin as one
-POLICY_COMMANDS = ("perplexity", "perplexity-parallel", "generate", "simulate-trace")
-
-
 class CliError(ValueError):
     """User-facing error: printed as one machine-parseable line."""
 
@@ -88,26 +84,38 @@ def _state_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _shared_flags(parser: argparse.ArgumentParser,
-                  run: Callable[[argparse.Namespace], None]) -> None:
-    parser.set_defaults(run=run, **MODEL_DEFAULTS)
-    parser.add_argument("--model", help="weight file to load")
-    parser.add_argument("--config", help="flat key/value config file; flags override it")
-    parser.add_argument("--seed", type=int, help="seed for an on-the-fly toy model")
-    parser.add_argument("--stream", help="token stream file, one id per line")
-    parser.add_argument("--policy", default="none", help="eviction policy "
-                        "(window | window+i | h2o-head | h2o-layer | tova-head | "
-                        "tova-layer | tova-layer+i | none)")
-    parser.add_argument("--k", type=int, help="multi-state capacity")
-    parser.add_argument("--pin", type=int, help="pinned prefix size for +i policies")
-    parser.add_argument("--chunk-len", type=int,
-                        help="independent-chunk length for perplexity")
-    parser.add_argument("--remap", action="store_true",
-                        help="compress position gaps beyond the trained length")
-    parser.add_argument("--truncate", action="store_true",
-                        help="keep only the first k stream tokens before decoding")
-    parser.add_argument("--trace-out", help="write the retention trace CSV here")
-    parser.add_argument("--out-dir", default="out", help="output directory")
+# (group, flag, argparse keywords) in --help order: a command takes the
+# ungrouped flags and those of the groups it reads
+_FLAGS = [
+    ("model", "--model", dict(help="weight file to load")),
+    (None, "--config", dict(help="flat key/value config file; flags override it")),
+    ("model", "--seed", dict(type=int, help="seed for an on-the-fly toy model")),
+    ("stream", "--stream", dict(help="token stream file, one id per line")),
+    ("policy", "--policy", dict(default="none", help="eviction policy "
+                                "(window | window+i | h2o-head | h2o-layer | tova-head | "
+                                "tova-layer | tova-layer+i | none)")),
+    ("capacity", "--k", dict(type=int, help="multi-state capacity")),
+    ("capacity", "--pin", dict(type=int, help="pinned prefix size for +i policies")),
+    ("stream", "--chunk-len", dict(type=int, help="independent-chunk length for perplexity")),
+    ("stream", "--remap", dict(action="store_true",
+                               help="compress position gaps beyond the trained length")),
+    ("stream", "--truncate", dict(action="store_true",
+                                  help="keep only the first k stream tokens before decoding")),
+    ("policy", "--trace-out", dict(help="write the retention trace CSV here")),
+    (None, "--out-dir", dict(default="out", help="output directory")),
+]
+# a policy run reads every group
+_RUN_GROUPS = ("model", "stream", "policy", "capacity")
+
+
+def _command(sub, name: str, run: Callable[[argparse.Namespace], None],
+             groups: Sequence[str] = ()) -> argparse.ArgumentParser:
+    parser = sub.add_parser(name)
+    parser.set_defaults(run=run, **(MODEL_DEFAULTS if "model" in groups else {}))
+    for group, flag, kwargs in _FLAGS:
+        if group is None or group in groups:
+            parser.add_argument(flag, **kwargs)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,27 +123,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("perplexity", "perplexity-parallel"):
-        _shared_flags(sub.add_parser(name), _cmd_perplexity)
+        _command(sub, name, _cmd_perplexity, _RUN_GROUPS)
 
-    p = sub.add_parser("generate")
-    _shared_flags(p, _cmd_generate)
+    p = _command(sub, "generate", _cmd_generate, _RUN_GROUPS)
     p.add_argument("--max-steps", type=int, default=0,
                    help="greedy tokens to decode after the prompt")
 
-    p = sub.add_parser("simulate-trace")
-    _shared_flags(p, _cmd_simulate)
+    p = _command(sub, "simulate-trace", _cmd_simulate, ("policy", "capacity"))
     p.add_argument("--script", help="scripted probability trace CSV")
 
-    p = sub.add_parser("analyze")
+    p = _command(sub, "analyze", _cmd_analyze, ("capacity",))  # recent reads --k, --pin
     p.add_argument("what", choices=["retention", "lifetime", "tags", "recent"])
-    _shared_flags(p, _cmd_analyze)
     p.add_argument("--trace", dest="trace_in", help="retention trace CSV to analyze")
     p.add_argument("--tags", dest="tag_file", help="position<TAB>tag file")
     p.add_argument("--layer", type=int, default=0, help="layer for the retention matrix")
     p.add_argument("--head", type=int, help="head for the retention matrix (default: mean)")
 
-    p = sub.add_parser("memory-report")
-    _shared_flags(p, _cmd_memory)
+    p = _command(sub, "memory-report", _cmd_memory)
     p.add_argument("--layers", type=int, default=32, dest="mem_layers")
     p.add_argument("--heads", type=int, default=32, dest="mem_heads")
     p.add_argument("--head-dim", type=int, default=128, dest="mem_head_dim")
@@ -204,7 +208,8 @@ def parse_config(argv: Sequence[str]) -> argparse.Namespace:
             args = parser.parse_args(argv)
         except CliError as exc:  # argv alone parsed above, so a file value failed
             raise CliError(f"config: {args.config}: {str(exc).removeprefix('usage: ')}") from None
-    args.kind = _policy_kind(args) if args.command in POLICY_COMMANDS else None
+    # only the commands that take the policy group run a policy
+    args.kind = _policy_kind(args) if "policy" in args else None
     return args
 
 

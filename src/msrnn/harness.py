@@ -24,7 +24,7 @@ import numpy as np
 from .model import AttentionRow, Model, decode_layer, decode_step
 from .policies import AccumulatedScores, PolicyKind, apply_layer_policy, apply_policy
 from .remap import remap_positions
-from .state import MultiState, RetentionTrace, StateMeta
+from .state import MultiState, RetentionTrace
 
 # unused here: bench/tracing.py patches these names on this module
 from .model import attention_step, rms_norm, rotate  # noqa: F401
@@ -181,12 +181,10 @@ def _decode_chunk_parallel(model: Model, ids: Sequence[int], kind: PolicyKind,
                            trace: RetentionTrace | None) -> float:
     config, w = model
     state, acc = _new_state(config.n_layers, config.n_heads, config.head_dim, kind, trace)
-    metas = [StateMeta(original_position=t, entry_step=t, token_id=token)
-             for t, token in enumerate(ids)]
     x = w.token_embedding[list(ids)]
     for layer in range(config.n_layers):
-        for t, meta in enumerate(metas):
-            x[t], row = decode_layer(model, layer, state, x[t], meta)
+        for t, token in enumerate(ids):
+            x[t], row = decode_layer(model, layer, state, x[t], t, token)
             apply_layer_policy(kind, state, layer, row, acc)
 
     total = 0.0
@@ -331,10 +329,9 @@ def _simulate(row_source: RowRule, kind: PolicyKind | None, steps: int,
     empty = np.zeros(0, dtype=np.float32)
     script_rows = [] if record_script else None
     for t in range(steps):
-        meta = StateMeta(original_position=t, entry_step=t, token_id=t)
         for layer in range(n_layers):
             for head in range(n_heads):
-                state.append(layer, head, empty, empty, meta)
+                state.append(layer, head, empty, empty, t, t)
         rows = []
         for layer in range(n_layers):
             block = _check_rows(

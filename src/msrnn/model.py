@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .state import MultiState, StateMeta
+from .state import MultiState
 
 WEIGHT_MAGIC = "msrnn-weights"
 WEIGHT_VERSION = 1
@@ -344,18 +344,6 @@ def rotate(vecs: np.ndarray, positions: np.ndarray, inv_freq: np.ndarray) -> np.
     return out
 
 
-def apply_position(vector: np.ndarray, position: float, rope_base: float = 10000.0) -> np.ndarray:
-    """Rotate one head vector to a (real-valued) position.
-
-    Norm-preserving, and additive in the position argument: applying a then b
-    equals applying a+b directly.
-    """
-    vector = np.asarray(vector, dtype=np.float32)
-    if vector.ndim != 1 or vector.shape[0] % 2 != 0:
-        raise ValueError("vector must be 1-D with even length")
-    return rotate(vector, np.float64(position), _inv_freq(vector.shape[0], rope_base))
-
-
 @dataclass
 class AttentionRow:
     """Post-softmax attention of the newest query: one probability row per head."""
@@ -392,13 +380,13 @@ def attention_step(q_rot: np.ndarray, keys_rot: np.ndarray, values: np.ndarray,
 
 
 def decode_layer(model: Model, layer: int, state: MultiState, x: np.ndarray,
-                 meta: StateMeta, position_fn: PositionFn | None = None,
+                 position: int, token: int, position_fn: PositionFn | None = None,
                  ) -> tuple[np.ndarray, AttentionRow]:
     """One layer's multi-state update for one token: append, attend, feed forward.
 
-    `x` is the token's (hidden,) residual stream entering the layer and
-    `meta` its state entry; the new K/V rows are appended to every head of
-    the layer before attention (the token attends to itself). Returns the
+    `x` is the (hidden,) residual stream of `token` at `position` entering
+    the layer; the new K/V rows are appended to every head of the layer
+    before attention (the token attends to itself). Returns the
     residual stream leaving the layer and the attention row the policies
     need. Eviction is the caller's job.
 
@@ -418,10 +406,10 @@ def decode_layer(model: Model, layer: int, state: MultiState, x: np.ndarray,
     k = (h @ lw.w_k).reshape(n_heads, config.head_dim)
     v = (h @ lw.w_v).reshape(n_heads, config.head_dim)
     if position_fn is None:
-        qk = rotate(np.concatenate((q, k)), meta.original_position, inv_freq)
+        qk = rotate(np.concatenate((q, k)), position, inv_freq)
         q, k = qk[:n_heads], qk[n_heads:]
     for head in range(n_heads):
-        state.append(layer, head, k[head], v[head], meta)
+        state.append(layer, head, k[head], v[head], position, token)
     keys, values, positions = state.layer_view(layer)
     if position_fn is not None:
         remapped = position_fn(positions)
@@ -445,9 +433,8 @@ def decode_step(model: Model, state: MultiState, token: int, step: int,
     if not (0 <= token < config.vocab_size):
         raise ValueError(f"token {token} out of range for vocab {config.vocab_size}")
     x = w.token_embedding[token]
-    meta = StateMeta(original_position=step, entry_step=step, token_id=token)
     rows: list[AttentionRow] = []
     for layer in range(config.n_layers):
-        x, row = decode_layer(model, layer, state, x, meta, position_fn)
+        x, row = decode_layer(model, layer, state, x, step, token, position_fn)
         rows.append(row)
     return x @ w.lm_head, rows

@@ -93,49 +93,49 @@ def parse_policy(text: str, k: int, pin: int | None = None) -> PolicyKind | None
 
 
 def accumulate_row(acc: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Element-wise add of one head's probability row into its running sums.
+    """Element-wise add of probability rows into their running sums, along the last axis.
 
-    The row may be one longer than the accumulator: the newest state starts
-    from its own first received probability. float64 out.
+    `acc` and `row` are one head's vectors or a layer's (H, S) blocks. The rows
+    may be one longer than the sums: the newest state starts from its own
+    first received probability. float64 out.
     """
-    s0, s = acc.shape[0], row.shape[0]
-    if s == s0:
-        return acc + row
-    if s == s0 + 1:
-        out = np.empty(s, dtype=np.float64)
-        out[:s0] = acc + row[:s0]
-        out[s0] = row[s0]
-        return out
-    raise ValueError(f"row length {s} incompatible with accumulator length {s0}")
+    s0, s = acc.shape[-1], row.shape[-1]
+    if acc.shape[:-1] == row.shape[:-1]:
+        if s == s0:
+            return acc + row
+        if s == s0 + 1:
+            out = np.empty(row.shape, dtype=np.float64)
+            out[..., :s0] = acc + row[..., :s0]
+            out[..., s0] = row[..., s0]
+            return out
+    raise ValueError(f"rows of shape {row.shape} incompatible with accumulator shape {acc.shape}")
 
 
 class AccumulatedScores:
     """Running per-state sums of received attention probabilities.
 
-    One float64 vector per (layer, head), aligned index-for-index with the
-    multi-state lists; entries of evicted states are dropped, so an evicted
-    state's history is gone for good.
+    One (H, S) float64 block per layer, aligned column-for-column with the
+    layer's multi-state rows; each step a decided column is dropped from
+    every head, so an evicted state's history is gone for good.
     """
 
     def __init__(self, n_layers: int, n_heads: int):
         self.n_layers = n_layers
         self.n_heads = n_heads
-        self._acc = [[np.zeros(0, dtype=np.float64) for _ in range(n_heads)]
-                     for _ in range(n_layers)]
-
-    def head(self, layer: int, head: int) -> np.ndarray:
-        return self._acc[layer][head]
+        self._acc = [np.zeros((n_heads, 0), dtype=np.float64) for _ in range(n_layers)]
 
     def layer(self, layer: int) -> np.ndarray:
-        return np.stack(self._acc[layer])
+        return self._acc[layer]
 
     def accumulate(self, layer: int, probs: np.ndarray) -> None:
-        for head in range(self.n_heads):
-            self._acc[layer][head] = accumulate_row(self._acc[layer][head], probs[head])
+        self._acc[layer] = accumulate_row(self._acc[layer], probs)
 
-    def drop(self, layer: int, head: int, index: int) -> None:
-        acc = self._acc[layer][head]
-        self._acc[layer][head] = np.concatenate((acc[:index], acc[index + 1:]))
+    def drop(self, layer: int, indices: list[int]) -> None:
+        """Remove column indices[h] from head h's sums."""
+        block = self._acc[layer]
+        n_heads, size = block.shape
+        keep = np.arange(size) != np.asarray(indices)[:, None]
+        self._acc[layer] = block[keep].reshape(n_heads, size - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +147,9 @@ def recent_window(k: int) -> int:
     return -(-k // 2)  # ceil(k/2)
 
 
-def policy_window(size: int, n_heads: int, k: int) -> list[int | None]:
-    """FIFO: evict the oldest state in every head once the size exceeds k."""
-    if size <= k:
-        return [None] * n_heads
-    return [0] * n_heads
-
-
-def policy_window_pin(size: int, n_heads: int, k: int, pin: int) -> list[int | None]:
-    """FIFO that never touches the first `pin` states: evict index `pin`."""
+def policy_window(size: int, n_heads: int, k: int, pin: int = 0) -> list[int | None]:
+    """FIFO that never touches the first `pin` states: once the size exceeds
+    k, every head evicts index `pin` (the oldest state when pin is 0)."""
     if size <= k:
         return [None] * n_heads
     return [pin] * n_heads
@@ -173,7 +167,7 @@ def policy_tova(probs: np.ndarray, k: int, headwise: bool, pin: int = 0) -> list
     if size <= k:
         return [None] * n_heads
     if headwise:
-        return [pin + int(np.argmin(probs[h, pin:])) for h in range(n_heads)]
+        return (pin + np.argmin(probs[:, pin:], axis=1)).tolist()
     mean = np.mean(probs, axis=0, dtype=np.float64)
     idx = pin + int(np.argmin(mean[pin:]))
     return [idx] * n_heads
@@ -192,7 +186,7 @@ def policy_h2o(acc: np.ndarray, k: int, headwise: bool) -> list[int | None]:
         return [None] * n_heads
     cutoff = size - recent_window(k)
     if headwise:
-        return [int(np.argmin(acc[h, :cutoff])) for h in range(n_heads)]
+        return np.argmin(acc[:, :cutoff], axis=1).tolist()
     mean = np.mean(acc, axis=0, dtype=np.float64)
     idx = int(np.argmin(mean[:cutoff]))
     return [idx] * n_heads
@@ -202,13 +196,11 @@ def decide_layer(kind: PolicyKind, size: int, n_heads: int, probs: np.ndarray,
                  acc: np.ndarray | None) -> list[int | None]:
     """Dispatch one layer's eviction decision to the matching policy core."""
     if kind.family == "window":
-        if kind.pin:
-            return policy_window_pin(size, n_heads, kind.k, kind.pin)
-        return policy_window(size, n_heads, kind.k)
+        return policy_window(size, n_heads, kind.k, kind.pin)
     if kind.family in ("tova-head", "tova-layer"):
         return policy_tova(probs, kind.k, kind.headwise, kind.pin)
     if acc is None:
-        raise ValueError("H2O policies need accumulated scores")
+        raise ValueError(f"policy {kind.name} needs accumulated scores")
     return policy_h2o(acc, kind.k, kind.headwise)
 
 
@@ -217,20 +209,20 @@ def apply_layer_policy(kind: PolicyKind, state: MultiState, layer: int, row: Att
     """Apply one step's policy to one layer of the multi-state.
 
     H2O kinds fold the fresh row into `acc` before deciding. Evictions are
-    applied to the state (which records them in its trace) and the matching
-    accumulator entries are dropped. Returns the per-head evicted indices.
+    applied to the state (which records them in its trace), then the
+    decided columns are dropped from the layer's scores. Returns the
+    per-head evicted indices.
     """
-    if kind.needs_scores and acc is None:
-        raise ValueError(f"policy {kind.name} needs an AccumulatedScores instance")
-    if kind.needs_scores:
+    scores = None
+    if kind.needs_scores and acc is not None:
         acc.accumulate(layer, row.probs)
-    per_head = decide_layer(kind, state.size(layer, 0), state.n_heads, row.probs,
-                            acc.layer(layer) if kind.needs_scores else None)
-    for head, idx in enumerate(per_head):
-        if idx is not None:
+        scores = acc.layer(layer)
+    per_head = decide_layer(kind, state.size(layer, 0), state.n_heads, row.probs, scores)
+    if per_head[0] is not None:  # every policy evicts from all heads of a layer or none
+        for head, idx in enumerate(per_head):
             state.evict(layer, head, idx)
-            if acc is not None:
-                acc.drop(layer, head, idx)
+        if scores is not None:
+            acc.drop(layer, per_head)
     return per_head
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,23 +23,6 @@ _CODES = {action: code for code, action in enumerate(ACTIONS)}
 TRACE_COLUMNS = ("step", "layer", "head", "action", "original_position", "token_id")
 # one trace row, built on demand from the columnar store
 TraceEvent = namedtuple("TraceEvent", TRACE_COLUMNS)
-
-
-@dataclass(frozen=True)
-class StateMeta:
-    """Metadata carried by one cached state entry."""
-
-    original_position: int
-    entry_step: int
-    token_id: int
-
-    def __post_init__(self) -> None:
-        if self.original_position < 0 or self.entry_step < 0:
-            raise ValueError("original_position and entry_step must be non-negative")
-        if self.original_position > self.entry_step:
-            raise ValueError(
-                f"original_position {self.original_position} exceeds entry_step {self.entry_step}"
-            )
 
 
 def write_csv_rows(path: str, header: Sequence[str], blocks: list[tuple]) -> None:
@@ -185,7 +167,7 @@ class RetentionTrace:
         return trace
 
 
-# metadata columns are (original position, entry step, token id)
+# metadata columns are (original position, token id)
 _POS = 0
 # rows per head that an unbounded state starts with; it doubles when full
 _FIRST_ROWS = 16
@@ -195,9 +177,11 @@ class MultiState:
     """Per-layer, per-head ordered multi-state of cached K/V rows.
 
     Each layer holds one preallocated (H, rows, d) float32 key buffer and one
-    value buffer, an aligned (H, rows, 3) int64 metadata buffer (original
-    position, entry step, token id) and a size per head; head h's entries
-    are rows 0..size-1, oldest first. `capacity=None` gives the unbounded
+    value buffer, an aligned (H, rows, 2) int64 metadata buffer (original
+    position, token id) and a size per head; head h's entries are rows
+    0..size-1, oldest first. An entry's position is also the step it was
+    appended at, and an eviction is stamped with the latest position
+    appended to its layer. `capacity=None` gives the unbounded
     g(t)=t cache, whose buffers start small and double when full; an integer
     k gives the bounded g(t)=min(t,k) regime with rows = k+1, where callers
     append first and policies evict afterwards (a head holds k+1 entries
@@ -225,9 +209,9 @@ class MultiState:
                       for _ in range(n_layers)]
         self._values = [np.zeros((n_heads, rows, head_dim), dtype=np.float32)
                         for _ in range(n_layers)]
-        self._meta = [np.zeros((n_heads, rows, 3), dtype=np.int64) for _ in range(n_layers)]
+        self._meta = [np.zeros((n_heads, rows, 2), dtype=np.int64) for _ in range(n_layers)]
         self._flat = [self._flat_views(layer) for layer in range(n_layers)]
-        # latest entry step appended to each layer: the step an eviction is
+        # latest position appended to each layer: the step an eviction is
         # stamped with, per layer because the masked-parallel evaluator runs
         # a whole chunk through one layer before the next
         self._last_step = [-1] * n_layers
@@ -256,18 +240,20 @@ class MultiState:
         return self._sizes[layer][head]
 
     def append(self, layer: int, head: int, key: np.ndarray, value: np.ndarray,
-               meta: StateMeta) -> None:
+               position: int, token: int) -> None:
         self._check(layer, head)
         if np.shape(key) != (self.head_dim,) or np.shape(value) != (self.head_dim,):
             raise ValueError(
                 f"key/value rows must have shape ({self.head_dim},), "
                 f"got {np.shape(key)} and {np.shape(value)}"
             )
+        if position < 0 or token < 0:
+            raise ValueError(f"position {position} and token {token} must be non-negative")
         size = self._sizes[layer][head]
         meta_rows = self._meta[layer]
-        if size and meta.original_position <= meta_rows[head, size - 1, _POS]:
+        if size and position <= meta_rows[head, size - 1, _POS]:
             raise ValueError(
-                f"original_position {meta.original_position} not greater than current "
+                f"position {position} not greater than current "
                 f"maximum {meta_rows[head, size - 1, _POS]}"
             )
         if size == meta_rows.shape[1]:
@@ -280,12 +266,11 @@ class MultiState:
             meta_rows = self._meta[layer]
         self._keys[layer][head, size] = key
         self._values[layer][head, size] = value
-        meta_rows[head, size] = (meta.original_position, meta.entry_step, meta.token_id)
+        meta_rows[head, size] = (position, token)
         self._sizes[layer][head] = size + 1
-        self._last_step[layer] = max(self._last_step[layer], meta.entry_step)
+        self._last_step[layer] = max(self._last_step[layer], position)
         if self.trace is not None:
-            self.trace.record(meta.entry_step, layer, head, ACTION_APPEND,
-                              meta.original_position, meta.token_id)
+            self.trace.record(position, layer, head, ACTION_APPEND, position, token)
 
     def evict(self, layer: int, head: int, index: int) -> None:
         self._check(layer, head)
@@ -294,12 +279,12 @@ class MultiState:
             raise ValueError(f"evict index {index} out of range for size {size}")
         keys, values, meta_rows = self._flat[layer][head]
         if self.trace is not None:
-            position, _, token = meta_rows[3 * index:3 * index + 3].tolist()
+            position, token = meta_rows[2 * index:2 * index + 2].tolist()
             self.trace.record(self._last_step[layer], layer, head, ACTION_EVICT, position, token)
         d = self.head_dim
         keys[index * d:(size - 1) * d] = keys[(index + 1) * d:size * d]
         values[index * d:(size - 1) * d] = values[(index + 1) * d:size * d]
-        meta_rows[3 * index:3 * (size - 1)] = meta_rows[3 * (index + 1):3 * size]
+        meta_rows[2 * index:2 * (size - 1)] = meta_rows[2 * (index + 1):2 * size]
         self._sizes[layer][head] = size - 1
 
     def keys(self, layer: int, head: int) -> np.ndarray:

@@ -359,3 +359,22 @@ def test_simulate_trace_cli_matches_in_process(tmp_path):
                  "--out-dir", str(tmp_path / "sim")]) == 0
     assert (tmp_path / "sim" / "trace.csv").read_bytes() == \
         (tmp_path / "expected.csv").read_bytes()
+
+
+def test_commands_reject_flags_they_do_not_read(tmp_path, capsys):
+    # analyze, memory-report and simulate-trace take only the option groups they read
+    for argv in (["analyze", "lifetime", "--trace", "t.csv", "--seed", "1"],
+                 ["memory-report", "--policy", "window"],
+                 ["simulate-trace", "--script", "s.csv", "--stream", "s.txt"]):
+        assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 1
+        line = _single_error_line(capsys)
+        assert line == f"error: usage: unrecognized arguments: {argv[-2]} {argv[-1]}"
+    assert not (tmp_path / "o").exists()
+    # a config file key that another command reads is still accepted
+    from msrnn import parse_policy, simulate_with_rule, uniform_rule
+    _, trace = simulate_with_rule(uniform_rule, parse_policy("window", k=4), steps=8)
+    trace.write_csv(tmp_path / "t.csv")
+    (tmp_path / "run.cfg").write_text("seed = 5\npolicy = window\nk = 4\n")
+    assert main(["analyze", "recent", "--config", str(tmp_path / "run.cfg"),
+                 "--trace", str(tmp_path / "t.csv"), "--out-dir", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "recent.txt").read_text() == "recent_proportion 1\n"

@@ -5,10 +5,9 @@ import pytest
 
 from msrnn import (MalformedHeaderError, Model, ModelConfig, MultiState,
                    ShapeMismatchError, TruncatedBlobError, WeightFormatError,
-                   apply_position, attention_step, decode_step,
-                   init_random_model, load_weights, rms_norm, save_weights,
-                   zero_model)
-from msrnn.model import RMS_EPS, _iter_blocks, silu
+                   attention_step, decode_step, init_random_model,
+                   load_weights, rms_norm, save_weights, zero_model)
+from msrnn.model import RMS_EPS, _inv_freq, _iter_blocks, rotate, silu
 
 from conftest import make_config, make_model
 
@@ -130,31 +129,32 @@ def test_silu_stability():
     assert np.all(np.isfinite(y))
 
 
-def test_apply_position_zero_is_identity():
+def test_rotate_zero_is_identity():
     v = np.array([0.3, -1.2, 2.0, 0.5], dtype=np.float32)
-    assert np.array_equal(apply_position(v, 0.0), v)
+    assert np.array_equal(rotate(v, 0.0, _inv_freq(4, 10000.0)), v)
 
 
-def test_apply_position_angle_oracle():
+def test_rotate_angle_oracle():
     # pair i rotates by position * base**(-2i / head_dim)
     v = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.float32)
-    out = apply_position(v, 2.5, rope_base=100.0)
+    out = rotate(v, 2.5, _inv_freq(4, 100.0))
     expected = np.array([math.cos(2.5), math.sin(2.5),
                          -math.sin(0.25), math.cos(0.25)], dtype=np.float32)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-7)
 
 
-def test_apply_position_norm_and_additivity():
+def test_rotate_norm_and_additivity():
     rng = np.random.default_rng(0)
     v = rng.normal(size=8).astype(np.float32)
+    inv_freq = _inv_freq(8, 10000.0)
     for pos in (1.0, 17.0, 3.25, 70000.0):
-        out = apply_position(v, pos)
+        out = rotate(v, pos, inv_freq)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(v), rel=1e-6)
-    ab = apply_position(apply_position(v, 5.5), 2.25)
-    direct = apply_position(v, 7.75)
+    ab = rotate(rotate(v, 5.5, inv_freq), 2.25, inv_freq)
+    direct = rotate(v, 7.75, inv_freq)
     np.testing.assert_allclose(ab, direct, rtol=0, atol=1e-6)
-    with pytest.raises(ValueError):
-        apply_position(np.zeros(3, dtype=np.float32), 1.0)
+    with pytest.raises(ValueError):  # an odd length has no pairs to rotate
+        rotate(np.zeros(3, dtype=np.float32), 1.0, _inv_freq(3, 10000.0))
 
 
 def test_attention_step_two_state_oracle():

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from msrnn import (AccumulatedScores, MultiState, PolicyKind, RetentionTrace,
-                   StateMeta, accumulate_row, apply_policy, parse_policy,
-                   recent_window)
+                   accumulate_row, apply_policy, parse_policy, recent_window)
 from msrnn.model import AttentionRow
-from msrnn.policies import (decide_layer, policy_h2o, policy_tova,
-                            policy_window, policy_window_pin)
+from msrnn.policies import decide_layer, policy_h2o, policy_tova, policy_window
 
 
 def test_parse_policy_forms():
@@ -73,8 +71,8 @@ def test_recent_window_is_ceil_half():
 def test_window_deciders():
     assert policy_window(4, 2, k=4) == [None, None]
     assert policy_window(5, 2, k=4) == [0, 0]
-    assert policy_window_pin(5, 2, k=4, pin=2) == [2, 2]
-    assert policy_window_pin(3, 2, k=4, pin=2) == [None, None]
+    assert policy_window(5, 2, k=4, pin=2) == [2, 2]
+    assert policy_window(3, 2, k=4, pin=2) == [None, None]
 
 
 def test_tova_headwise_picks_per_head_argmin():
@@ -125,10 +123,9 @@ def _filled_state(n_states, capacity, n_layers=1, n_heads=1, trace=None):
     state = MultiState(n_layers, n_heads, head_dim=2, capacity=capacity, trace=trace)
     row = np.zeros(2, dtype=np.float32)
     for pos in range(n_states):
-        meta = StateMeta(original_position=pos, entry_step=pos, token_id=pos)
         for layer in range(n_layers):
             for head in range(n_heads):
-                state.append(layer, head, row, row, meta)
+                state.append(layer, head, row, row, pos, pos)
     return state
 
 
@@ -151,7 +148,7 @@ def test_apply_policy_h2o_accumulates_current_row_before_deciding():
     state = _filled_state(3, capacity=2)
     acc = AccumulatedScores(1, 1)
     # prior sums [1.0, 0.2] for positions 0 and 1
-    acc._acc[0][0] = np.array([1.0, 0.2], dtype=np.float64)
+    acc._acc[0] = np.array([[1.0, 0.2]], dtype=np.float64)
     # current row lifts position 1 above position 0's total
     probs = np.array([[0.0, 0.9, 0.1]], dtype=np.float32)
     kind = parse_policy("h2o-head", k=2)
@@ -159,7 +156,7 @@ def test_apply_policy_h2o_accumulates_current_row_before_deciding():
     # with sums [1.0, 1.1]: position 0 goes
     apply_policy(kind, state, [AttentionRow(probs)], acc)
     assert state.retained_positions(0, 0) == [1, 2]
-    np.testing.assert_allclose(acc.head(0, 0), [1.1, 0.1])
+    np.testing.assert_allclose(acc.layer(0), [[1.1, 0.1]])
 
 
 def test_apply_policy_needs_scores_guard():
@@ -205,8 +202,8 @@ def test_pin_zero_degenerates():
         size = int(rng.integers(1, 9))
         k = int(rng.integers(1, 9))
         probs = rng.random((n_heads, size)).astype(np.float32)
-        assert policy_window_pin(size, n_heads, k, 0) == \
-            policy_window(size, n_heads, k)
+        assert policy_window(size, n_heads, k, pin=0) == \
+            ([0] * n_heads if size > k else [None] * n_heads)
         assert policy_tova(probs, k, headwise=False, pin=0) == \
             policy_tova(probs, k, headwise=False)
     assert parse_policy("window+0", k=4) == parse_policy("window", k=4)

@@ -1,5 +1,5 @@
 """Property tests: the layer-buffer multi-state against a plain-list model,
-row-wise remapping of position arrays and its bounds, sequential decoding
+the H2O score block against per-head running sums, row-wise remapping of position arrays and its bounds, sequential decoding
 against masked-parallel evaluation, simulator replay, the vectorised
 retention analyses against a per-event set replay, trace CSV round trips and
 reads against the csv module, and damaged weight files."""
@@ -12,9 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from msrnn import (ACTION_APPEND, ACTION_EVICT, Model, ModelConfig, MultiState,
-                   RetentionTrace, StateMeta, TokenStream, TraceEvent,
-                   WeightFormatError, init_random_model, lifetime_by_tag,
+from msrnn import (ACTION_APPEND, ACTION_EVICT, AccumulatedScores, Model,
+                   ModelConfig, MultiState, RetentionTrace, TokenStream,
+                   TraceEvent, WeightFormatError, init_random_model, lifetime_by_tag,
                    load_weights, masked_parallel_perplexity, parse_policy,
                    recent_proportion, remap_gap, remap_positions,
                    retention_matrix, save_weights, sequential_perplexity,
@@ -32,7 +32,8 @@ from msrnn.state import TRACE_COLUMNS
 def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capacity):
     trace = RetentionTrace(n_layers, n_heads)
     state = MultiState(n_layers, n_heads, head_dim, capacity=capacity, trace=trace)
-    # reference: per (layer, head) a list of (position, step, token, key, value)
+    # reference: per (layer, head) a list of (position, token, key, value); an
+    # entry's position is also its append step
     ref = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
     events = []
     last_step = [-1] * n_layers  # evictions carry the latest step appended to their layer
@@ -45,19 +46,23 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
         entries = ref[layer][head]
         if data.draw(st.integers(0, 9), label="op") < 7:
             next_pos += data.draw(st.integers(1, 3), label="gap")
-            step = next_pos + data.draw(st.integers(0, 2), label="lag")
             token = int(rng.integers(0, 1000))
             key = rng.standard_normal(head_dim).astype(np.float32)
             value = rng.standard_normal(head_dim).astype(np.float32)
-            meta = StateMeta(original_position=next_pos, entry_step=step, token_id=token)
+            if data.draw(st.integers(0, 9), label="stale") == 0:
+                # a negative position, or one not above the head's newest, is refused
+                stale = entries[-1][0] if entries else -1
+                with pytest.raises(ValueError):
+                    state.append(layer, head, key, value, stale, token)
+                continue
             if capacity is not None and len(entries) == capacity + 1:
                 with pytest.raises(ValueError, match="k\\+1"):
-                    state.append(layer, head, key, value, meta)
+                    state.append(layer, head, key, value, next_pos, token)
                 continue
-            state.append(layer, head, key, value, meta)
-            entries.append((next_pos, step, token, key, value))
-            last_step[layer] = max(last_step[layer], step)
-            events.append(TraceEvent(step, layer, head, ACTION_APPEND, next_pos, token))
+            state.append(layer, head, key, value, next_pos, token)
+            entries.append((next_pos, token, key, value))
+            last_step[layer] = max(last_step[layer], next_pos)
+            events.append(TraceEvent(next_pos, layer, head, ACTION_APPEND, next_pos, token))
         else:
             index = data.draw(st.integers(-1, len(entries)), label="index")
             if not 0 <= index < len(entries):
@@ -65,7 +70,7 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
                     state.evict(layer, head, index)
                 continue
             state.evict(layer, head, index)
-            pos, _, token, _, _ = entries.pop(index)
+            pos, token, _, _ = entries.pop(index)
             events.append(TraceEvent(last_step[layer], layer, head, ACTION_EVICT, pos, token))
 
         for l in range(n_layers):
@@ -76,8 +81,8 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
                 keys, values = state.keys(l, h), state.values(l, h)
                 assert keys.shape == values.shape == (len(expected), head_dim)
                 for row, e in enumerate(expected):
-                    assert np.array_equal(keys[row], e[3])
-                    assert np.array_equal(values[row], e[4])
+                    assert np.array_equal(keys[row], e[2])
+                    assert np.array_equal(values[row], e[3])
             sizes = {len(es) for es in ref[l]}
             if len(sizes) > 1:
                 with pytest.raises(ValueError):
@@ -99,21 +104,56 @@ def test_multistate_keeps_rows_across_growth(capacity):
     rows = np.arange(41 * 3, dtype=np.float32).reshape(41, 3)
     for pos in range(41):
         for head in range(2):
-            state.append(0, head, rows[pos], -rows[pos],
-                         StateMeta(original_position=pos, entry_step=pos, token_id=pos))
+            state.append(0, head, rows[pos], -rows[pos], pos, pos)
     state.evict(0, 1, 0)
     assert np.array_equal(state.keys(0, 0), rows)
     assert np.array_equal(state.values(0, 1), -rows[1:])
     assert state.retained_positions(0, 1) == list(range(1, 41))
-    meta = StateMeta(original_position=41, entry_step=41, token_id=0)
     if capacity is None:
-        state.append(0, 0, rows[0], rows[0], meta)
+        state.append(0, 0, rows[0], rows[0], 41, 0)
         assert state.size(0, 0) == 42
     else:
         with pytest.raises(ValueError):
-            state.append(0, 0, rows[0], rows[0], meta)
-        state.append(0, 1, rows[0], rows[0], meta)
+            state.append(0, 0, rows[0], rows[0], 41, 0)
+        state.append(0, 1, rows[0], rows[0], 41, 0)
         assert state.size(0, 1) == 41
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       n_heads=st.integers(1, 4),
+       k=st.integers(1, 6),
+       steps=st.integers(1, 20),
+       layerwise=st.booleans())
+def test_score_block_matches_per_head_running_sums(data, n_heads, k, steps, layerwise):
+    # H2O bookkeeping: each step every head's sums take one float32 row (one
+    # state longer after an append, or as long), and once over k one column
+    # per head is dropped, the same for every head or each head its own; the
+    # (H, S) block equals per-head float64 running sums bit for bit
+    scores = AccumulatedScores(2, n_heads)
+    ref = [[] for _ in range(n_heads)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    for _ in range(steps):
+        grow = not ref[0] or data.draw(st.booleans(), label="grow")
+        probs = rng.random((n_heads, len(ref[0]) + grow)).astype(np.float32)
+        scores.accumulate(1, probs)
+        for head, sums in enumerate(ref):
+            sums[:] = [s + float(p) for s, p in zip(sums, probs[head])] + \
+                [float(probs[head, -1])] * grow
+        size = len(ref[0])
+        if size > k:
+            if layerwise:
+                indices = [data.draw(st.integers(0, size - 1), label="index")] * n_heads
+            else:
+                indices = data.draw(st.lists(st.integers(0, size - 1), min_size=n_heads,
+                                             max_size=n_heads), label="indices")
+            scores.drop(1, indices)
+            for sums, index in zip(ref, indices):
+                del sums[index]
+        block = scores.layer(1)
+        assert block.dtype == np.float64 and block.shape == (n_heads, len(ref[0]))
+        assert block.tolist() == ref
+    assert scores.layer(0).shape == (n_heads, 0)
 
 
 increasing_rows = st.integers(1, 4).flatmap(lambda n_rows: st.integers(1, 30).flatmap(

@@ -2,28 +2,26 @@ import numpy as np
 import pytest
 
 from msrnn import (ACTION_APPEND, ACTION_EVICT, MultiState, RetentionTrace,
-                   StateMeta, TraceEvent)
+                   TraceEvent)
 
 
-def meta(pos, step=None, token=0):
-    return StateMeta(original_position=pos,
-                     entry_step=pos if step is None else step,
-                     token_id=token)
-
-
-def test_state_meta_validation():
-    StateMeta(original_position=3, entry_step=5, token_id=1)
-    with pytest.raises(ValueError):
-        StateMeta(original_position=-1, entry_step=0, token_id=0)
-    with pytest.raises(ValueError):
-        StateMeta(original_position=6, entry_step=5, token_id=0)
+def test_append_validates_position_and_token():
+    state = MultiState(n_layers=1, n_heads=1, head_dim=2)
+    row = np.zeros(2, dtype=np.float32)
+    with pytest.raises(ValueError, match="non-negative"):
+        state.append(0, 0, row, row, -1, 0)
+    with pytest.raises(ValueError, match="non-negative"):
+        state.append(0, 0, row, row, 0, -1)
+    assert state.size(0, 0) == 0
+    state.append(0, 0, row, row, 3, 1)
+    assert state.retained_positions(0, 0) == [3]
 
 
 def test_append_and_evict_bookkeeping():
     state = MultiState(n_layers=1, n_heads=2, head_dim=3)
     key = np.arange(3, dtype=np.float32)
     for pos in range(4):
-        state.append(0, 0, key + pos, key - pos, meta(pos))
+        state.append(0, 0, key + pos, key - pos, pos, 0)
     assert state.size(0, 0) == 4
     assert state.size(0, 1) == 0
     assert state.retained_positions(0, 0) == [0, 1, 2, 3]
@@ -41,12 +39,12 @@ def test_append_rejects_bad_shapes_and_positions():
     state = MultiState(n_layers=1, n_heads=1, head_dim=3)
     good = np.zeros(3, dtype=np.float32)
     with pytest.raises(ValueError):
-        state.append(0, 0, np.zeros(4), good, meta(0))
-    state.append(0, 0, good, good, meta(5, step=5))
+        state.append(0, 0, np.zeros(4), good, 0, 0)
+    state.append(0, 0, good, good, 5, 0)
     with pytest.raises(ValueError):
-        state.append(0, 0, good, good, meta(5, step=6))
+        state.append(0, 0, good, good, 5, 0)
     with pytest.raises(ValueError):
-        state.append(0, 0, good, good, meta(3, step=6))
+        state.append(0, 0, good, good, 3, 0)
     with pytest.raises(ValueError):
         state.evict(0, 0, 1)
     with pytest.raises(ValueError):
@@ -63,7 +61,7 @@ def test_trace_records_appends_and_evicts():
     state = MultiState(1, 1, 2, capacity=2, trace=trace)
     row = np.zeros(2, dtype=np.float32)
     for pos in range(3):
-        state.append(0, 0, row, row, meta(pos, token=pos + 10))
+        state.append(0, 0, row, row, pos, pos + 10)
     state.evict(0, 0, 0)
     assert trace.events == [
         TraceEvent(0, 0, 0, ACTION_APPEND, 0, 10),
