@@ -35,11 +35,9 @@ def retention_matrix(trace: RetentionTrace, layer: int,
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str) -> None:
-    # distinct by bit pattern, so -0.0 keeps its own text
-    bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.int64)
     write_csv_rows(path, ["step"] + [str(p) for p in range(matrix.shape[1])],
-                   [(np.arange(len(bits))[:, None], str),
-                    (bits, lambda b: f"{np.int64(b).view(np.float64):.6g}")])
+                   [(np.arange(len(matrix))[:, None], str),
+                    (np.asarray(matrix, dtype=np.float64), "{:.6g}".format)])
 
 
 def write_matrix_pgm(matrix: np.ndarray, path: str) -> None:

@@ -232,7 +232,7 @@ def _load_model(args: argparse.Namespace) -> Model:
 def _load_stream(args: argparse.Namespace, model: Model) -> TokenStream:
     if not args.stream:
         raise CliError("stream: --stream is required")
-    chunk_len = args.chunk_len or model.config.train_context_len
+    chunk_len = model.config.train_context_len if args.chunk_len is None else args.chunk_len
     stream = read_token_stream(args.stream, chunk_len, model.config.vocab_size)
     if args.truncate:
         if args.kind is None:

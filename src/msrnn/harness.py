@@ -10,6 +10,10 @@ layer: the band+prefix of the window family, the score-driven sets of
 H2O/TOVA. Both modes run the same code per (token, layer), so
 probabilities, decisions, and perplexities agree exactly; the acceptance
 tolerance is slack on top.
+
+A layer's attention is one (H, S) float32 block throughout: the kernel
+returns it, the policies take it, a ScriptedTrace stores it per (step,
+layer), and the model-free simulator checks it once per layer-step.
 """
 
 from __future__ import annotations
@@ -17,14 +21,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .model import AttentionRow, Model, decode_layer, decode_step
+from .model import Model, decode_layer, decode_step
 from .policies import AccumulatedScores, PolicyKind, apply_layer_policy, apply_policy
 from .remap import remap_positions
-from .state import MultiState, RetentionTrace
+from .state import MultiState, RetentionTrace, write_csv_rows
 
 # unused here: bench/tracing.py patches these names on this module
 from .model import attention_step, rms_norm, rotate  # noqa: F401
@@ -132,11 +136,11 @@ def _decode_chunk_sequential(model: Model, ids: Sequence[int], kind: PolicyKind 
     position_fn = remap_positions if remap else None
     total = 0.0
     for t, token in enumerate(ids):
-        logits, rows = decode_step(model, state, token, t, position_fn)
+        logits, probs = decode_step(model, state, token, t, position_fn)
         if t + 1 < len(ids):
             total += nll_of(logits, ids[t + 1])
         if kind is not None:
-            apply_policy(kind, state, rows, acc)
+            apply_policy(kind, state, probs, acc)
     return total
 
 
@@ -184,8 +188,8 @@ def _decode_chunk_parallel(model: Model, ids: Sequence[int], kind: PolicyKind,
     x = w.token_embedding[list(ids)]
     for layer in range(config.n_layers):
         for t, token in enumerate(ids):
-            x[t], row = decode_layer(model, layer, state, x[t], t, token)
-            apply_layer_policy(kind, state, layer, row, acc)
+            x[t], probs = decode_layer(model, layer, state, x[t], t, token)
+            apply_layer_policy(kind, state, layer, probs, acc)
 
     total = 0.0
     for t in range(len(ids) - 1):
@@ -217,25 +221,27 @@ RowRule = Callable[[int, int, int, Sequence[int]], np.ndarray]
 
 @dataclass
 class ScriptedTrace:
-    """Per-step, per-layer, per-head probability rows over the retained states."""
+    """Per-step, per-layer probability blocks over the retained states."""
 
     n_layers: int
     n_heads: int
-    rows: list[list[list[np.ndarray]]]  # [step][layer][head] -> (size,) float32
+    rows: list[list[np.ndarray]]  # [step][layer] -> (n_heads, size) float32
 
     @property
     def n_steps(self) -> int:
         return len(self.rows)
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SCRIPT_COLUMNS)
-            for t, per_layer in enumerate(self.rows):
-                for layer, per_head in enumerate(per_layer):
-                    for head, row in enumerate(per_head):
-                        for slot, p in enumerate(row):
-                            writer.writerow([t, layer, head, slot, f"{float(p):.9g}"])
+        # (t, layer, head, slot) and probability of every cell, in row-major
+        # order; the empty first pieces keep a script of no steps writable
+        index, probs = [np.empty((0, 4), dtype=np.int64)], [np.empty((0, 1), dtype=np.float32)]
+        for t, per_layer in enumerate(self.rows):
+            for layer, block in enumerate(per_layer):
+                grid = np.indices((1, 1) + np.shape(block)).reshape(4, -1).T
+                index.append(grid + (t, layer, 0, 0))
+                probs.append(np.reshape(block, (-1, 1)))
+        write_csv_rows(path, SCRIPT_COLUMNS, [(np.concatenate(index), str),
+                                              (np.concatenate(probs), "{:.9g}".format)])
 
     @classmethod
     def read_csv(cls, path: str) -> "ScriptedTrace":
@@ -272,32 +278,32 @@ class ScriptedTrace:
             per_layer = []
             for layer in range(n_layers):
                 per_head = []
-                for head in range(n_heads):
+                for head in range(n_heads):  # lazily: the first missing head fails
                     slots = cells.get((t, layer, head))
                     if slots is None:
                         raise ValueError(f"{path}: missing row for step {t}, "
                                          f"layer {layer}, head {head}")
-                    vec = np.empty(len(slots), dtype=np.float32)
-                    for slot, p in slots.items():
-                        if not (0 <= slot < len(slots)):
-                            raise ValueError(f"{path}: state_slot {slot} out of range "
-                                             f"at step {t}")
-                        vec[slot] = p
-                    per_head.append(vec)
-                per_layer.append(per_head)
+                    if max(slots) >= len(slots):
+                        raise ValueError(f"{path}: state_slot {max(slots)} out of range "
+                                         f"at step {t}")
+                    per_head.append([slots[slot] for slot in range(len(slots))])
+                if len({len(row) for row in per_head}) > 1:
+                    raise ValueError(f"{path}: heads hold different slot counts at step {t}, "
+                                     f"layer {layer}: {[len(row) for row in per_head]}")
+                per_layer.append(np.array(per_head, dtype=np.float32))
             rows.append(per_layer)
         return cls(n_layers=n_layers, n_heads=n_heads, rows=rows)
 
 
 def _check_rows(rows: Sequence, size: int, where: Callable[[int], str]) -> np.ndarray:
-    """Stack one layer's per-head rows into an (H, size) float32 block and check it.
+    """One layer's rows (an (H, S) block or one row per head) as a checked float32 block.
 
     One pass over the block checks every row's sum and sign (a NaN fails the
     sum); an error names `where(head)` for the first bad head, with the
     check that failed first on that head as the message.
     """
     try:
-        block = np.stack(rows, dtype=np.float32, casting="unsafe")
+        block = np.asarray(rows, dtype=np.float32)
     except ValueError:  # rows of different lengths, or a row that is not numeric
         if len(rows) == 1:
             raise
@@ -321,49 +327,35 @@ def _check_rows(rows: Sequence, size: int, where: Callable[[int], str]) -> np.nd
     return block
 
 
-def _simulate(row_source: RowRule, kind: PolicyKind | None, steps: int,
-              n_layers: int, n_heads: int,
-              record_script: bool) -> tuple[ScriptedTrace | None, RetentionTrace]:
-    trace = RetentionTrace(n_layers, n_heads)
-    state, acc = _new_state(n_layers, n_heads, 0, kind, trace)
+def _simulate(layer_rows: Callable[[int, int, MultiState], Sequence], kind: PolicyKind | None,
+              steps: int, trace: RetentionTrace) -> Iterator[list[np.ndarray]]:
+    """Run `steps` model-free steps through the policy into `trace`, yielding each
+    step's checked blocks; `layer_rows(t, layer, state)` gives a layer's rows."""
+    state, acc = _new_state(trace.n_layers, trace.n_heads, 0, kind, trace)
     empty = np.zeros(0, dtype=np.float32)
-    script_rows = [] if record_script else None
     for t in range(steps):
-        for layer in range(n_layers):
-            for head in range(n_heads):
+        for layer in range(state.n_layers):
+            for head in range(state.n_heads):
                 state.append(layer, head, empty, empty, t, t)
-        rows = []
-        for layer in range(n_layers):
-            block = _check_rows(
-                [row_source(t, layer, head, state.retained_positions(layer, head))
-                 for head in range(n_heads)],
-                state.size(layer, 0), lambda head: f"step {t}, layer {layer}, head {head}")
-            rows.append(AttentionRow(block))
-        if script_rows is not None:
-            script_rows.append([list(row.probs) for row in rows])
+        blocks = [_check_rows(layer_rows(t, layer, state), state.size(layer, 0),
+                              lambda head: f"step {t}, layer {layer}, head {head}")
+                  for layer in range(state.n_layers)]
         if kind is not None:
-            apply_policy(kind, state, rows, acc)
-    script = None
-    if script_rows is not None:
-        script = ScriptedTrace(n_layers=n_layers, n_heads=n_heads, rows=script_rows)
-    return script, trace
+            apply_policy(kind, state, blocks, acc)
+        yield blocks
 
 
 def trace_driven_simulate(script: ScriptedTrace, kind: PolicyKind | None) -> RetentionTrace:
     """Replay a scripted trace through a policy; no model math involved.
 
     The script must be internally consistent with the eviction sequence it
-    induces: every row's length has to match the multi-state size at that
+    induces: every block's width has to match the multi-state size at that
     step (appends use position = step = token id).
     """
-
-    def from_script(t: int, layer: int, head: int, retained: Sequence[int]) -> np.ndarray:
-        if t >= script.n_steps:
-            raise ValueError(f"script ends at step {script.n_steps}, needed step {t}")
-        return script.rows[t][layer][head]
-
-    _, trace = _simulate(from_script, kind, script.n_steps,
-                         script.n_layers, script.n_heads, record_script=False)
+    trace = RetentionTrace(script.n_layers, script.n_heads)
+    for _ in _simulate(lambda t, layer, state: script.rows[t][layer], kind,
+                       script.n_steps, trace):
+        pass
     return trace
 
 
@@ -373,10 +365,16 @@ def simulate_with_rule(rule: RowRule, kind: PolicyKind | None, steps: int,
     """Run a probability rule through a policy, materializing the script it made.
 
     The returned ScriptedTrace replays to the identical RetentionTrace via
-    trace_driven_simulate (rows are recorded exactly as consumed).
+    trace_driven_simulate (blocks are recorded exactly as consumed).
     """
-    script, trace = _simulate(rule, kind, steps, n_layers, n_heads, record_script=True)
-    return script, trace
+
+    def layer_rows(t: int, layer: int, state: MultiState) -> list[np.ndarray]:
+        return [rule(t, layer, head, state.retained_positions(layer, head))
+                for head in range(n_heads)]
+
+    trace = RetentionTrace(n_layers, n_heads)
+    rows = list(_simulate(layer_rows, kind, steps, trace))
+    return ScriptedTrace(n_layers=n_layers, n_heads=n_heads, rows=rows), trace
 
 
 def uniform_rule(t: int, layer: int, head: int, retained: Sequence[int]) -> np.ndarray:
@@ -424,13 +422,13 @@ def generate(model: Model, prompt: Sequence[int], max_steps: int,
     out = list(prompt)
     logits = None
     for t, token in enumerate(out):
-        logits, rows = decode_step(model, state, token, t, position_fn)
+        logits, probs = decode_step(model, state, token, t, position_fn)
         if kind is not None:
-            apply_policy(kind, state, rows, acc)
+            apply_policy(kind, state, probs, acc)
     for _ in range(max_steps):
         nxt = int(np.argmax(logits))
         out.append(nxt)
-        logits, rows = decode_step(model, state, nxt, len(out) - 1, position_fn)
+        logits, probs = decode_step(model, state, nxt, len(out) - 1, position_fn)
         if kind is not None:
-            apply_policy(kind, state, rows, acc)
+            apply_policy(kind, state, probs, acc)
     return out

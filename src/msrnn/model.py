@@ -344,17 +344,6 @@ def rotate(vecs: np.ndarray, positions: np.ndarray, inv_freq: np.ndarray) -> np.
     return out
 
 
-@dataclass
-class AttentionRow:
-    """Post-softmax attention of the newest query: one probability row per head."""
-
-    probs: np.ndarray  # (n_heads, size) float32
-
-    @property
-    def size(self) -> int:
-        return self.probs.shape[1]
-
-
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
     m = scores.max(axis=-1, keepdims=True)
     e = np.exp(scores - m)
@@ -362,13 +351,13 @@ def softmax_rows(scores: np.ndarray) -> np.ndarray:
 
 
 def attention_step(q_rot: np.ndarray, keys_rot: np.ndarray, values: np.ndarray,
-                   w_o: np.ndarray) -> tuple[np.ndarray, AttentionRow]:
+                   w_o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scaled dot-product attention of one query over the cached states.
 
     `q_rot` is (n_heads, head_dim), already position-rotated; `keys_rot` and
     `values` are (n_heads, size, head_dim) with keys rotated at their
     (possibly remapped) positions. Returns the W_O-projected context vector
-    and the per-head probability rows.
+    and the (n_heads, size) float32 probabilities, one row per head.
     """
     if keys_rot.ndim != 3 or keys_rot.shape[1] == 0:
         raise ValueError("attention over an empty state")
@@ -376,19 +365,19 @@ def attention_step(q_rot: np.ndarray, keys_rot: np.ndarray, values: np.ndarray,
     scores = np.einsum("hsd,hd->hs", keys_rot, q_rot) / np.float32(math.sqrt(head_dim))
     probs = softmax_rows(scores)
     ctx = np.einsum("hs,hsd->hd", probs, values)
-    return ctx.reshape(-1) @ w_o, AttentionRow(probs)
+    return ctx.reshape(-1) @ w_o, probs
 
 
 def decode_layer(model: Model, layer: int, state: MultiState, x: np.ndarray,
                  position: int, token: int, position_fn: PositionFn | None = None,
-                 ) -> tuple[np.ndarray, AttentionRow]:
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """One layer's multi-state update for one token: append, attend, feed forward.
 
     `x` is the (hidden,) residual stream of `token` at `position` entering
     the layer; the new K/V rows are appended to every head of the layer
     before attention (the token attends to itself). Returns the
-    residual stream leaving the layer and the attention row the policies
-    need. Eviction is the caller's job.
+    residual stream leaving the layer and the (H, S) attention probabilities
+    the policies need. Eviction is the caller's job.
 
     Without `position_fn` the query and key are rotated once, at the
     token's position, the key before it is cached, and attention runs over
@@ -415,26 +404,26 @@ def decode_layer(model: Model, layer: int, state: MultiState, x: np.ndarray,
         remapped = position_fn(positions)
         keys = rotate(keys, remapped, inv_freq)
         q = rotate(q, remapped[:, -1], inv_freq)
-    ctx, row = attention_step(q, keys, values, lw.w_o)
+    ctx, probs = attention_step(q, keys, values, lw.w_o)
     x = x + ctx
     x = x + silu(rms_norm(x, lw.ff_norm) @ lw.ff_in) @ lw.ff_out
-    return x, row
+    return x, probs
 
 
 def decode_step(model: Model, state: MultiState, token: int, step: int,
                 position_fn: PositionFn | None = None,
-                ) -> tuple[np.ndarray, list[AttentionRow]]:
+                ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Decode one token against the multi-state, one `decode_layer` per layer.
 
-    Returns the next-token logits and the per-layer attention rows the
-    policies need. Eviction is the caller's job.
+    Returns the next-token logits and the per-layer (H, S) attention
+    probabilities the policies need. Eviction is the caller's job.
     """
     config, w = model
     if not (0 <= token < config.vocab_size):
         raise ValueError(f"token {token} out of range for vocab {config.vocab_size}")
     x = w.token_embedding[token]
-    rows: list[AttentionRow] = []
+    probs = []
     for layer in range(config.n_layers):
-        x, row = decode_layer(model, layer, state, x, step, token, position_fn)
-        rows.append(row)
-    return x @ w.lm_head, rows
+        x, layer_probs = decode_layer(model, layer, state, x, step, token, position_fn)
+        probs.append(layer_probs)
+    return x @ w.lm_head, probs

@@ -5,7 +5,8 @@ the recent half, evict the lowest accumulated attention among the rest), and
 TOVA (evict the state the newest query attends to least, per head or with
 head-averaged rows). Every argmin breaks ties toward the lowest index.
 
-The core deciders are pure functions over probability rows / accumulated
+The core deciders are pure functions over a layer's (H, S) float32 attention
+block (as `decode_layer` returns it) or its (H, S) float64 accumulated
 scores. `apply_layer_policy` wires them to one layer of a MultiState;
 sequential decoding calls it for every layer through `apply_policy`, and the
 masked-parallel evaluator calls it layer by layer, so a policy's retained
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AttentionRow
 from .state import MultiState
 
 POLICY_FAMILIES = ("window", "h2o-head", "h2o-layer", "tova-head", "tova-layer")
@@ -120,8 +120,6 @@ class AccumulatedScores:
     """
 
     def __init__(self, n_layers: int, n_heads: int):
-        self.n_layers = n_layers
-        self.n_heads = n_heads
         self._acc = [np.zeros((n_heads, 0), dtype=np.float64) for _ in range(n_layers)]
 
     def layer(self, layer: int) -> np.ndarray:
@@ -168,7 +166,8 @@ def policy_tova(probs: np.ndarray, k: int, headwise: bool, pin: int = 0) -> list
         return [None] * n_heads
     if headwise:
         return (pin + np.argmin(probs[:, pin:], axis=1)).tolist()
-    mean = np.mean(probs, axis=0, dtype=np.float64)
+    # np.mean's own arithmetic (sum, then divide) without its Python wrapper
+    mean = np.add.reduce(probs, axis=0, dtype=np.float64) / n_heads
     idx = pin + int(np.argmin(mean[pin:]))
     return [idx] * n_heads
 
@@ -187,16 +186,15 @@ def policy_h2o(acc: np.ndarray, k: int, headwise: bool) -> list[int | None]:
     cutoff = size - recent_window(k)
     if headwise:
         return np.argmin(acc[:, :cutoff], axis=1).tolist()
-    mean = np.mean(acc, axis=0, dtype=np.float64)
+    mean = np.add.reduce(acc, axis=0, dtype=np.float64) / n_heads
     idx = int(np.argmin(mean[:cutoff]))
     return [idx] * n_heads
 
 
-def decide_layer(kind: PolicyKind, size: int, n_heads: int, probs: np.ndarray,
-                 acc: np.ndarray | None) -> list[int | None]:
-    """Dispatch one layer's eviction decision to the matching policy core."""
+def decide_layer(kind: PolicyKind, probs: np.ndarray, acc: np.ndarray | None) -> list[int | None]:
+    """Dispatch one layer's decision; `probs` is the layer's (n_heads, size) block."""
     if kind.family == "window":
-        return policy_window(size, n_heads, kind.k, kind.pin)
+        return policy_window(probs.shape[1], probs.shape[0], kind.k, kind.pin)
     if kind.family in ("tova-head", "tova-layer"):
         return policy_tova(probs, kind.k, kind.headwise, kind.pin)
     if acc is None:
@@ -204,20 +202,20 @@ def decide_layer(kind: PolicyKind, size: int, n_heads: int, probs: np.ndarray,
     return policy_h2o(acc, kind.k, kind.headwise)
 
 
-def apply_layer_policy(kind: PolicyKind, state: MultiState, layer: int, row: AttentionRow,
+def apply_layer_policy(kind: PolicyKind, state: MultiState, layer: int, probs: np.ndarray,
                        acc: AccumulatedScores | None = None) -> list[int | None]:
     """Apply one step's policy to one layer of the multi-state.
 
-    H2O kinds fold the fresh row into `acc` before deciding. Evictions are
-    applied to the state (which records them in its trace), then the
-    decided columns are dropped from the layer's scores. Returns the
-    per-head evicted indices.
+    H2O kinds fold the layer's (H, S) `probs` block into `acc` before
+    deciding. Evictions are applied to the state (which records them in its
+    trace), then the decided columns are dropped from the layer's scores.
+    Returns the per-head evicted indices.
     """
     scores = None
     if kind.needs_scores and acc is not None:
-        acc.accumulate(layer, row.probs)
+        acc.accumulate(layer, probs)
         scores = acc.layer(layer)
-    per_head = decide_layer(kind, state.size(layer, 0), state.n_heads, row.probs, scores)
+    per_head = decide_layer(kind, probs, scores)
     if per_head[0] is not None:  # every policy evicts from all heads of a layer or none
         for head, idx in enumerate(per_head):
             state.evict(layer, head, idx)
@@ -226,8 +224,8 @@ def apply_layer_policy(kind: PolicyKind, state: MultiState, layer: int, row: Att
     return per_head
 
 
-def apply_policy(kind: PolicyKind, state: MultiState, rows: list[AttentionRow],
+def apply_policy(kind: PolicyKind, state: MultiState, probs: list[np.ndarray],
                  acc: AccumulatedScores | None = None) -> None:
-    """Apply one step's policy to every layer of the multi-state."""
+    """Apply one step's policy to every layer; `probs[layer]` is that layer's (H, S) block."""
     for layer in range(state.n_layers):
-        apply_layer_policy(kind, state, layer, rows[layer], acc)
+        apply_layer_policy(kind, state, layer, probs[layer], acc)

@@ -27,12 +27,14 @@ TraceEvent = namedtuple("TraceEvent", TRACE_COLUMNS)
 
 def write_csv_rows(path: str, header: Sequence[str], blocks: list[tuple]) -> None:
     """csv.writer's bytes from (values, fmt) blocks of row-aligned 2-D arrays;
-    a block formats each distinct value once and gathers the texts back."""
+    a block formats each distinct value once and gathers the texts back.
+    Floats are distinct by bit pattern, so -0.0 keeps its own text."""
     texts, cells = [], []
     for values, fmt in blocks:
-        distinct = np.unique(values)
-        cells.append(np.searchsorted(distinct, values) + len(texts))
-        texts += map(fmt, distinct.tolist())
+        keys = values.view(f"i{values.itemsize}") if values.dtype.kind == "f" else values
+        distinct = np.unique(keys)
+        cells.append(np.searchsorted(distinct, keys) + len(texts))
+        texts += map(fmt, distinct.view(values.dtype).tolist())
     rows = (",".join(map(texts.__getitem__, row)) for row in np.hstack(cells).tolist())
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join([",".join(header), *rows]) + "\r\n")

@@ -94,6 +94,14 @@ def test_config_file_unknown_keys_fail(tmp_path, capsys):
     assert main(base) == 1
     line = _single_error_line(capsys)
     assert line.startswith("error: config:") and "--k" in line and "'eight'" in line
+    # a chunk length of 0 fails like 1 does, from the flag and from the file
+    no_chunk_len = base[:7] + base[9:]
+    cfg_file.write_text("k = 8\n")
+    assert main(no_chunk_len + ["--chunk-len", "0"]) == 1
+    assert "chunk_len must be >= 2" in _single_error_line(capsys)
+    cfg_file.write_text("k = 8\nchunk-len = 0\n")
+    assert main(no_chunk_len) == 1
+    assert "chunk_len must be >= 2" in _single_error_line(capsys)
     # another command's key is accepted, so one file can serve several commands
     cfg_file.write_text("max_steps = 3\npolicy = window\nk = 8\n")
     assert main(base) == 0
@@ -283,6 +291,9 @@ def test_malformed_script_rows_fail_cleanly(tmp_path, capsys):
     script.write_text(header + "0,0,0,zero,1.0\n")
     assert main(sim) == 1
     assert "script.csv:2:" in _single_error_line(capsys)
+    script.write_text(header + "0,0,0,0,1.0\n0,0,1,0,0.5\n0,0,1,1,0.5\n")
+    assert main(sim) == 1
+    assert "script.csv: heads hold different slot counts" in _single_error_line(capsys)
 
 
 def test_short_trace_row_fails_cleanly(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -138,6 +140,13 @@ def test_scripted_trace_round_trip(tmp_path):
                                        n_layers=2, n_heads=2)
     path = tmp_path / "script.csv"
     script.write_csv(path)
+    # the bytes are csv.writer's, row for row
+    ref = io.StringIO(newline="")
+    csv.writer(ref).writerows([("step", "layer", "head", "state_slot", "probability")] + [
+        (t, layer, head, slot, f"{float(p):.9g}") for t, per_layer in enumerate(script.rows)
+        for layer, block in enumerate(per_layer) for head, row in enumerate(block)
+        for slot, p in enumerate(row)])
+    assert path.read_bytes() == ref.getvalue().encode()
     script2 = ScriptedTrace.read_csv(path)
     assert script2.n_steps == script.n_steps
     for t in range(script.n_steps):
@@ -147,6 +156,13 @@ def test_scripted_trace_round_trip(tmp_path):
                                       script2.rows[t][layer][head])
     replay = trace_driven_simulate(script2, kind)
     assert replay.sorted_events() == trace.sorted_events()
+    # a hand-built block: the text keeps the sign of -0.0 and the subnormal
+    block = np.array([[-0.0, 1e-45, 0.5]], dtype=np.float32)
+    ScriptedTrace(n_layers=1, n_heads=1, rows=[[block]]).write_csv(path)
+    assert path.read_bytes() == (b"step,layer,head,state_slot,probability\r\n"
+                                 b"0,0,0,0,-0\r\n0,0,0,1,1.40129846e-45\r\n0,0,0,2,0.5\r\n")
+    back = ScriptedTrace.read_csv(path).rows[0][0]
+    assert back.view(np.int32).tolist() == block.view(np.int32).tolist()
 
 
 def test_scripted_trace_validation(tmp_path):
@@ -214,6 +230,12 @@ def test_scripted_trace_rejects_malformed_rows(tmp_path):
         ("0,0,0,0,1.0\n1,0,0\n", "bad.csv:3: expected 5 numeric"),
         ("0,0,0,x,1.0\n", "bad.csv:2: expected 5 numeric"),
         ("0,0,-1,0,1.0\n", "bad.csv:2: negative index"),
+        # heads of one (step, layer) must hold the same number of slots
+        ("0,0,0,0,1.0\n0,0,1,0,0.5\n0,0,1,1,0.5\n",
+         "bad.csv: heads hold different slot counts at step 0, layer 0: \\[1, 2\\]"),
+        # the first missing head fails, before anything is sized by the huge indices
+        ("0,0,0,0,1.0\n0,0,999999999999,0,1.0\n0,999999999999,0,0,1.0\n",
+         "bad.csv: missing row for step 0, layer 0, head 1$"),
     ]:
         path.write_text(header + body)
         with pytest.raises(ValueError, match=message):

@@ -162,14 +162,14 @@ def test_attention_step_two_state_oracle():
     keys = np.array([[[1.0, 0.0], [0.0, 1.0]]], dtype=np.float32)
     values = np.array([[[1.0, 0.0], [0.0, 10.0]]], dtype=np.float32)
     w_o = np.eye(2, dtype=np.float32)
-    ctx, row = attention_step(q, keys, values, w_o)
+    ctx, probs = attention_step(q, keys, values, w_o)
 
     s0 = 2.0 / math.sqrt(2.0)
     p0 = math.exp(s0) / (math.exp(s0) + 1.0)
     p1 = 1.0 - p0
-    np.testing.assert_allclose(row.probs, [[p0, p1]], rtol=1e-6)
+    np.testing.assert_allclose(probs, [[p0, p1]], rtol=1e-6)
     np.testing.assert_allclose(ctx, [p0, 10.0 * p1], rtol=1e-6)
-    assert row.size == 2
+    assert probs.shape == (1, 2) and probs.dtype == np.float32
 
     with pytest.raises(ValueError):
         attention_step(q, np.zeros((1, 0, 2), dtype=np.float32),
@@ -183,14 +183,14 @@ def test_decode_step_grows_state_and_shapes():
     logits, rows = decode_step(model, state, token=3, step=0)
     assert logits.shape == (config.vocab_size,)
     assert len(rows) == config.n_layers
-    assert all(r.probs.shape == (config.n_heads, 1) for r in rows)
+    assert all(r.shape == (config.n_heads, 1) for r in rows)
     logits, rows = decode_step(model, state, token=5, step=1)
     assert all(state.size(l, h) == 2 for l in range(config.n_layers)
                for h in range(config.n_heads))
-    assert all(r.probs.shape == (config.n_heads, 2) for r in rows)
+    assert all(r.shape == (config.n_heads, 2) and r.dtype == np.float32 for r in rows)
     # rows are proper distributions
     for r in rows:
-        np.testing.assert_allclose(r.probs.sum(axis=1), 1.0, rtol=1e-5)
+        np.testing.assert_allclose(r.sum(axis=1), 1.0, rtol=1e-5)
     with pytest.raises(ValueError):
         decode_step(model, state, token=config.vocab_size, step=2)
 

@@ -3,7 +3,6 @@ import pytest
 
 from msrnn import (AccumulatedScores, MultiState, PolicyKind, RetentionTrace,
                    accumulate_row, apply_policy, parse_policy, recent_window)
-from msrnn.model import AttentionRow
 from msrnn.policies import decide_layer, policy_h2o, policy_tova, policy_window
 
 
@@ -115,8 +114,7 @@ def test_h2o_protects_recent_window():
 
 def test_decide_layer_requires_scores_for_h2o():
     with pytest.raises(ValueError):
-        decide_layer(PolicyKind("h2o-head", 2), 3, 1,
-                     np.ones((1, 3), dtype=np.float32) / 3, None)
+        decide_layer(PolicyKind("h2o-head", 2), np.ones((1, 3), dtype=np.float32) / 3, None)
 
 
 def _filled_state(n_states, capacity, n_layers=1, n_heads=1, trace=None):
@@ -137,7 +135,7 @@ def test_apply_policy_evicts_and_records():
         [0.4, 0.05, 0.3, 0.25],
     ], dtype=np.float32)
     kind = parse_policy("tova-head", k=3)
-    apply_policy(kind, state, [AttentionRow(probs)])
+    apply_policy(kind, state, [probs])
     assert state.retained_positions(0, 0) == [0, 1, 3]
     assert state.retained_positions(0, 1) == [0, 2, 3]
     evicts = [ev for ev in trace.sorted_events() if ev.action == "evict"]
@@ -154,7 +152,7 @@ def test_apply_policy_h2o_accumulates_current_row_before_deciding():
     kind = parse_policy("h2o-head", k=2)
     # k=2 -> recent window 1 protects only the newest; candidates 0 and 1
     # with sums [1.0, 1.1]: position 0 goes
-    apply_policy(kind, state, [AttentionRow(probs)], acc)
+    apply_policy(kind, state, [probs], acc)
     assert state.retained_positions(0, 0) == [1, 2]
     np.testing.assert_allclose(acc.layer(0), [[1.1, 0.1]])
 
@@ -163,7 +161,7 @@ def test_apply_policy_needs_scores_guard():
     state = _filled_state(3, capacity=2)
     kind = parse_policy("h2o-head", k=2)
     with pytest.raises(ValueError):
-        apply_policy(kind, state, [AttentionRow(np.ones((1, 3), dtype=np.float32) / 3)])
+        apply_policy(kind, state, [np.ones((1, 3), dtype=np.float32) / 3])
 
 
 def test_tova_brute_force_small():
