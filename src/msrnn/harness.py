@@ -18,7 +18,6 @@ layer), and the model-free simulator checks it once per layer-step.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -28,7 +27,7 @@ import numpy as np
 from .model import Model, decode_layer, decode_step
 from .policies import AccumulatedScores, PolicyKind, apply_layer_policy, apply_policy
 from .remap import remap_positions
-from .state import MultiState, RetentionTrace, write_csv_rows
+from .state import MultiState, RetentionTrace, read_csv_rows, write_csv_rows
 
 # unused here: bench/tracing.py patches these names on this module
 from .model import attention_step, rms_norm, rotate  # noqa: F401
@@ -246,28 +245,21 @@ class ScriptedTrace:
     @classmethod
     def read_csv(cls, path: str) -> "ScriptedTrace":
         cells: dict[tuple[int, int, int], dict[int, float]] = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != list(SCRIPT_COLUMNS):
-                raise ValueError(f"bad scripted trace header in {path}: {header}")
-            for row in reader:
-                if not row:
-                    continue
-                where = f"{path}:{reader.line_num}"
-                try:  # a short or long row fails the unpacking
-                    t, layer, head, slot, p = row
-                    t, layer, head, slot, p = int(t), int(layer), int(head), int(slot), float(p)
-                except ValueError:
-                    raise ValueError(f"{where}: expected {len(SCRIPT_COLUMNS)} numeric fields "
-                                     f"{SCRIPT_COLUMNS}, got {row}") from None
-                if min(t, layer, head, slot) < 0:
-                    raise ValueError(f"{where}: negative index in {row}")
-                slots = cells.setdefault((t, layer, head), {})
-                if slot in slots:
-                    raise ValueError(f"{where}: duplicate row for step {t}, layer {layer}, "
-                                     f"head {head}, state_slot {slot}")
-                slots[slot] = p
+        for lineno, row in read_csv_rows(path, SCRIPT_COLUMNS):
+            where = f"{path}:{lineno}"
+            try:  # a short or long row fails the unpacking
+                t, layer, head, slot, p = row
+                t, layer, head, slot, p = int(t), int(layer), int(head), int(slot), float(p)
+            except ValueError:
+                raise ValueError(f"{where}: expected {len(SCRIPT_COLUMNS)} numeric fields "
+                                 f"{SCRIPT_COLUMNS}, got {row}") from None
+            if min(t, layer, head, slot) < 0:
+                raise ValueError(f"{where}: negative index in {row}")
+            slots = cells.setdefault((t, layer, head), {})
+            if slot in slots:
+                raise ValueError(f"{where}: duplicate row for step {t}, layer {layer}, "
+                                 f"head {head}, state_slot {slot}")
+            slots[slot] = p
         if not cells:
             raise ValueError(f"scripted trace {path} holds no rows")
         n_steps = max(key[0] for key in cells) + 1
@@ -295,20 +287,26 @@ class ScriptedTrace:
         return cls(n_layers=n_layers, n_heads=n_heads, rows=rows)
 
 
-def _check_rows(rows: Sequence, size: int, where: Callable[[int], str]) -> np.ndarray:
+def _check_rows(rows: Sequence, shape: tuple[int, int] | int,
+                where: Callable[[int], str]) -> np.ndarray:
     """One layer's rows (an (H, S) block or one row per head) as a checked float32 block.
 
-    One pass over the block checks every row's sum and sign (a NaN fails the
+    `shape` is the expected (H, S), or S alone to take H from the rows. One
+    pass over the block checks every row's sum and sign (a NaN fails the
     sum); an error names `where(head)` for the first bad head, with the
     check that failed first on that head as the message.
     """
+    n_heads, size = shape if isinstance(shape, tuple) else (len(rows), shape)
     try:
         block = np.asarray(rows, dtype=np.float32)
     except ValueError:  # rows of different lengths, or a row that is not numeric
         if len(rows) == 1:
             raise
         block = None
-    if block is None or block.shape != (len(rows), size):
+    if block is None or block.shape != (n_heads, size):
+        if len(rows) != n_heads:
+            raise ValueError(f"{where(min(len(rows), n_heads))}: the rows cover {len(rows)} "
+                             f"heads, the multi-state has {n_heads}")
         if len(rows) == 1:
             raise ValueError(f"{where(0)}: row length {np.shape(rows[0])} does not match "
                              f"multi-state size {size}")
@@ -337,7 +335,7 @@ def _simulate(layer_rows: Callable[[int, int, MultiState], Sequence], kind: Poli
         for layer in range(state.n_layers):
             for head in range(state.n_heads):
                 state.append(layer, head, empty, empty, t, t)
-        blocks = [_check_rows(layer_rows(t, layer, state), state.size(layer, 0),
+        blocks = [_check_rows(layer_rows(t, layer, state), (state.n_heads, state.size(layer, 0)),
                               lambda head: f"step {t}, layer {layer}, head {head}")
                   for layer in range(state.n_layers)]
         if kind is not None:

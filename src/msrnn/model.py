@@ -10,11 +10,11 @@ are cached unrotated and re-rotated at the remapped positions every step.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from itertools import zip_longest
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -182,107 +182,61 @@ def _assemble(config: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelWeight
 # ---------------------------------------------------------------------------
 # weight file I/O: text header, then a little-endian float32 blob
 
-_CONFIG_FIELDS = [f.name for f in fields(ModelConfig)]
+# each config field's declared type, in field order: int, or float for rope_base
+_CONFIG_TYPES = get_type_hints(ModelConfig)
+
+
+def _header(config: ModelConfig) -> str:
+    """The weight-file header, one LF-ended line per item: save_weights writes
+    it and load_weights accepts no other text for the config it reads."""
+    lines = [f"{WEIGHT_MAGIC} {WEIGHT_VERSION}"]
+    lines += [f"{name} {kind(getattr(config, name))!r}" for name, kind in _CONFIG_TYPES.items()]
+    lines.append(f"ff_gate {FF_GATE_NAME}")
+    lines += [f"block {name} {' '.join(map(str, shape))}" for name, shape in _block_shapes(config)]
+    return "\n".join(lines + ["end", ""])
 
 
 def save_weights(path: str, config: ModelConfig, weights: ModelWeights) -> None:
     weights.validate(config)
-    header = io.StringIO()
-    header.write(f"{WEIGHT_MAGIC} {WEIGHT_VERSION}\n")
-    for name in _CONFIG_FIELDS:
-        header.write(f"{name} {getattr(config, name)!r}\n")
-    header.write(f"ff_gate {FF_GATE_NAME}\n")
-    for name, arr, _ in _iter_blocks(config, weights):
-        dims = " ".join(str(d) for d in arr.shape)
-        header.write(f"block {name} {dims}\n")
-    header.write("end\n")
     with open(path, "wb") as fh:
-        fh.write(header.getvalue().encode("ascii"))
+        fh.write(_header(config).encode("ascii"))
         for _, arr, _ in _iter_blocks(config, weights):
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def _parse_header_lines(raw: list[str], path: str) -> tuple[ModelConfig, list[tuple[str, tuple[int, ...]]]]:
-    if not raw:
-        raise MalformedHeaderError(f"{path}: empty header")
-    magic = raw[0].split()
-    if len(magic) != 2 or magic[0] != WEIGHT_MAGIC:
-        raise MalformedHeaderError(f"{path}: bad magic line {raw[0]!r}")
-    if magic[1] != str(WEIGHT_VERSION):
-        raise MalformedHeaderError(f"{path}: unsupported format version {magic[1]!r}")
-    cfg_values: dict[str, str] = {}
-    blocks: list[tuple[str, tuple[int, ...]]] = []
-    ff_gate = None
-    for line in raw[1:]:
-        parts = line.split()
-        if not parts:
-            raise MalformedHeaderError(f"{path}: blank header line")
-        key = parts[0]
-        if key == "block":
-            if len(parts) < 3:
-                raise MalformedHeaderError(f"{path}: bad block line {line!r}")
-            try:
-                dims = tuple(int(d) for d in parts[2:])
-            except ValueError:
-                raise MalformedHeaderError(f"{path}: non-integer block dims in {line!r}") from None
-            blocks.append((parts[1], dims))
-        elif key == "ff_gate":
-            if len(parts) != 2:
-                raise MalformedHeaderError(f"{path}: bad ff_gate line {line!r}")
-            ff_gate = parts[1]
-        elif key in _CONFIG_FIELDS:
-            if len(parts) != 2 or key in cfg_values:
-                raise MalformedHeaderError(f"{path}: bad or duplicate field line {line!r}")
-            cfg_values[key] = parts[1]
-        else:
-            raise MalformedHeaderError(f"{path}: unknown header field {key!r}")
-    missing = [name for name in _CONFIG_FIELDS if name not in cfg_values]
-    if missing:
-        raise MalformedHeaderError(f"{path}: missing config fields {missing}")
-    if ff_gate is None:
-        raise MalformedHeaderError(f"{path}: missing ff_gate line")
-    if ff_gate != FF_GATE_NAME:
-        raise MalformedHeaderError(f"{path}: unsupported ff_gate {ff_gate!r}")
-    try:
-        config = ModelConfig(**{
-            name: (float(cfg_values[name]) if name == "rope_base" else int(cfg_values[name]))
-            for name in _CONFIG_FIELDS
-        })
-    except ValueError as exc:
-        raise MalformedHeaderError(f"{path}: invalid config values ({exc})") from None
-    return config, blocks
 
 
 def load_weights(path: str) -> tuple[ModelConfig, ModelWeights]:
     """Load a weight file; raises a distinct error per failure mode.
 
-    MalformedHeaderError for unparseable headers, ShapeMismatchError when the
-    declared blocks disagree with the config, TruncatedBlobError when the
-    binary payload is shorter (or longer) than the header demands.
+    MalformedHeaderError when the magic, config or ff_gate lines differ from
+    what save_weights writes, ShapeMismatchError when the block lines differ
+    from those the config implies, TruncatedBlobError when the binary payload
+    is shorter (or longer) than the header demands.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    end_marker = b"end\n"
-    end = data.find(end_marker)
-    if end < 0:
+    header, end, blob = data.partition(b"end\n")
+    if not end:
         raise MalformedHeaderError(f"{path}: missing end-of-header marker")
     try:
-        header_text = data[:end].decode("ascii")
+        lines = (header + end).decode("ascii").split("\n")
     except UnicodeDecodeError:
         raise MalformedHeaderError(f"{path}: header is not ASCII text") from None
-    config, blocks = _parse_header_lines(header_text.splitlines(), path)
+    if lines[0] != f"{WEIGHT_MAGIC} {WEIGHT_VERSION}":
+        raise MalformedHeaderError(f"{path}: bad magic or version line {lines[0]!r}")
+    values = [line.partition(" ")[2] for line in lines[1:1 + len(_CONFIG_TYPES)]]
+    if len(values) < len(_CONFIG_TYPES):
+        raise MalformedHeaderError(f"{path}: header ends before its config fields")
+    try:
+        config = ModelConfig(**{name: kind(value)
+                                for (name, kind), value in zip(_CONFIG_TYPES.items(), values)})
+    except ValueError as exc:
+        raise MalformedHeaderError(f"{path}: invalid config values ({exc})") from None
+    for i, (got, want) in enumerate(zip_longest(lines, _header(config).split("\n"))):
+        if got != want:  # the lines after magic, config and ff_gate are blocks
+            error = ShapeMismatchError if i > 1 + len(_CONFIG_TYPES) else MalformedHeaderError
+            raise error(f"{path}: header line {i + 1} reads {got!r}, config implies {want!r}")
 
     expected = list(_block_shapes(config))
-    declared = dict(blocks)
-    if len(blocks) != len(expected) or [n for n, _ in blocks] != [n for n, _ in expected]:
-        raise ShapeMismatchError(f"{path}: block list does not match config")
-    for name, shape in expected:
-        if declared[name] != shape:
-            raise ShapeMismatchError(
-                f"{path}: block {name} declared {declared[name]}, config implies {shape}"
-            )
-
-    blob = data[end + len(end_marker):]
     n_floats = sum(int(np.prod(shape)) for _, shape in expected)
     if len(blob) != 4 * n_floats:
         raise TruncatedBlobError(

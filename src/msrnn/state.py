@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +38,19 @@ def write_csv_rows(path: str, header: Sequence[str], blocks: list[tuple]) -> Non
     rows = (",".join(map(texts.__getitem__, row)) for row in np.hstack(cells).tolist())
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join([",".join(header), *rows]) + "\r\n")
+
+
+def read_csv_rows(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of every non-blank row after a `header` line, the
+    format write_csv_rows writes: rows end in LF, CRLF or CR, no cell is quoted."""
+    with open(path, newline="") as fh:  # a line ends at LF, CRLF or CR
+        fields = fh.readline().rstrip("\r\n").split(",")
+        if fields != list(header):
+            raise ValueError(f"{path}: bad header {fields}, expected {list(header)}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\r\n")
+            if line:
+                yield lineno, line.split(",")
 
 
 class RetentionTrace:
@@ -141,24 +154,17 @@ class RetentionTrace:
 
     @classmethod
     def read_csv(cls, path: str) -> "RetentionTrace":
-        """Read a trace CSV with LF or CRLF rows, skipping blank lines."""
+        """Read a trace CSV; read_csv_rows gives its line ends and blank lines."""
         log = array("q")
-        with open(path, newline="") as fh:
-            fields = fh.readline().rstrip("\r\n").split(",")
-            if fields != list(TRACE_COLUMNS):
-                raise ValueError(f"bad retention trace header in {path}: {fields}")
-            for lineno, line in enumerate(fh, start=2):
-                row = line.rstrip("\r\n").split(",")
-                if row == [""]:
-                    continue
-                try:  # a short or long row fails the unpacking
-                    step, layer, head, action, position, token = row
-                    log.extend((int(step), int(layer), int(head), _CODES[action],
-                                int(position), int(token)))
-                except (KeyError, ValueError, OverflowError):
-                    raise ValueError(f"{path}:{lineno}: expected {len(TRACE_COLUMNS)} fields "
-                                     f"{TRACE_COLUMNS}, all integers except the action "
-                                     f"({ACTION_APPEND} or {ACTION_EVICT}), got {row}") from None
+        for lineno, row in read_csv_rows(path, TRACE_COLUMNS):
+            try:  # a short or long row fails the unpacking
+                step, layer, head, action, position, token = row
+                log.extend((int(step), int(layer), int(head), _CODES[action],
+                            int(position), int(token)))
+            except (KeyError, ValueError, OverflowError):
+                raise ValueError(f"{path}:{lineno}: expected {len(TRACE_COLUMNS)} fields "
+                                 f"{TRACE_COLUMNS}, all integers except the action "
+                                 f"({ACTION_APPEND} or {ACTION_EVICT}), got {row}") from None
         if not log:
             raise ValueError(f"retention trace {path} holds no events")
         step, layer, head = np.array(log, dtype=np.int64).reshape(-1, len(TRACE_COLUMNS)).T[:3]

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import msrnn
 from msrnn import save_weights
 from msrnn.cli import CliError, main, parse_config
 
@@ -389,3 +395,26 @@ def test_commands_reject_flags_they_do_not_read(tmp_path, capsys):
     assert main(["analyze", "recent", "--config", str(tmp_path / "run.cfg"),
                  "--trace", str(tmp_path / "t.csv"), "--out-dir", str(tmp_path / "o")]) == 0
     assert (tmp_path / "o" / "recent.txt").read_text() == "recent_proportion 1\n"
+
+
+def test_python_dash_m_runs_main(tmp_path):
+    # `python -m msrnn` is main() in a child process: the same files, and
+    # the same one error line and exit code
+    src = str(Path(msrnn.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "msrnn", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = run("memory-report", "--out-dir", str(tmp_path / "child"))
+    assert done.returncode == 0, done.stderr
+    assert main(["memory-report", "--out-dir", str(tmp_path / "in_process")]) == 0
+    assert (tmp_path / "child" / "memory.csv").read_bytes() == \
+        (tmp_path / "in_process" / "memory.csv").read_bytes()
+    done = run("memory-report", "--no-such-flag", "--out-dir", str(tmp_path / "o"))
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "--no-such-flag" in lines[0]
+    assert not (tmp_path / "o").exists()

@@ -156,6 +156,14 @@ def test_scripted_trace_round_trip(tmp_path):
                                       script2.rows[t][layer][head])
     replay = trace_driven_simulate(script2, kind)
     assert replay.sorted_events() == trace.sorted_events()
+    # LF and CR row ends, and a blank line, read back to the same blocks
+    lines = path.read_bytes().split(b"\r\n")
+    blocks = [[block.tolist() for block in per_layer] for per_layer in script2.rows]
+    for text in (b"\n".join(lines), b"\r".join(lines),
+                 b"\r\n".join(lines[:3] + [b""] + lines[3:])):
+        path.write_bytes(text)
+        back = ScriptedTrace.read_csv(path).rows
+        assert [[block.tolist() for block in per_layer] for per_layer in back] == blocks
     # a hand-built block: the text keeps the sign of -0.0 and the subnormal
     block = np.array([[-0.0, 1e-45, 0.5]], dtype=np.float32)
     ScriptedTrace(n_layers=1, n_heads=1, rows=[[block]]).write_csv(path)
@@ -182,6 +190,13 @@ def test_scripted_trace_validation(tmp_path):
     script = ScriptedTrace.read_csv(path)
     with pytest.raises(ValueError):
         trace_driven_simulate(script, parse_policy("window", k=2))
+    # a block must hold one row per head: one-head blocks for two heads fail
+    # at the first step, whatever the policy
+    for kind, width in ((None, lambda t: t + 1), (parse_policy("window", k=2),
+                                                  lambda t: min(t + 1, 3))):
+        rows = [[np.full((1, width(t)), 1 / width(t), dtype=np.float32)] for t in range(4)]
+        with pytest.raises(ValueError, match="^step 0, layer 0, head 1: the rows cover 1 heads"):
+            trace_driven_simulate(ScriptedTrace(1, 2, rows), kind)
 
 
 def test_check_row_rejects_nan_and_negative_entries():
@@ -230,6 +245,8 @@ def test_scripted_trace_rejects_malformed_rows(tmp_path):
         ("0,0,0,0,1.0\n1,0,0\n", "bad.csv:3: expected 5 numeric"),
         ("0,0,0,x,1.0\n", "bad.csv:2: expected 5 numeric"),
         ("0,0,-1,0,1.0\n", "bad.csv:2: negative index"),
+        # the writer never quotes a cell, and the reader takes none
+        ('"0",0,0,0,1.0\n', "bad.csv:2: expected 5 numeric"),
         # heads of one (step, layer) must hold the same number of slots
         ("0,0,0,0,1.0\n0,0,1,0,0.5\n0,0,1,1,0.5\n",
          "bad.csv: heads hold different slot counts at step 0, layer 0: \\[1, 2\\]"),

@@ -38,15 +38,17 @@ def test_init_is_seed_deterministic():
 
 
 def test_weight_file_round_trip(tmp_path):
-    config = make_config()
-    weights = init_random_model(config, seed=9)
-    path = tmp_path / "model.bin"
-    save_weights(path, config, weights)
-    config2, weights2 = load_weights(path)
-    assert config2 == config
-    for (name, a, _), (_, b, _) in zip(_iter_blocks(config, weights),
-                                       _iter_blocks(config2, weights2)):
-        assert np.array_equal(a, b), name
+    # numpy scalars and an int rope_base are written as the declared int/float
+    for config in (make_config(), make_config(n_layers=np.int64(1)),
+                   make_config(rope_base=np.float32(500.0)), make_config(rope_base=10000)):
+        weights = init_random_model(config, seed=9)
+        path = tmp_path / "model.bin"
+        save_weights(path, config, weights)
+        config2, weights2 = load_weights(path)
+        assert config2 == config
+        for (name, a, _), (_, b, _) in zip(_iter_blocks(config, weights),
+                                           _iter_blocks(config2, weights2)):
+            assert np.array_equal(a, b), name
 
 
 def _saved_bytes(tmp_path):

@@ -455,9 +455,10 @@ def test_trace_csv_reader_agrees_with_csv_module(tmp_path_factory, rows, ends):
 
 
 def test_damaged_weight_files_load_or_fail_cleanly(tmp_path):
-    # the format has no checksum, so some header flips (a digit of rope_base,
-    # "\n" to "\v", which splitlines also splits on) load another valid
-    # config; a damaged file must only never raise anything but a ValueError
+    # the format has no checksum, so some header flips (a digit of rope_base
+    # or train_context_len) load another valid config; a damaged file must
+    # never raise anything but a ValueError, and one that loads must be the
+    # file save_weights writes for what it loaded
     config = ModelConfig(n_layers=1, n_heads=1, head_dim=2, hidden_dim=2, ff_dim=2,
                          vocab_size=4, train_context_len=8)
     path = tmp_path / "w.bin"
@@ -472,8 +473,10 @@ def test_damaged_weight_files_load_or_fail_cleanly(tmp_path):
         damaged[bit // 8] ^= 1 << (bit % 8)
         path.write_bytes(damaged)
         try:
-            load_weights(path)
+            loaded = load_weights(path)
         except ValueError:
-            pass
+            continue
         except Exception as exc:
             pytest.fail(f"flipping bit {bit} raised {exc!r}")
+        save_weights(tmp_path / "again.bin", *loaded)
+        assert (tmp_path / "again.bin").read_bytes() == damaged, f"bit {bit}"
