@@ -3,11 +3,14 @@ scripted policy simulation, and greedy generation.
 
 Sequential mode is the ground truth: one decode_step per token against an
 explicit multi-state, policy applied after each step. Masked-parallel mode
-is layer-major over the same kernel: it pushes the whole chunk through one
-layer (`decode_layer`, then `apply_layer_policy`, token by token) before the
-next, so each row's attention mask is the policy's retained set for that
-layer: the band+prefix of the window family, the score-driven sets of
-H2O/TOVA. Both modes run the same code per (token, layer), so
+is layer-major over the same kernel: per layer, the norm, q/k/v projections
+and rotation run over the whole chunk's rows in one `attention_inputs` call;
+then, row by row, `attend` appends and attends and `apply_layer_policy`
+evicts, so each row's attention mask is the policy's retained set for that
+layer (the band+prefix of the window family, the score-driven sets of
+H2O/TOVA); then W_O and the feed-forward block run over all rows in one
+`layer_output` call, and the LM head in one call after the last layer. Row
+t of every batched kernel call equals the one-token call bit for bit, so
 probabilities, decisions, and perplexities agree exactly; the acceptance
 tolerance is slack on top.
 
@@ -24,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .model import Model, decode_layer, decode_step
+from .model import Model, attend, attention_inputs, decode_step, layer_output, row_matmul
 from .policies import AccumulatedScores, PolicyKind, apply_layer_policy, apply_policy
 from .remap import remap_positions
 from .state import MultiState, RetentionTrace, read_csv_rows, write_csv_rows
@@ -185,14 +188,18 @@ def _decode_chunk_parallel(model: Model, ids: Sequence[int], kind: PolicyKind,
     config, w = model
     state, acc = _new_state(config.n_layers, config.n_heads, config.head_dim, kind, trace)
     x = w.token_embedding[list(ids)]
+    positions = np.arange(len(ids))[:, None]
+    ctx = np.empty_like(x)
     for layer in range(config.n_layers):
-        for t, token in enumerate(ids):
-            x[t], probs = decode_layer(model, layer, state, x[t], t, token)
+        q, k, v = attention_inputs(model, layer, x, positions)
+        for t, token in enumerate(ids):  # append, attend and evict: the sequential part
+            ctx[t], probs = attend(model, layer, state, q[t], k[t], v[t], t, token)
             apply_layer_policy(kind, state, layer, probs, acc)
+        x = layer_output(model, layer, x, ctx)
 
     total = 0.0
-    for t in range(len(ids) - 1):
-        total += nll_of(x[t] @ w.lm_head, ids[t + 1])
+    for row, target in zip(row_matmul(x[:-1], w.lm_head), ids[1:]):
+        total += nll_of(row, target)
     return total
 
 

@@ -2,10 +2,14 @@
 
 Single-token decoding against an explicit multi-state: pre-norm attention and
 feed-forward blocks with residual connections, rotary-style positions, float32
-arithmetic throughout. `decode_layer` is the one layer kernel: `decode_step`
-runs it token-major, the masked-parallel evaluator layer-major. Keys are
-rotated once, when they are cached, unless positions are remapped: then they
-are cached unrotated and re-rotated at the remapped positions every step.
+arithmetic throughout. The layer kernel is three functions that every mode
+calls: `attention_inputs` (norm, q/k/v projections, rotation), `attend`
+(append, attend; one token at a time) and `layer_output` (W_O and the
+feed-forward block). `decode_step` calls them with one token's vector; the
+masked-parallel evaluator calls the first and last with a whole chunk's rows
+and only `attend` per row. Keys are rotated once, when they are cached,
+unless positions are remapped: then they are cached unrotated and re-rotated
+at the remapped positions every step.
 """
 
 from __future__ import annotations
@@ -71,8 +75,8 @@ class ModelConfig:
                 f"hidden_dim {self.hidden_dim} != n_heads*head_dim "
                 f"{self.n_heads * self.head_dim}"
             )
-        if self.rope_base <= 1.0:
-            raise ValueError("rope_base must be > 1")
+        if not (math.isfinite(self.rope_base) and self.rope_base > 1.0):
+            raise ValueError("rope_base must be finite and > 1")
 
 
 @dataclass
@@ -253,24 +257,38 @@ def load_weights(path: str) -> tuple[ModelConfig, ModelWeights]:
 
 
 # ---------------------------------------------------------------------------
-# numerics of the layer kernel; every mode runs them through decode_layer, so
-# attention probabilities (and therefore eviction decisions) come out
-# bit-identical whatever order the tokens are fed in.
+# numerics of the layer kernel. Every function but `attend` takes one vector
+# or a block of rows, and row t of a block call equals the one-vector call on
+# row t bit for bit, so attention probabilities (and therefore eviction
+# decisions) come out identical whichever mode feeds the tokens. One-vector
+# calls stay one-dimensional: array-shaped scalars, keyword ufunc arguments
+# and 3-D matmuls each cost up to a microsecond per call, which sequential
+# decoding would pay several times per layer and token.
+
+
+def row_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`a @ w` for one vector; for (T, n) rows one vector-matrix product per
+    row, whose row t equals `a[t] @ w` bit for bit (a GEMM's does not)."""
+    if a.ndim == 1:
+        return a @ w
+    return np.matmul(a[:, None, :], w)[:, 0]
 
 
 def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    # `x` is one (hidden,) vector: a float32 sum divided by the length is
-    # np.mean's own arithmetic, without its Python-level wrapper
-    ms = np.add.reduce(np.square(x), dtype=np.float32) / np.float32(x.shape[-1])
+    # a float32 sum divided by the length is np.mean's own arithmetic,
+    # without its Python-level wrapper; one vector keeps a scalar `inv`
+    ms = np.add.reduce(np.square(x), -1, np.float32) / np.float32(x.shape[-1])
     inv = np.float32(1.0) / np.sqrt(ms + RMS_EPS)
+    if x.ndim > 1:
+        inv = inv[:, None]
     return (x * inv) * gain
 
 
 def silu(x: np.ndarray) -> np.ndarray:
     # stable sigmoid: exponentials only of non-positive arguments
     e = np.exp(-np.abs(x))
-    sig = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(np.float32)
-    return x * sig
+    d = 1.0 + e
+    return x * np.where(x >= 0, 1.0 / d, e / d)
 
 
 @lru_cache(maxsize=None)
@@ -281,8 +299,8 @@ def _inv_freq(head_dim: int, rope_base: float) -> np.ndarray:
 def rotate(vecs: np.ndarray, positions: np.ndarray, inv_freq: np.ndarray) -> np.ndarray:
     """Pairwise 2-D rotation of consecutive coordinate pairs.
 
-    `vecs` is float32 with head_dim last; `positions` matches the leading
-    shape. Angles for pair i are position * rope_base**(-2i/head_dim),
+    `vecs` is float32 with head_dim last; `positions` broadcasts against its
+    leading shape. Angles for pair i are position * rope_base**(-2i/head_dim),
     computed in float64 (positions may be large or real-valued), output cast
     back to float32. Purely element-wise, so batched and per-subset calls
     agree bit-for-bit.
@@ -299,19 +317,20 @@ def rotate(vecs: np.ndarray, positions: np.ndarray, inv_freq: np.ndarray) -> np.
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
-    m = scores.max(axis=-1, keepdims=True)
+    m = np.maximum.reduce(scores, -1, None, None, True)
     e = np.exp(scores - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, -1, None, None, True)
 
 
-def attention_step(q_rot: np.ndarray, keys_rot: np.ndarray, values: np.ndarray,
-                   w_o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def attention_step(q_rot: np.ndarray, keys_rot: np.ndarray,
+                   values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scaled dot-product attention of one query over the cached states.
 
     `q_rot` is (n_heads, head_dim), already position-rotated; `keys_rot` and
     `values` are (n_heads, size, head_dim) with keys rotated at their
-    (possibly remapped) positions. Returns the W_O-projected context vector
-    and the (n_heads, size) float32 probabilities, one row per head.
+    (possibly remapped) positions. Returns the (n_heads * head_dim,) context,
+    heads concatenated, and the (n_heads, size) float32 probabilities, one
+    row per head.
     """
     if keys_rot.ndim != 3 or keys_rot.shape[1] == 0:
         raise ValueError("attention over an empty state")
@@ -319,55 +338,74 @@ def attention_step(q_rot: np.ndarray, keys_rot: np.ndarray, values: np.ndarray,
     scores = np.einsum("hsd,hd->hs", keys_rot, q_rot) / np.float32(math.sqrt(head_dim))
     probs = softmax_rows(scores)
     ctx = np.einsum("hs,hsd->hd", probs, values)
-    return ctx.reshape(-1) @ w_o, probs
+    return ctx.reshape(-1), probs
 
 
-def decode_layer(model: Model, layer: int, state: MultiState, x: np.ndarray,
-                 position: int, token: int, position_fn: PositionFn | None = None,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """One layer's multi-state update for one token: append, attend, feed forward.
+def attention_inputs(model: Model, layer: int, x: np.ndarray,
+                     positions: int | np.ndarray | None,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Query, key and value of a layer for one token or a block of rows.
 
-    `x` is the (hidden,) residual stream of `token` at `position` entering
-    the layer; the new K/V rows are appended to every head of the layer
-    before attention (the token attends to itself). Returns the
-    residual stream leaving the layer and the (H, S) attention probabilities
-    the policies need. Eviction is the caller's job.
-
-    Without `position_fn` the query and key are rotated once, at the
-    token's position, the key before it is cached, and attention runs over
-    the cached keys as they are (rotation is element-wise, so this equals
-    rotating every key at every step). With it, keys are cached unrotated;
-    the layer's (H, S) retained positions are remapped in one call and the
-    keys rotated afresh.
+    `x` is the residual stream entering the layer: one (hidden,) vector,
+    giving (n_heads, head_dim) q, k and v, or (T, hidden) rows, giving
+    (T, n_heads, head_dim). With `positions` (a scalar for one token, a
+    (T, 1) array for rows) q and k come back rotated; None leaves them
+    unrotated, for `attend` to rotate at remapped positions.
     """
     config, w = model
     lw = w.layers[layer]
-    n_heads = config.n_heads
-    inv_freq = _inv_freq(config.head_dim, config.rope_base)
     h = rms_norm(x, lw.attn_norm)
-    q = (h @ lw.w_q).reshape(n_heads, config.head_dim)
-    k = (h @ lw.w_k).reshape(n_heads, config.head_dim)
-    v = (h @ lw.w_v).reshape(n_heads, config.head_dim)
-    if position_fn is None:
-        qk = rotate(np.concatenate((q, k)), position, inv_freq)
-        q, k = qk[:n_heads], qk[n_heads:]
-    for head in range(n_heads):
+    heads = x.shape[:-1] + (config.n_heads, config.head_dim)
+    q = row_matmul(h, lw.w_q).reshape(heads)
+    k = row_matmul(h, lw.w_k).reshape(heads)
+    v = row_matmul(h, lw.w_v).reshape(heads)
+    if positions is not None:
+        qk = rotate(np.concatenate((q, k), -2), positions,
+                    _inv_freq(config.head_dim, config.rope_base))
+        q, k = qk[..., :config.n_heads, :], qk[..., config.n_heads:, :]
+    return q, k, v
+
+
+def attend(model: Model, layer: int, state: MultiState, q: np.ndarray, k: np.ndarray,
+           v: np.ndarray, position: int, token: int, position_fn: PositionFn | None = None,
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """One token's multi-state update at one layer: append, then attend.
+
+    `q`, `k` and `v` are the token's (n_heads, head_dim) attention inputs;
+    the new K/V rows are appended to every head of the layer before
+    attention (the token attends to itself). Returns the (hidden,) context
+    and the (H, S) attention probabilities the policies need. Eviction is
+    the caller's job.
+
+    Without `position_fn`, q and k come rotated at the token's position, so
+    the key is cached rotated and attention runs over the cached keys as
+    they are (rotation is element-wise, so this equals rotating every key
+    at every step). With it, keys are cached unrotated; the layer's (H, S)
+    retained positions are remapped in one call and the keys rotated afresh.
+    """
+    for head in range(model.config.n_heads):
         state.append(layer, head, k[head], v[head], position, token)
     keys, values, positions = state.layer_view(layer)
     if position_fn is not None:
+        inv_freq = _inv_freq(model.config.head_dim, model.config.rope_base)
         remapped = position_fn(positions)
         keys = rotate(keys, remapped, inv_freq)
         q = rotate(q, remapped[:, -1], inv_freq)
-    ctx, probs = attention_step(q, keys, values, lw.w_o)
-    x = x + ctx
-    x = x + silu(rms_norm(x, lw.ff_norm) @ lw.ff_in) @ lw.ff_out
-    return x, probs
+    return attention_step(q, keys, values)
+
+
+def layer_output(model: Model, layer: int, x: np.ndarray, ctx: np.ndarray) -> np.ndarray:
+    """The residual stream leaving a layer: `x` plus the W_O-projected
+    context `ctx`, then the feed-forward residual; one vector or rows."""
+    lw = model.weights.layers[layer]
+    x = x + row_matmul(ctx, lw.w_o)
+    return x + row_matmul(silu(row_matmul(rms_norm(x, lw.ff_norm), lw.ff_in)), lw.ff_out)
 
 
 def decode_step(model: Model, state: MultiState, token: int, step: int,
                 position_fn: PositionFn | None = None,
                 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Decode one token against the multi-state, one `decode_layer` per layer.
+    """Decode one token against the multi-state, layer by layer.
 
     Returns the next-token logits and the per-layer (H, S) attention
     probabilities the policies need. Eviction is the caller's job.
@@ -378,6 +416,8 @@ def decode_step(model: Model, state: MultiState, token: int, step: int,
     x = w.token_embedding[token]
     probs = []
     for layer in range(config.n_layers):
-        x, layer_probs = decode_layer(model, layer, state, x, step, token, position_fn)
+        q, k, v = attention_inputs(model, layer, x, step if position_fn is None else None)
+        ctx, layer_probs = attend(model, layer, state, q, k, v, step, token, position_fn)
+        x = layer_output(model, layer, x, ctx)
         probs.append(layer_probs)
-    return x @ w.lm_head, probs
+    return row_matmul(x, w.lm_head), probs

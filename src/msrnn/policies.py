@@ -6,12 +6,12 @@ TOVA (evict the state the newest query attends to least, per head or with
 head-averaged rows). Every argmin breaks ties toward the lowest index.
 
 The core deciders are pure functions over a layer's (H, S) float32 attention
-block (as `decode_layer` returns it) or its (H, S) float64 accumulated
+block (as `model.attend` returns it) or its (H, S) float64 accumulated
 scores. `apply_layer_policy` wires them to one layer of a MultiState;
 sequential decoding calls it for every layer through `apply_policy`, and the
-masked-parallel evaluator calls it layer by layer, so a policy's retained
-sets are the parallel mode's attention masks and both modes take identical
-decisions.
+masked-parallel evaluator calls it after each row's `attend`, layer by
+layer, so a policy's retained sets are the parallel mode's attention masks
+and both modes take identical decisions.
 """
 
 from __future__ import annotations

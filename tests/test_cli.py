@@ -114,6 +114,17 @@ def test_config_file_unknown_keys_fail(tmp_path, capsys):
     assert (tmp_path / "o" / "report.txt").exists()
 
 
+def test_non_finite_rope_base_fails_cleanly(tmp_path, capsys):
+    stream = write_stream(tmp_path / "s.txt", n=20)
+    cfg_file = tmp_path / "run.cfg"
+    for value in ("nan", "inf"):
+        cfg_file.write_text(f"rope_base = {value}\n")
+        assert main(["perplexity", "--config", str(cfg_file), "--seed", "1",
+                     "--stream", str(stream), "--out-dir", str(tmp_path / "o")]) == 1
+        assert "rope_base must be finite and > 1" in _single_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
 def test_model_source_rules(tmp_path, capsys):
     stream = write_stream(tmp_path / "s.txt")
     assert main(["perplexity", "--stream", str(stream),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import msrnn.model
 from msrnn import (Model, MultiState, RetentionTrace, ScriptedTrace,
                    TokenStream, generate, marker_rule,
                    masked_parallel_perplexity, parse_policy,
@@ -118,6 +119,32 @@ def test_parallel_equals_sequential_small(tiny_model):
         b = masked_parallel_perplexity(tiny_model, stream, kind, trace=t_par)
         assert a.perplexity == b.perplexity, name
         assert t_seq.sorted_events() == t_par.sorted_events(), name
+
+
+def test_masked_parallel_batches_the_rows(monkeypatch):
+    # per chunk and layer, masked-parallel normalises twice and rotates once
+    # over all rows; only append/attend/evict may run per row. Sequential
+    # decoding makes the same calls once per token.
+    model = make_model(seed=3)
+    calls = {"rms_norm": 0, "rotate": 0}
+    for name in calls:
+        def counted(*args, _kernel=getattr(msrnn.model, name), _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(msrnn.model, name, counted)
+    stream = make_stream(model, length=40, chunk_len=16, seed=2)  # chunks of 16, 16, 8
+
+    def counts(score, name):
+        calls.update(rms_norm=0, rotate=0)
+        score(model, stream, parse_policy(name, 4))
+        return calls
+
+    n_layers = model.config.n_layers
+    for name in ("window", "h2o-head", "tova-layer"):
+        assert counts(masked_parallel_perplexity, name) == {
+            "rms_norm": 2 * n_layers * 3, "rotate": n_layers * 3}, name
+    assert counts(sequential_perplexity, "window") == {
+        "rms_norm": 2 * n_layers * 40, "rotate": n_layers * 40}
 
 
 def test_parallel_requires_policy(tiny_model):

@@ -20,6 +20,9 @@ def test_config_validation():
         make_config(train_context_len=1)
     with pytest.raises(ValueError):
         make_config(rope_base=1.0)
+    for rope_base in (math.nan, math.inf, -math.inf):  # NaN fails `<= 1` as well as `> 1`
+        with pytest.raises(ValueError, match="rope_base"):
+            make_config(rope_base=rope_base)
     with pytest.raises(ValueError):
         ModelConfig(n_layers=1, n_heads=2, head_dim=4, hidden_dim=10,
                     ff_dim=8, vocab_size=16, train_context_len=8)
@@ -68,6 +71,8 @@ def test_malformed_header_errors(tmp_path):
         data.replace(b"n_layers 2\n", b"", 1),
         data.replace(b"n_layers 2", b"n_layers two", 1),
         data.replace(b"end\n", b"", 1),
+        data.replace(b"rope_base 10000.0", b"rope_base nan", 1),
+        data.replace(b"rope_base 10000.0", b"rope_base inf", 1),
     ]
     for i, broken in enumerate(cases):
         path.write_bytes(broken)
@@ -164,7 +169,8 @@ def test_attention_step_two_state_oracle():
     keys = np.array([[[1.0, 0.0], [0.0, 1.0]]], dtype=np.float32)
     values = np.array([[[1.0, 0.0], [0.0, 10.0]]], dtype=np.float32)
     w_o = np.eye(2, dtype=np.float32)
-    ctx, probs = attention_step(q, keys, values, w_o)
+    ctx, probs = attention_step(q, keys, values)
+    ctx = ctx @ w_o
 
     s0 = 2.0 / math.sqrt(2.0)
     p0 = math.exp(s0) / (math.exp(s0) + 1.0)
@@ -175,7 +181,7 @@ def test_attention_step_two_state_oracle():
 
     with pytest.raises(ValueError):
         attention_step(q, np.zeros((1, 0, 2), dtype=np.float32),
-                       np.zeros((1, 0, 2), dtype=np.float32), w_o)
+                       np.zeros((1, 0, 2), dtype=np.float32))
 
 
 def test_decode_step_grows_state_and_shapes():

@@ -1,8 +1,9 @@
 """Property tests: the layer-buffer multi-state against a plain-list model,
-the H2O score block against per-head running sums, row-wise remapping of position arrays and its bounds, sequential decoding
-against masked-parallel evaluation, simulator replay, the vectorised
-retention analyses against a per-event set replay, trace CSV round trips and
-reads against the csv module, and damaged weight files."""
+the H2O score block against per-head running sums, row-wise remapping of
+position arrays and its bounds, the kernels' rows against one-vector calls,
+sequential decoding against masked-parallel evaluation, simulator replay,
+the vectorised retention analyses against a per-event set replay, trace CSV
+round trips and reads against the csv module, and damaged weight files."""
 
 import csv
 import re
@@ -20,6 +21,7 @@ from msrnn import (ACTION_APPEND, ACTION_EVICT, AccumulatedScores, Model,
                    retention_matrix, save_weights, sequential_perplexity,
                    simulate_with_rule, token_lifetime, trace_driven_simulate,
                    zero_model)
+from msrnn.model import _inv_freq, rms_norm, rotate, row_matmul, silu, softmax_rows
 from msrnn.state import TRACE_COLUMNS
 
 
@@ -210,6 +212,50 @@ def test_sequential_equals_masked_parallel(data, n_layers, n_heads, head_dim, fo
     par = masked_parallel_perplexity(model, stream, kind, trace=par_trace)
     assert [c.nll for c in par.chunks] == [c.nll for c in seq.chunks]
     assert par_trace.sorted_events() == seq_trace.sorted_events()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       n_rows=st.integers(1, 16),
+       width=st.integers(1, 300),
+       offset=st.integers(0, 15))
+def test_row_kernels_equal_one_vector_calls(data, n_rows, width, offset):
+    # the masked-parallel contract: row t of a kernel call on (T, n) rows ==
+    # the one-vector call on row t, bit for bit. The rows are cut from a
+    # buffer at a float offset, so they sit at every alignment; the vectors
+    # are both those rows as they are and fresh (aligned) copies of them.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def rows(*shape):
+        n = int(np.prod(shape))
+        scale = rng.uniform(1e-3, 1e3)
+        return (rng.standard_normal(n + offset) * scale).astype(np.float32)[offset:].reshape(shape)
+
+    def check(kernel, block, *args):
+        out = kernel(block, *args)
+        assert out.shape == block.shape[:-1] + out.shape[-1:]
+        for t in range(len(block)):
+            for vector in (block[t], block[t].copy()):
+                one = kernel(vector, *args)
+                assert one.dtype == out.dtype and np.array_equal(out[t], one)
+
+    x = rows(n_rows, width)
+    w = rng.uniform(-1, 1, (width, data.draw(st.integers(1, 300), label="out"))).astype(np.float32)
+    check(row_matmul, x, w)
+    check(rms_norm, x, rng.uniform(0.5, 1.5, width).astype(np.float32))
+    check(silu, x)
+    check(softmax_rows, x)
+    # rotate as attention_inputs calls it: (T, heads, head_dim) rows, (T, 1) positions
+    head_dim = 2 * data.draw(st.integers(1, 32), label="pairs")
+    heads = data.draw(st.integers(1, 8), label="heads")
+    vecs = rows(n_rows, heads, head_dim)
+    positions = data.draw(st.lists(st.integers(0, 10**6) | st.floats(0, 1e6),
+                                   min_size=n_rows, max_size=n_rows), label="positions")
+    inv_freq = _inv_freq(head_dim, 10000.0)
+    out = rotate(vecs, np.array(positions)[:, None], inv_freq)
+    for t, position in enumerate(positions):
+        for vector in (vecs[t], vecs[t].copy()):
+            assert np.array_equal(out[t], rotate(vector, position, inv_freq))
 
 
 @settings(max_examples=200, deadline=None)
