@@ -103,6 +103,8 @@ def recent_proportion(trace: RetentionTrace, k: int, exclude_prefix: int = 0) ->
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if exclude_prefix < 0:
+        raise ValueError(f"excluded prefix must be >= 0, got {exclude_prefix}")
     _, _, positions, starts, ends = trace.lifespans()
     kept = positions >= exclude_prefix
     total = int((ends - starts)[kept].sum())

@@ -23,7 +23,7 @@ from .harness import (PerplexityReport, ScriptedTrace, TokenStream, generate,
                       sequential_perplexity, trace_driven_simulate,
                       write_token_stream)
 from .model import Model, ModelConfig, init_random_model, load_weights
-from .policies import PolicyKind, parse_policy
+from .policies import POLICY_FORMS, PolicyKind, parse_policy
 from .state import RetentionTrace
 
 MODEL_DEFAULTS = {
@@ -91,9 +91,7 @@ _FLAGS = [
     (None, "--config", dict(help="flat key/value config file; flags override it")),
     ("model", "--seed", dict(type=int, help="seed for an on-the-fly toy model")),
     ("stream", "--stream", dict(help="token stream file, one id per line")),
-    ("policy", "--policy", dict(default="none", help="eviction policy "
-                                "(window | window+i | h2o-head | h2o-layer | tova-head | "
-                                "tova-layer | tova-layer+i | none)")),
+    ("policy", "--policy", dict(default="none", help=f"eviction policy ({POLICY_FORMS} | none)")),
     ("capacity", "--k", dict(type=int, help="multi-state capacity")),
     ("capacity", "--pin", dict(type=int, help="pinned prefix size for +i policies")),
     ("stream", "--chunk-len", dict(type=int, help="independent-chunk length for perplexity")),

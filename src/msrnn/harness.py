@@ -425,15 +425,10 @@ def generate(model: Model, prompt: Sequence[int], max_steps: int,
     state, acc = _new_state(config.n_layers, config.n_heads, config.head_dim, kind, trace)
     position_fn = remap_positions if remap else None
     out = list(prompt)
-    logits = None
-    for t, token in enumerate(out):
-        logits, probs = decode_step(model, state, token, t, position_fn)
-        if kind is not None:
-            apply_policy(kind, state, probs, acc)
-    for _ in range(max_steps):
-        nxt = int(np.argmax(logits))
-        out.append(nxt)
-        logits, probs = decode_step(model, state, nxt, len(out) - 1, position_fn)
+    for t in range(len(prompt) + max_steps):
+        if t >= len(prompt):
+            out.append(int(np.argmax(logits)))
+        logits, probs = decode_step(model, state, out[t], t, position_fn)
         if kind is not None:
             apply_policy(kind, state, probs, acc)
     return out

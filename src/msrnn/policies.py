@@ -5,9 +5,12 @@ the recent half, evict the lowest accumulated attention among the rest), and
 TOVA (evict the state the newest query attends to least, per head or with
 head-averaged rows). Every argmin breaks ties toward the lowest index.
 
-The core deciders are pure functions over a layer's (H, S) float32 attention
-block (as `model.attend` returns it) or its (H, S) float64 accumulated
-scores. `apply_layer_policy` wires them to one layer of a MultiState;
+`decide_layer` is the one eviction rule for every family: a pure function
+over a layer's (H, S) float32 attention block (as `model.attend` returns it)
+and, for H2O, its (H, S) float64 accumulated scores. Once the layer holds
+more than k states, window drops a fixed index; the others take one argmin
+over a family-chosen score block and column range, per head or over the
+head mean. `apply_layer_policy` wires it to one layer of a MultiState;
 sequential decoding calls it for every layer through `apply_policy`, and the
 masked-parallel evaluator calls it after each row's `attend`, layer by
 layer, so a policy's retained sets are the parallel mode's attention masks
@@ -24,7 +27,7 @@ from .state import MultiState
 
 POLICY_FAMILIES = ("window", "h2o-head", "h2o-layer", "tova-head", "tova-layer")
 _PIN_FAMILIES = ("window", "tova-layer")
-POLICY_FORMS = "window | window+i | h2o-head | h2o-layer | tova-head | tova-layer | tova-layer+i"
+POLICY_FORMS = " | ".join(f"{f} | {f}+i" if f in _PIN_FAMILIES else f for f in POLICY_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,7 @@ class AccumulatedScores:
 
 
 # ---------------------------------------------------------------------------
-# per-layer deciders: list of per-head eviction indices (None = keep all)
+# the eviction rule: a list of per-head eviction indices (None = keep all)
 
 
 def recent_window(k: int) -> int:
@@ -145,83 +148,51 @@ def recent_window(k: int) -> int:
     return -(-k // 2)  # ceil(k/2)
 
 
-def policy_window(size: int, n_heads: int, k: int, pin: int = 0) -> list[int | None]:
-    """FIFO that never touches the first `pin` states: once the size exceeds
-    k, every head evicts index `pin` (the oldest state when pin is 0)."""
-    if size <= k:
-        return [None] * n_heads
-    return [pin] * n_heads
+def decide_layer(kind: PolicyKind, probs: np.ndarray, acc: np.ndarray | None) -> list[int | None]:
+    """The one eviction rule: the index each head of a layer drops this step.
 
-
-def policy_tova(probs: np.ndarray, k: int, headwise: bool, pin: int = 0) -> list[int | None]:
-    """Evict the state with the lowest attention from the newest query.
-
-    `probs` is the (n_heads, size) post-softmax row of the current step.
-    Head-wise each head drops its own argmin; otherwise the rows are averaged
-    across heads and every head drops the same index. Indices below `pin` are
-    never candidates.
+    `probs` is the layer's (n_heads, size) attention block and `acc` its
+    accumulated scores, which H2O kinds require. Up to k states nothing is
+    dropped, and the window family drops index `pin`. Otherwise the family
+    picks its scores and candidate columns [lo, hi): H2O the accumulated
+    scores outside the newest ceil(k/2) states, TOVA the current block past
+    the pinned prefix. Head-wise kinds drop each head's own argmin; layer-wise
+    kinds drop the argmin of the head mean from every head.
     """
     n_heads, size = probs.shape
-    if size <= k:
-        return [None] * n_heads
-    if headwise:
-        return (pin + np.argmin(probs[:, pin:], axis=1)).tolist()
-    # np.mean's own arithmetic (sum, then divide) without its Python wrapper
-    mean = np.add.reduce(probs, axis=0, dtype=np.float64) / n_heads
-    idx = pin + int(np.argmin(mean[pin:]))
-    return [idx] * n_heads
-
-
-def policy_h2o(acc: np.ndarray, k: int, headwise: bool) -> list[int | None]:
-    """Evict the lowest accumulated-attention state outside the recent window.
-
-    `acc` is the (n_heads, size) accumulated scores including the current
-    step's row. The newest ceil(k/2) states are protected; head-wise each
-    head evicts its own argmin among the rest, otherwise the head-averaged
-    scores pick one index for every head.
-    """
-    n_heads, size = acc.shape
-    if size <= k:
-        return [None] * n_heads
-    cutoff = size - recent_window(k)
-    if headwise:
-        return np.argmin(acc[:, :cutoff], axis=1).tolist()
-    mean = np.add.reduce(acc, axis=0, dtype=np.float64) / n_heads
-    idx = int(np.argmin(mean[:cutoff]))
-    return [idx] * n_heads
-
-
-def decide_layer(kind: PolicyKind, probs: np.ndarray, acc: np.ndarray | None) -> list[int | None]:
-    """Dispatch one layer's decision; `probs` is the layer's (n_heads, size) block."""
-    if kind.family == "window":
-        return policy_window(probs.shape[1], probs.shape[0], kind.k, kind.pin)
-    if kind.family in ("tova-head", "tova-layer"):
-        return policy_tova(probs, kind.k, kind.headwise, kind.pin)
-    if acc is None:
+    h2o = kind.needs_scores
+    if h2o and acc is None:
         raise ValueError(f"policy {kind.name} needs accumulated scores")
-    return policy_h2o(acc, kind.k, kind.headwise)
+    if size <= kind.k:
+        return [None] * n_heads
+    if kind.family == "window":
+        return [kind.pin] * n_heads
+    scores, lo, hi = (acc, 0, size - recent_window(kind.k)) if h2o else (probs, kind.pin, size)
+    if kind.headwise:
+        return [lo + idx for idx in np.argmin(scores[:, lo:hi], axis=1).tolist()]
+    # np.mean's own arithmetic (sum, then divide) without its Python wrapper
+    mean = np.add.reduce(scores, axis=0, dtype=np.float64) / n_heads
+    return [lo + int(np.argmin(mean[lo:hi]))] * n_heads
 
 
 def apply_layer_policy(kind: PolicyKind, state: MultiState, layer: int, probs: np.ndarray,
-                       acc: AccumulatedScores | None = None) -> list[int | None]:
+                       acc: AccumulatedScores | None = None) -> None:
     """Apply one step's policy to one layer of the multi-state.
 
     H2O kinds fold the layer's (H, S) `probs` block into `acc` before
     deciding. Evictions are applied to the state (which records them in its
     trace), then the decided columns are dropped from the layer's scores.
-    Returns the per-head evicted indices.
     """
     scores = None
     if kind.needs_scores and acc is not None:
         acc.accumulate(layer, probs)
         scores = acc.layer(layer)
-    per_head = decide_layer(kind, probs, scores)
-    if per_head[0] is not None:  # every policy evicts from all heads of a layer or none
-        for head, idx in enumerate(per_head):
+    evicted = decide_layer(kind, probs, scores)
+    if evicted[0] is not None:  # every policy evicts from all heads of a layer or none
+        for head, idx in enumerate(evicted):
             state.evict(layer, head, idx)
         if scores is not None:
-            acc.drop(layer, per_head)
-    return per_head
+            acc.drop(layer, evicted)
 
 
 def apply_policy(kind: PolicyKind, state: MultiState, probs: list[np.ndarray],

@@ -18,7 +18,7 @@ from msrnn import (PolicyKind, RetentionTrace, ScriptedTrace, TokenStream,
                    token_lifetime, trace_driven_simulate, uniform_rule,
                    marker_rule)
 from msrnn.cli import main
-from msrnn.policies import policy_tova
+from msrnn.policies import decide_layer
 
 from conftest import make_model, make_stream
 
@@ -100,7 +100,7 @@ def test_03_tova_eviction_oracle():
         probs = rng.random((n_heads, size))
         probs = (probs / probs.sum(axis=1, keepdims=True)).astype(np.float32)
 
-        got = policy_tova(probs, k, headwise=True)
+        got = decide_layer(PolicyKind("tova-head", k), probs, None)
         if size <= k:
             expect = [None] * n_heads
         else:
@@ -109,7 +109,7 @@ def test_03_tova_eviction_oracle():
         if got != expect:
             mismatches += 1
 
-        got = policy_tova(probs, k, headwise=False)
+        got = decide_layer(PolicyKind("tova-layer", k), probs, None)
         if size <= k:
             expect = [None] * n_heads
         else:
@@ -120,7 +120,7 @@ def test_03_tova_eviction_oracle():
             mismatches += 1
 
         if size > k > 4:
-            got = policy_tova(probs, k, headwise=False, pin=4)
+            got = decide_layer(PolicyKind("tova-layer", k, 4), probs, None)
             means = [sum(float(probs[h, i]) for h in range(n_heads)) / n_heads
                      for i in range(size)]
             expect = [4 + _brute_force_argmin(means[4:])] * n_heads

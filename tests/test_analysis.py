@@ -150,6 +150,8 @@ def test_recent_proportion_counts_old_pins():
     assert recent_proportion(trace, k=3, exclude_prefix=1) == 1.0
     with pytest.raises(ValueError):
         recent_proportion(trace, k=0)
+    with pytest.raises(ValueError, match="excluded prefix"):
+        recent_proportion(trace, k=3, exclude_prefix=-5)
 
 
 def test_memory_report_formula_and_linearity():

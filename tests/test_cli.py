@@ -355,6 +355,9 @@ def test_analyze_recent_takes_pin_without_policy(tmp_path, capsys):
     assert main(["analyze", "recent", "--trace", str(path), "--k", "6", "--pin", "2",
                  "--out-dir", str(out)]) == 0
     assert (out / "recent.txt").read_text() == "recent_proportion 1\n"
+    assert main(["analyze", "recent", "--trace", str(path), "--k", "6", "--pin", "-5",
+                 "--out-dir", str(out)]) == 1
+    assert "excluded prefix must be >= 0" in _single_error_line(capsys)
     # a command that runs a policy still refuses a pin without one
     assert main(["perplexity", "--seed", "1", "--stream", str(path), "--pin", "2",
                  "--out-dir", str(out)]) == 1

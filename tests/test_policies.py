@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msrnn import (AccumulatedScores, MultiState, PolicyKind, RetentionTrace,
                    accumulate_row, apply_policy, parse_policy, recent_window)
-from msrnn.policies import decide_layer, policy_h2o, policy_tova, policy_window
+from msrnn.policies import decide_layer
 
 
 def test_parse_policy_forms():
@@ -67,11 +69,15 @@ def test_recent_window_is_ceil_half():
     assert recent_window(33) == 17
 
 
+def _block(n_heads, size):
+    return np.zeros((n_heads, size), dtype=np.float32)
+
+
 def test_window_deciders():
-    assert policy_window(4, 2, k=4) == [None, None]
-    assert policy_window(5, 2, k=4) == [0, 0]
-    assert policy_window(5, 2, k=4, pin=2) == [2, 2]
-    assert policy_window(3, 2, k=4, pin=2) == [None, None]
+    assert decide_layer(PolicyKind("window", 4), _block(2, 4), None) == [None, None]
+    assert decide_layer(PolicyKind("window", 4), _block(2, 5), None) == [0, 0]
+    assert decide_layer(PolicyKind("window", 4, 2), _block(2, 5), None) == [2, 2]
+    assert decide_layer(PolicyKind("window", 4, 2), _block(2, 3), None) == [None, None]
 
 
 def test_tova_headwise_picks_per_head_argmin():
@@ -79,9 +85,9 @@ def test_tova_headwise_picks_per_head_argmin():
         [0.1, 0.5, 0.05, 0.35],
         [0.3, 0.02, 0.4, 0.28],
     ], dtype=np.float32)
-    assert policy_tova(probs, k=3, headwise=True) == [2, 1]
+    assert decide_layer(PolicyKind("tova-head", 3), probs, None) == [2, 1]
     # under capacity: no eviction
-    assert policy_tova(probs, k=4, headwise=True) == [None, None]
+    assert decide_layer(PolicyKind("tova-head", 4), probs, None) == [None, None]
 
 
 def test_tova_layerwise_uses_head_mean_and_ties_go_low():
@@ -91,25 +97,26 @@ def test_tova_layerwise_uses_head_mean_and_ties_go_low():
         [0.125, 0.25, 0.25, 0.375],
     ], dtype=np.float32)
     # means: [0.1875, 0.1875, 0.1875, 0.4375] -> tie among 0..2, lowest wins
-    assert policy_tova(probs, k=3, headwise=False) == [0, 0]
+    assert decide_layer(PolicyKind("tova-layer", 3), probs, None) == [0, 0]
 
 
 def test_tova_pin_excludes_prefix():
     probs = np.array([[0.01, 0.02, 0.5, 0.47]], dtype=np.float32)
-    assert policy_tova(probs, k=3, headwise=False, pin=0) == [0]
-    assert policy_tova(probs, k=3, headwise=False, pin=2) == [3]
+    assert decide_layer(PolicyKind("tova-layer", 3, 0), probs, None) == [0]
+    assert decide_layer(PolicyKind("tova-layer", 3, 2), probs, None) == [3]
 
 
 def test_h2o_protects_recent_window():
     # k=4 -> recent window 2; candidates are indices 0..2 of a 5-state list
     acc = np.array([[5.0, 1.0, 3.0, 0.1, 0.1]])
-    assert policy_h2o(acc, k=4, headwise=True) == [1]
-    assert policy_h2o(np.array([[1.0, 2.0, 3.0, 4.0]]), k=4, headwise=True) == [None]
+    assert decide_layer(PolicyKind("h2o-head", 4), _block(1, 5), acc) == [1]
+    assert decide_layer(PolicyKind("h2o-head", 4), _block(1, 4),
+                        np.array([[1.0, 2.0, 3.0, 4.0]])) == [None]
     # layer-wise averages the heads first
     acc2 = np.array([[5.0, 1.0, 3.0, 0.1, 0.1],
                      [0.0, 4.0, 3.0, 0.1, 0.1]])
     # means: [2.5, 2.5, 3.0, ...] -> tie between 0 and 1, lowest index
-    assert policy_h2o(acc2, k=4, headwise=False) == [0, 0]
+    assert decide_layer(PolicyKind("h2o-layer", 4), _block(2, 5), acc2) == [0, 0]
 
 
 def test_decide_layer_requires_scores_for_h2o():
@@ -173,7 +180,7 @@ def test_tova_brute_force_small():
         probs = rng.random((n_heads, size)).astype(np.float32)
         probs /= probs.sum(axis=1, keepdims=True)
 
-        got_head = policy_tova(probs, k, headwise=True)
+        got_head = decide_layer(PolicyKind("tova-head", k), probs, None)
         for h in range(n_heads):
             best, best_val = 0, float(probs[h, 0])
             for i in range(size):
@@ -181,7 +188,7 @@ def test_tova_brute_force_small():
                     best, best_val = i, float(probs[h, i])
             assert got_head[h] == best
 
-        got_layer = policy_tova(probs, k, headwise=False)
+        got_layer = decide_layer(PolicyKind("tova-layer", k), probs, None)
         means = [sum(float(probs[h, i]) for h in range(n_heads)) / n_heads
                  for i in range(size)]
         best, best_val = 0, means[0]
@@ -200,10 +207,10 @@ def test_pin_zero_degenerates():
         size = int(rng.integers(1, 9))
         k = int(rng.integers(1, 9))
         probs = rng.random((n_heads, size)).astype(np.float32)
-        assert policy_window(size, n_heads, k, pin=0) == \
+        assert decide_layer(PolicyKind("window", k, 0), probs, None) == \
             ([0] * n_heads if size > k else [None] * n_heads)
-        assert policy_tova(probs, k, headwise=False, pin=0) == \
-            policy_tova(probs, k, headwise=False)
+        assert decide_layer(PolicyKind("tova-layer", k, 0), probs, None) == \
+            decide_layer(PolicyKind("tova-layer", k), probs, None)
     assert parse_policy("window+0", k=4) == parse_policy("window", k=4)
     assert parse_policy("tova-layer+0", k=4).name == "tova-layer"
 
@@ -217,7 +224,61 @@ def test_tova_fixed_row_scale_invariance():
         size = int(rng.integers(2, 10))
         k = size - 1
         probs = rng.random((n_heads, size)).astype(np.float32)
-        for headwise in (False, True):
-            base = policy_tova(probs, k, headwise)
+        for kind in (PolicyKind("tova-layer", k), PolicyKind("tova-head", k)):
+            base = decide_layer(kind, probs, None)
             for scale in (0.25, 2.0, 7.5):
-                assert policy_tova(probs * scale, k, headwise) == base
+                assert decide_layer(kind, probs * scale, None) == base
+
+
+def _first_min(values, lo, hi):
+    best = lo
+    for i in range(lo, hi):
+        if values[i] < values[best]:
+            best = i
+    return best
+
+
+def _rule_oracle(family, k, pin, probs, acc):
+    # the rule from its definitions: window drops the pinned boundary, H2O the
+    # lowest accumulated score outside the newest ceil(k/2), TOVA the lowest
+    # current probability past the pin; "-layer" kinds use the head mean
+    n_heads, size = probs.shape
+    if size <= k:
+        return [None] * n_heads
+    if family == "window":
+        return [pin] * n_heads
+    if family.startswith("h2o"):
+        rows, lo, hi = acc.tolist(), 0, size - (k + 1) // 2
+    else:
+        rows, lo, hi = probs.tolist(), pin, size
+    if family.endswith("-head"):
+        return [_first_min(row, lo, hi) for row in rows]
+    mean = [sum(row[i] for row in rows) / n_heads for i in range(size)]
+    return [_first_min(mean, lo, hi)] * n_heads
+
+
+def _dyadic_block(data, n_heads, size, dtype, label):
+    # quarters are exact in float32 and in every sum here, so ties are exact;
+    # whole zero rows are drawn too
+    rows = [[0.0] * size if data.draw(st.booleans(), label=f"{label} zero row")
+            else data.draw(st.lists(st.integers(0, 4).map(lambda n: n / 4),
+                                    min_size=size, max_size=size), label=label)
+            for _ in range(n_heads)]
+    return np.array(rows, dtype=dtype).reshape(n_heads, size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       form=st.sampled_from(("window", "window+i", "h2o-head", "h2o-layer",
+                             "tova-head", "tova-layer", "tova-layer+i")),
+       n_heads=st.integers(1, 4),
+       k=st.integers(1, 6))
+def test_decide_layer_matches_rule_oracle(data, form, n_heads, k):
+    family, _, suffix = form.partition("+")
+    pin = data.draw(st.integers(min(1, k - 1), k - 1), label="pin") if suffix else 0
+    size = data.draw(st.integers(1, k + 1), label="size")
+    probs = _dyadic_block(data, n_heads, size, np.float32, "probs")
+    acc = _dyadic_block(data, n_heads, size, np.float64, "acc") if family.startswith("h2o") else None
+    got = decide_layer(PolicyKind(family, k, pin), probs, acc)
+    assert got == _rule_oracle(family, k, pin, probs, acc)
+    assert all(type(idx) is int for idx in got if idx is not None)
