@@ -31,7 +31,9 @@ RMS_EPS = np.float32(1e-5)
 
 # Callable mapping a layer's (n_heads, size) retained original positions
 # (newest last in each row) to real-valued rotation positions of the same
-# shape; None means the identity assignment.
+# shape; None means the identity assignment. When every head retains the
+# same positions it gets the one (1, size) row, whose result broadcasts over
+# the heads; the query is rotated with the keys at the row's last value.
 PositionFn = Callable[[np.ndarray], np.ndarray]
 
 
@@ -380,17 +382,24 @@ def attend(model: Model, layer: int, state: MultiState, q: np.ndarray, k: np.nda
     Without `position_fn`, q and k come rotated at the token's position, so
     the key is cached rotated and attention runs over the cached keys as
     they are (rotation is element-wise, so this equals rotating every key
-    at every step). With it, keys are cached unrotated; the layer's (H, S)
-    retained positions are remapped in one call and the keys rotated afresh.
+    at every step). With it, keys are cached unrotated and rotated afresh at
+    remapped positions: when every head retains the same positions (always
+    under layer-wise policies, and under head-wise ones until the heads
+    diverge) the remap runs once on a (1, S) row that broadcasts over the
+    heads, otherwise once on the (H, S) block. q rides in the same rotate
+    call as one more key row at the newest remapped position.
     """
     for head in range(model.config.n_heads):
         state.append(layer, head, k[head], v[head], position, token)
     keys, values, positions = state.layer_view(layer)
     if position_fn is not None:
         inv_freq = _inv_freq(model.config.head_dim, model.config.rope_base)
+        if (positions == positions[0]).all():
+            positions = positions[:1]
         remapped = position_fn(positions)
-        keys = rotate(keys, remapped, inv_freq)
-        q = rotate(q, remapped[:, -1], inv_freq)
+        qk = rotate(np.concatenate((keys, q[:, None]), 1),
+                    np.concatenate((remapped, remapped[:, -1:]), 1), inv_freq)
+        keys, q = qk[:, :-1], qk[:, -1]
     return attention_step(q, keys, values)
 
 

@@ -147,6 +147,38 @@ def test_masked_parallel_batches_the_rows(monkeypatch):
         "rms_norm": 2 * n_layers * 40, "rotate": n_layers * 40}
 
 
+def test_remap_runs_once_per_layer(monkeypatch):
+    # a remapped step rotates the keys and q in one call per layer, and remaps
+    # one (1, S) row while every head retains the same positions: always under
+    # a layer-wise policy, under a head-wise one until its heads diverge
+    model = make_model(seed=3)
+    n_layers, n_heads = model.config.n_layers, model.config.n_heads
+    rotations, blocks = [], []
+
+    def rotate(*args, _kernel=msrnn.model.rotate):
+        rotations.append(args[0].shape)
+        return _kernel(*args)
+
+    def position_fn(positions, _remap=msrnn.harness.remap_positions):
+        blocks.append(positions.copy())
+        return _remap(positions)
+    monkeypatch.setattr(msrnn.model, "rotate", rotate)
+    monkeypatch.setattr(msrnn.harness, "remap_positions", position_fn)
+    prompt = list(make_stream(model, length=8, chunk_len=8, seed=4).ids)
+
+    for name in ("tova-layer", "tova-head"):
+        rotations.clear()
+        blocks.clear()
+        generate(model, prompt, 24, parse_policy(name, 4), remap=True)
+        assert len(rotations) == len(blocks) == n_layers * 32, name
+        heights = [len(block) for block in blocks]
+        assert heights[:n_layers] == [1] * n_layers, name
+        for shape, block in zip(rotations, blocks):
+            assert shape[:2] == (n_heads, block.shape[1] + 1), name  # q rides with the keys
+            assert len(block) == 1 or not (block == block[0]).all(), name
+    assert set(heights) == {1, n_heads}  # the tova-head heads diverged
+
+
 def test_parallel_requires_policy(tiny_model):
     stream = make_stream(tiny_model, length=16, chunk_len=8, seed=6)
     with pytest.raises(ValueError):

@@ -199,18 +199,24 @@ def test_tova_brute_force_small():
 
 
 def test_pin_zero_degenerates():
-    # a zero pinned prefix restricts nothing: window+0 and tova-layer+0 take
-    # the same decisions as their unpinned forms on every input
+    # a zero pinned prefix restricts nothing: over k, window+0 drops the
+    # oldest entry and tova-layer+0 the first minimum of the float64 head mean
+    # over all S columns, column 0 included (the fixed block's minimum)
     rng = np.random.default_rng(42)
+    cases = [(np.array([[0.1, 0.5, 0.4], [0.2, 0.3, 0.5]], dtype=np.float32), 2)]
     for _ in range(50):
         n_heads = int(rng.integers(1, 4))
         size = int(rng.integers(1, 9))
-        k = int(rng.integers(1, 9))
-        probs = rng.random((n_heads, size)).astype(np.float32)
+        cases.append((rng.random((n_heads, size)).astype(np.float32), int(rng.integers(1, 9))))
+    for probs, k in cases:
+        n_heads, size = probs.shape
         assert decide_layer(PolicyKind("window", k, 0), probs, None) == \
             ([0] * n_heads if size > k else [None] * n_heads)
+        means = [sum(float(probs[h, i]) for h in range(n_heads)) / n_heads
+                 for i in range(size)]
         assert decide_layer(PolicyKind("tova-layer", k, 0), probs, None) == \
-            decide_layer(PolicyKind("tova-layer", k), probs, None)
+            ([_first_min(means, 0, size)] * n_heads if size > k else [None] * n_heads)
+    assert decide_layer(PolicyKind("tova-layer", 2, 0), cases[0][0], None) == [0, 0]
     assert parse_policy("window+0", k=4) == parse_policy("window", k=4)
     assert parse_policy("tova-layer+0", k=4).name == "tova-layer"
 

@@ -1,8 +1,9 @@
 """Property tests: the layer-buffer multi-state against a plain-list model,
 the H2O score block against per-head running sums, row-wise remapping of
 position arrays and its bounds, the kernels' rows against one-vector calls,
-sequential decoding against masked-parallel evaluation, simulator replay,
-the vectorised retention analyses against a per-event set replay, trace CSV
+remapped attention against separate key and query rotations, sequential
+decoding against masked-parallel evaluation, simulator replay, the
+vectorised retention analyses against a per-event set replay, trace CSV
 round trips and reads against the csv module, and damaged weight files."""
 
 import csv
@@ -21,7 +22,8 @@ from msrnn import (ACTION_APPEND, ACTION_EVICT, AccumulatedScores, Model,
                    retention_matrix, save_weights, sequential_perplexity,
                    simulate_with_rule, token_lifetime, trace_driven_simulate,
                    zero_model)
-from msrnn.model import _inv_freq, rms_norm, rotate, row_matmul, silu, softmax_rows
+from msrnn.model import (_inv_freq, attend, attention_step, rms_norm, rotate, row_matmul,
+                         silu, softmax_rows)
 from msrnn.state import TRACE_COLUMNS
 
 
@@ -269,6 +271,56 @@ def test_remap_positions_monotone_with_bounded_span(start, gaps):
     assert got[0] == 0.0
     assert (np.diff(got) > 0).all()
     assert got[-1] <= 10 * (len(retained) - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       n_heads=st.integers(1, 4),
+       head_dim=st.sampled_from([2, 4, 6, 8, 10, 12, 14, 16]),
+       size=st.integers(1, 20),
+       diverge=st.booleans())
+def test_remapped_attend_equals_separate_rotations(data, n_heads, head_dim, size, diverge):
+    # attend's remap branch, however it shares the remap and the rotation
+    # between heads and q, equals rotating every head's keys at its own
+    # remapped positions and q on its own at the newest one. The cache is
+    # what is left of a longer run with gaps on both sides of the knee, after
+    # evictions at one index for all heads or at each head's own.
+    config = ModelConfig(n_layers=1, n_heads=n_heads, head_dim=head_dim,
+                         hidden_dim=n_heads * head_dim, ff_dim=2, vocab_size=2,
+                         train_context_len=2)
+    model = Model(config, zero_model(config))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n_evict = data.draw(st.integers(0, 12), label="n_evict")
+    positions = np.cumsum(data.draw(st.lists(st.integers(1, 10**4), min_size=size + n_evict,
+                                             max_size=size + n_evict), label="gaps"))
+    keys, values = rng.standard_normal((2, size + n_evict, n_heads, head_dim)).astype(np.float32)
+    states = [MultiState(1, n_heads, head_dim) for _ in range(2)]
+    for state in states:
+        for t in range(size - 1 + n_evict):
+            for head in range(n_heads):
+                state.append(0, head, keys[t, head], values[t, head], int(positions[t]), t)
+    for remaining in range(size - 1 + n_evict, size - 1, -1):
+        if diverge:
+            indices = data.draw(st.lists(st.integers(0, remaining - 1), min_size=n_heads,
+                                         max_size=n_heads), label="indices")
+        else:
+            indices = [data.draw(st.integers(0, remaining - 1), label="index")] * n_heads
+        for state in states:
+            for head, index in enumerate(indices):
+                state.evict(0, head, index)
+    q = rng.standard_normal((n_heads, head_dim)).astype(np.float32)
+    new, position = len(positions) - 1, int(positions[-1])
+
+    got, ref = states
+    ctx, probs = attend(model, 0, got, q, keys[new], values[new], position, new, remap_positions)
+    for head in range(n_heads):
+        ref.append(0, head, keys[new, head], values[new, head], position, new)
+    ref_keys, ref_values, retained = ref.layer_view(0)
+    remapped = remap_positions(retained)
+    inv_freq = _inv_freq(head_dim, config.rope_base)
+    want_ctx, want_probs = attention_step(rotate(q, remapped[:, -1], inv_freq),
+                                          rotate(ref_keys, remapped, inv_freq), ref_values)
+    assert np.array_equal(ctx, want_ctx) and np.array_equal(probs, want_probs)
 
 
 @settings(max_examples=60, deadline=None)
