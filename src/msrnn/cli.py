@@ -189,13 +189,15 @@ def parse_config(argv: Sequence[str]) -> argparse.Namespace:
     """Parse argv over the optional config file into one validated namespace.
 
     The file's values become the chosen command's defaults, so explicit
-    flags win and each value goes through its flag's type. The namespace
-    carries the parsed policy as `kind` (None for commands that run no
-    policy) and the command's handler as `run`.
+    flags win and each value goes through its flag's type; they are written
+    into a tree built for this call, and a call without --config parses
+    with the shared `_PARSER`. The namespace carries the parsed policy as
+    `kind` (None for commands that run no policy) and the command's handler
+    as `run`.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.config:
+        parser = build_parser()
         commands = next(a.choices for a in parser._actions if a.dest == "command")
         chosen = commands[args.command]
         own = {a.dest for a in chosen._actions} | set(MODEL_DEFAULTS)
@@ -339,6 +341,10 @@ def _cmd_memory(args: argparse.Namespace) -> None:
                for size in args.mem_state_sizes]
     out = _out_dir(args)
     write_memory_csv(reports, out / "memory.csv")
+
+
+# the argparse tree of every call without --config
+_PARSER = build_parser()
 
 
 def main(argv: Sequence[str] | None = None) -> int:

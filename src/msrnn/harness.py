@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .model import Model, attend, attention_inputs, decode_step, layer_output, row_matmul
-from .policies import AccumulatedScores, PolicyKind, apply_layer_policy, apply_policy
+from .policies import PolicyKind, apply_layer_policy, apply_policy
 from .remap import remap_positions
 from .state import MultiState, RetentionTrace, read_csv_rows, write_csv_rows
 
@@ -121,20 +121,15 @@ def nll_of(logits: np.ndarray, target: int) -> float:
 
 
 def _new_state(n_layers: int, n_heads: int, head_dim: int, kind: PolicyKind | None,
-               trace: RetentionTrace | None,
-               ) -> tuple[MultiState, AccumulatedScores | None]:
-    """An empty multi-state bounded by `kind`, plus the scores H2O policies need."""
-    state = MultiState(n_layers, n_heads, head_dim,
-                       capacity=kind.k if kind else None, trace=trace)
-    acc = AccumulatedScores(n_layers, n_heads) \
-        if kind is not None and kind.needs_scores else None
-    return state, acc
+               trace: RetentionTrace | None) -> MultiState:
+    """An empty multi-state bounded by `kind`."""
+    return MultiState(n_layers, n_heads, head_dim, capacity=kind.k if kind else None, trace=trace)
 
 
 def _decode_chunk_sequential(model: Model, ids: Sequence[int], kind: PolicyKind | None,
                              remap: bool, trace: RetentionTrace | None) -> float:
     config = model.config
-    state, acc = _new_state(config.n_layers, config.n_heads, config.head_dim, kind, trace)
+    state = _new_state(config.n_layers, config.n_heads, config.head_dim, kind, trace)
     position_fn = remap_positions if remap else None
     total = 0.0
     for t, token in enumerate(ids):
@@ -142,7 +137,7 @@ def _decode_chunk_sequential(model: Model, ids: Sequence[int], kind: PolicyKind 
         if t + 1 < len(ids):
             total += nll_of(logits, ids[t + 1])
         if kind is not None:
-            apply_policy(kind, state, probs, acc)
+            apply_policy(kind, state, probs)
     return total
 
 
@@ -186,7 +181,7 @@ def _score_chunks(model: Model, stream: TokenStream, remap: bool,
 def _decode_chunk_parallel(model: Model, ids: Sequence[int], kind: PolicyKind,
                            trace: RetentionTrace | None) -> float:
     config, w = model
-    state, acc = _new_state(config.n_layers, config.n_heads, config.head_dim, kind, trace)
+    state = _new_state(config.n_layers, config.n_heads, config.head_dim, kind, trace)
     x = w.token_embedding[list(ids)]
     positions = np.arange(len(ids))[:, None]
     ctx = np.empty_like(x)
@@ -194,7 +189,7 @@ def _decode_chunk_parallel(model: Model, ids: Sequence[int], kind: PolicyKind,
         q, k, v = attention_inputs(model, layer, x, positions)
         for t, token in enumerate(ids):  # append, attend and evict: the sequential part
             ctx[t], probs = attend(model, layer, state, q[t], k[t], v[t], t, token)
-            apply_layer_policy(kind, state, layer, probs, acc)
+            apply_layer_policy(kind, state, layer, probs)
         x = layer_output(model, layer, x, ctx)
 
     total = 0.0
@@ -336,7 +331,7 @@ def _simulate(layer_rows: Callable[[int, int, MultiState], Sequence], kind: Poli
               steps: int, trace: RetentionTrace) -> Iterator[list[np.ndarray]]:
     """Run `steps` model-free steps through the policy into `trace`, yielding each
     step's checked blocks; `layer_rows(t, layer, state)` gives a layer's rows."""
-    state, acc = _new_state(trace.n_layers, trace.n_heads, 0, kind, trace)
+    state = _new_state(trace.n_layers, trace.n_heads, 0, kind, trace)
     empty = np.zeros(0, dtype=np.float32)
     for t in range(steps):
         for layer in range(state.n_layers):
@@ -346,7 +341,7 @@ def _simulate(layer_rows: Callable[[int, int, MultiState], Sequence], kind: Poli
                               lambda head: f"step {t}, layer {layer}, head {head}")
                   for layer in range(state.n_layers)]
         if kind is not None:
-            apply_policy(kind, state, blocks, acc)
+            apply_policy(kind, state, blocks)
         yield blocks
 
 
@@ -422,7 +417,7 @@ def generate(model: Model, prompt: Sequence[int], max_steps: int,
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     config = model.config
-    state, acc = _new_state(config.n_layers, config.n_heads, config.head_dim, kind, trace)
+    state = _new_state(config.n_layers, config.n_heads, config.head_dim, kind, trace)
     position_fn = remap_positions if remap else None
     out = list(prompt)
     for t in range(len(prompt) + max_steps):
@@ -430,5 +425,5 @@ def generate(model: Model, prompt: Sequence[int], max_steps: int,
             out.append(int(np.argmax(logits)))
         logits, probs = decode_step(model, state, out[t], t, position_fn)
         if kind is not None:
-            apply_policy(kind, state, probs, acc)
+            apply_policy(kind, state, probs)
     return out

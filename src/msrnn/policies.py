@@ -10,9 +10,11 @@ over a layer's (H, S) float32 attention block (as `model.attend` returns it)
 and, for H2O, its (H, S) float64 accumulated scores. Once the layer holds
 more than k states, window drops a fixed index; the others take one argmin
 over a family-chosen score block and column range, per head or over the
-head mean. `apply_layer_policy` wires it to one layer of a MultiState;
-sequential decoding calls it for every layer through `apply_policy`, and the
-masked-parallel evaluator calls it after each row's `attend`, layer by
+head mean. `apply_layer_policy` wires it to one layer of a MultiState, whose
+`scores` slot keeps H2O's running sums (the state's first H2O step makes
+them), so `apply_policy(kind, state, probs)` is one call for every family.
+Sequential decoding calls it after every token, and the masked-parallel
+evaluator calls `apply_layer_policy` after each row's `attend`, layer by
 layer, so a policy's retained sets are the parallel mode's attention masks
 and both modes take identical decisions.
 """
@@ -175,28 +177,29 @@ def decide_layer(kind: PolicyKind, probs: np.ndarray, acc: np.ndarray | None) ->
     return [lo + int(np.argmin(mean[lo:hi]))] * n_heads
 
 
-def apply_layer_policy(kind: PolicyKind, state: MultiState, layer: int, probs: np.ndarray,
-                       acc: AccumulatedScores | None = None) -> None:
+def apply_layer_policy(kind: PolicyKind, state: MultiState, layer: int, probs: np.ndarray) -> None:
     """Apply one step's policy to one layer of the multi-state.
 
-    H2O kinds fold the layer's (H, S) `probs` block into `acc` before
-    deciding. Evictions are applied to the state (which records them in its
-    trace), then the decided columns are dropped from the layer's scores.
+    H2O kinds fold the layer's (H, S) `probs` block into `state.scores`, an
+    AccumulatedScores made at the state's first H2O step, before deciding.
+    Evictions are applied to the state (which records them in its trace),
+    then the decided columns are dropped from the layer's scores.
     """
     scores = None
-    if kind.needs_scores and acc is not None:
-        acc.accumulate(layer, probs)
-        scores = acc.layer(layer)
+    if kind.needs_scores:
+        if state.scores is None:
+            state.scores = AccumulatedScores(state.n_layers, state.n_heads)
+        state.scores.accumulate(layer, probs)
+        scores = state.scores.layer(layer)
     evicted = decide_layer(kind, probs, scores)
     if evicted[0] is not None:  # every policy evicts from all heads of a layer or none
         for head, idx in enumerate(evicted):
             state.evict(layer, head, idx)
         if scores is not None:
-            acc.drop(layer, evicted)
+            state.scores.drop(layer, evicted)
 
 
-def apply_policy(kind: PolicyKind, state: MultiState, probs: list[np.ndarray],
-                 acc: AccumulatedScores | None = None) -> None:
+def apply_policy(kind: PolicyKind, state: MultiState, probs: list[np.ndarray]) -> None:
     """Apply one step's policy to every layer; `probs[layer]` is that layer's (H, S) block."""
     for layer in range(state.n_layers):
-        apply_layer_policy(kind, state, layer, probs[layer], acc)
+        apply_layer_policy(kind, state, layer, probs[layer])

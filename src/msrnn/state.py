@@ -195,7 +195,8 @@ class MultiState:
     append first and policies evict afterwards (a head holds k+1 entries
     transiently within a step, never more). Appending writes one row and
     evicting shifts the head's tail left by one in place, so neither
-    allocates, and the surviving entries never reorder.
+    allocates, and the surviving entries never reorder. `scores` holds H2O's
+    `policies.AccumulatedScores`, None until the state's first H2O step.
     """
 
     def __init__(self, n_layers: int, n_heads: int, head_dim: int,
@@ -211,6 +212,7 @@ class MultiState:
         self.head_dim = head_dim
         self.capacity = capacity
         self.trace = trace
+        self.scores = None
         rows = _FIRST_ROWS if capacity is None else capacity + 1
         self._sizes = [[0] * n_heads for _ in range(n_layers)]
         self._keys = [np.zeros((n_heads, rows, head_dim), dtype=np.float32)

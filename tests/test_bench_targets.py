@@ -1,21 +1,54 @@
 """The benchmark's tracing patches call sites by name: every (owner,
 attribute) that `bench/tracing.py` wraps must exist on the owner itself, or
-a traced benchmark run fails only after a whole workload."""
+a traced benchmark run fails only after a whole workload. Its counter hooks
+read the wrapped calls' arguments and results, so a signature change must
+fail here too, not only in a traced benchmark run."""
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
+
+from msrnn import cli, harness, parse_policy, uniform_rule
+from msrnn.state import RetentionTrace
+
+from conftest import make_model, make_stream
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_traced_call_sites_resolve(monkeypatch):
+def _import_tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     for name in ("tracing", "timing"):
         monkeypatch.delitem(sys.modules, name, raising=False)
-    tracing = importlib.import_module("tracing")
-    targets = tracing._targets()
+    return importlib.import_module("tracing")
+
+
+def test_traced_call_sites_resolve(monkeypatch):
+    targets = _import_tracing(monkeypatch)._targets()
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, _, _ in targets if attr not in vars(owner)]
     assert targets and not missing
+
+
+def test_tracing_hooks_run_on_every_mode(monkeypatch, tmp_path):
+    tracing = _import_tracing(monkeypatch)
+    model = make_model(seed=3)
+    stream = make_stream(model, 12, 12)
+    trace = RetentionTrace(model.config.n_layers, model.config.n_heads)
+    with tracing.installed(tracing.Tracer()) as tracer:
+        harness.sequential_perplexity(model, stream, parse_policy("h2o-head", k=4), trace=trace)
+        harness.sequential_perplexity(model, stream, parse_policy("tova-layer", k=4))
+        harness.generate(model, stream.ids[:4], 4, parse_policy("window", k=3), remap=True)
+        script, _ = harness.simulate_with_rule(uniform_rule, parse_policy("window", k=3), 6)
+        harness.trace_driven_simulate(script, parse_policy("h2o-layer", k=3))
+        trace.retained_sets(0, 0)
+        trace.write_csv(tmp_path / "trace.csv")
+        assert cli.main(["analyze", "lifetime", "--trace", str(tmp_path / "trace.csv"),
+                         "--out-dir", str(tmp_path)]) == 0
+    calls = Counter(span[0] for span in tracer.spans)
+    for name in ("state.append", "state.evict", "policies.decide_layer", "model.rotate",
+                 "state.retained_sets", "policies.scores", "cli.main"):
+        assert calls[name], name
+    assert tracer.counters["state.bytes_copied"] and tracer.counters["policies.evictions"]

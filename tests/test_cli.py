@@ -81,6 +81,24 @@ def test_config_file_merge_and_overrides(tmp_path):
         parse_config(["perplexity", "--config", str(tmp_path / "missing.cfg")])
 
 
+def test_plain_calls_share_one_parser_tree(tmp_path, monkeypatch):
+    # the module's one tree serves every call without --config; a --config
+    # run builds its own, so its file values never become the shared defaults
+    built = []
+    build = msrnn.cli.build_parser
+    monkeypatch.setattr(msrnn.cli, "build_parser", lambda: built.append(1) or build())
+    for _ in range(3):
+        assert main(["memory-report", "--out-dir", str(tmp_path)]) == 0
+    assert not built
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("policy = window\nk = 8\nremap = true\n")
+    cfg = parse_config(["perplexity", "--config", str(cfg_file), "--seed", "1"])
+    assert (cfg.policy, cfg.k, cfg.remap) == ("window", 8, True) and len(built) == 1
+    cfg = parse_config(["perplexity", "--seed", "1"])
+    assert (cfg.policy, cfg.k, cfg.remap, cfg.kind) == ("none", None, False, None)
+    assert len(built) == 1
+
+
 def test_config_file_unknown_keys_fail(tmp_path, capsys):
     stream = write_stream(tmp_path / "s.txt", n=40)
     cfg_file = tmp_path / "run.cfg"

@@ -1,0 +1,134 @@
+"""The paper's equivalence as a test: a bounded multi-state is a masked transformer.
+
+`reference_nlls` is a plain causal transformer in float64, written from the
+weights and `RMS_EPS` alone (no `msrnn.model` function): dense (H, T, T)
+scores per layer, RoPE at the original positions, softmax, W_O and the FFN.
+Its mask for (layer, head) at step t is what the engine's trace retained
+after step t-1, plus position t. Driving the engine token by token through
+`decode_step` and `apply_policy` must then give the same per-token NLLs, for
+the unbounded cache and every policy form.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from msrnn import (Model, ModelConfig, MultiState, RetentionTrace, apply_policy,
+                   decode_step, init_random_model, parse_policy, zero_model)
+from msrnn.harness import nll_of
+from msrnn.model import RMS_EPS
+from msrnn.policies import POLICY_FAMILIES
+
+FORMS = ("window", "window+4", "h2o-head", "h2o-layer",
+         "tova-head", "tova-layer", "tova-layer+4")
+# fixed before the first run: float32 decoding against float64 gives about
+# 4e-7 at an NLL near ln 256
+TOL = 1e-5
+
+
+def _rms_norm(x, gain):
+    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + float(RMS_EPS)) * gain
+
+
+def _rope(x, rope_base):
+    """Rotate each consecutive coordinate pair of (T, H, d) rows by t * base**(-2i/d)."""
+    d = x.shape[-1]
+    angle = np.arange(len(x))[:, None, None] * rope_base ** (-np.arange(0, d, 2) / d)
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = even * np.cos(angle) - odd * np.sin(angle)
+    out[..., 1::2] = even * np.sin(angle) + odd * np.cos(angle)
+    return out
+
+
+def reference_nlls(model, ids, masks):
+    """Per-token NLLs of ids[1:]; masks[layer][h, t, s] lets row t of head h see column s."""
+    config, w = model
+    T, H, d = len(ids), config.n_heads, config.head_dim
+    x = w.token_embedding[list(ids)].astype(np.float64)
+    for lw, mask in zip(w.layers, masks):
+        lw = {name: np.asarray(block, np.float64) for name, block in vars(lw).items()}
+        h = _rms_norm(x, lw["attn_norm"])
+        q, k, v = ((h @ lw[name]).reshape(T, H, d) for name in ("w_q", "w_k", "w_v"))
+        q, k = _rope(q, config.rope_base), _rope(k, config.rope_base)
+        scores = np.where(mask, np.einsum("thd,shd->hts", q, k) / math.sqrt(d), -np.inf)
+        p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        x = x + np.einsum("hts,shd->thd", p, v).reshape(T, H * d) @ lw["w_o"]
+        g = _rms_norm(x, lw["ff_norm"]) @ lw["ff_in"]
+        x = x + (g * 0.5 * (1.0 + np.tanh(g / 2))) @ lw["ff_out"]  # silu, overflow-free
+    logits = x[:-1] @ w.lm_head.astype(np.float64)
+    top = logits.max(axis=-1)
+    log_z = top + np.log(np.exp(logits - top[:, None]).sum(axis=-1))
+    return log_z - logits[np.arange(T - 1), list(ids[1:])]
+
+
+def engine_nlls(model, ids, kind):
+    """Sequential decoding's per-token NLLs and the trace of its retained sets."""
+    config = model.config
+    trace = RetentionTrace(config.n_layers, config.n_heads)
+    state = MultiState(config.n_layers, config.n_heads, config.head_dim,
+                       capacity=kind.k if kind else None, trace=trace)
+    nlls = []
+    for t, token in enumerate(ids):
+        logits, probs = decode_step(model, state, token, t)
+        if t + 1 < len(ids):
+            nlls.append(nll_of(logits, ids[t + 1]))
+        if kind is not None:
+            apply_policy(kind, state, probs)
+    return np.array(nlls), trace
+
+
+def retained_masks(trace):
+    """Per layer, (H, T, T): row t is the set retained after step t-1, plus t."""
+    masks = []
+    for layer in range(trace.n_layers):
+        grid = trace.retained_grid(layer).astype(bool)
+        mask = np.zeros_like(grid)
+        mask[:, 1:] = grid[:, :-1]
+        mask[:, np.arange(trace.n_steps), np.arange(trace.n_steps)] = True
+        masks.append(mask)
+    return masks
+
+
+def _gap(model, ids, kind):
+    nlls, trace = engine_nlls(model, ids, kind)
+    return float(np.abs(nlls - reference_nlls(model, ids, retained_masks(trace))).max())
+
+
+def _config(n_layers, n_heads, head_dim, ff_dim, vocab_size, train_context_len):
+    return ModelConfig(n_layers=n_layers, n_heads=n_heads, head_dim=head_dim,
+                       hidden_dim=n_heads * head_dim, ff_dim=ff_dim, vocab_size=vocab_size,
+                       train_context_len=train_context_len)
+
+
+def test_engine_equals_masked_dense_transformer():
+    config = _config(4, 4, 16, 128, 256, 128)
+    for seed in (0, 1):
+        model = Model(config, init_random_model(config, seed))
+        ids = tuple(np.random.default_rng(seed).integers(0, 256, 128).tolist())
+        kinds = [None] + [parse_policy(form, k) for form in FORMS for k in (8, 32)]
+        gaps = {f"{kind.name} k={kind.k}" if kind else "none": _gap(model, ids, kind)
+                for kind in kinds}
+        assert max(gaps.values()) <= TOL, gaps
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n_layers=st.integers(1, 2), n_heads=st.integers(1, 3),
+       half_dim=st.integers(1, 4), steps=st.integers(2, 24),
+       family=st.sampled_from(("none",) + POLICY_FAMILIES), zero=st.booleans())
+def test_engine_equals_masked_dense_transformer_small(data, n_layers, n_heads, half_dim,
+                                                      steps, family, zero):
+    config = _config(n_layers, n_heads, 2 * half_dim, 8, 16, 32)
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    model = Model(config, zero_model(config) if zero else init_random_model(config, seed))
+    ids = tuple(np.random.default_rng(seed).integers(0, 16, steps).tolist())
+    kind = None
+    if family != "none":
+        k = data.draw(st.integers(1, steps), label="k")
+        pin = data.draw(st.integers(0, k - 1), label="pin") \
+            if family in ("window", "tova-layer") else 0
+        kind = parse_policy(family, k, pin)
+    assert _gap(model, ids, kind) <= TOL

@@ -151,24 +151,58 @@ def test_apply_policy_evicts_and_records():
 
 def test_apply_policy_h2o_accumulates_current_row_before_deciding():
     state = _filled_state(3, capacity=2)
-    acc = AccumulatedScores(1, 1)
+    state.scores = AccumulatedScores(1, 1)
     # prior sums [1.0, 0.2] for positions 0 and 1
-    acc._acc[0] = np.array([[1.0, 0.2]], dtype=np.float64)
+    state.scores._acc[0] = np.array([[1.0, 0.2]], dtype=np.float64)
     # current row lifts position 1 above position 0's total
     probs = np.array([[0.0, 0.9, 0.1]], dtype=np.float32)
     kind = parse_policy("h2o-head", k=2)
     # k=2 -> recent window 1 protects only the newest; candidates 0 and 1
     # with sums [1.0, 1.1]: position 0 goes
-    apply_policy(kind, state, [probs], acc)
+    apply_policy(kind, state, [probs])
     assert state.retained_positions(0, 0) == [1, 2]
-    np.testing.assert_allclose(acc.layer(0), [[1.1, 0.1]])
+    np.testing.assert_allclose(state.scores.layer(0), [[1.1, 0.1]])
 
 
-def test_apply_policy_needs_scores_guard():
+def test_apply_policy_h2o_rejects_entries_older_than_its_scores():
+    # the first H2O step makes empty sums, which a 3-state row cannot extend
     state = _filled_state(3, capacity=2)
     kind = parse_policy("h2o-head", k=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="incompatible with accumulator shape"):
         apply_policy(kind, state, [np.ones((1, 3), dtype=np.float32) / 3])
+
+
+def test_window_and_tova_steps_leave_scores_unset():
+    for name in ("window", "window+1", "tova-head", "tova-layer", "tova-layer+1"):
+        state = _filled_state(4, capacity=3, n_layers=2, n_heads=2)
+        apply_policy(parse_policy(name, k=3), state, [np.full((2, 4), 0.25, np.float32)] * 2)
+        assert state.size(0, 0) == 3 and state.scores is None
+
+
+def test_state_scores_equal_hand_driven_scores():
+    # N H2O steps from an empty state: the scores the state made for itself
+    # equal an AccumulatedScores fed the same blocks and drops by hand
+    rng = np.random.default_rng(3)
+    for name in ("h2o-head", "h2o-layer"):
+        kind = parse_policy(name, k=3)
+        state = MultiState(2, 2, head_dim=2, capacity=3)
+        by_hand = AccumulatedScores(2, 2)
+        row = np.zeros(2, dtype=np.float32)
+        for t in range(9):
+            blocks = []
+            for layer in range(2):
+                for head in range(2):
+                    state.append(layer, head, row, row, t, t)
+                block = rng.random((2, min(t + 1, 4))).astype(np.float32)
+                blocks.append(block / block.sum(axis=1, keepdims=True))
+                by_hand.accumulate(layer, blocks[layer])
+                evicted = decide_layer(kind, blocks[layer], by_hand.layer(layer))
+                if evicted[0] is not None:
+                    by_hand.drop(layer, evicted)
+            apply_policy(kind, state, blocks)
+        for layer in range(2):
+            assert state.scores.layer(layer).tobytes() == by_hand.layer(layer).tobytes()
+            assert state.scores.layer(layer).shape == (2, 3)
 
 
 def test_tova_brute_force_small():
