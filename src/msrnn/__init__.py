@@ -16,10 +16,11 @@ from .harness import (ChunkResult, PerplexityReport, ScriptedTrace,
                       sequential_perplexity, simulate_with_rule,
                       trace_driven_simulate, uniform_rule,
                       write_token_stream)
-from .model import (MalformedHeaderError, Model, ModelConfig, ModelWeights,
-                    ShapeMismatchError, TruncatedBlobError, WeightFormatError,
-                    attention_step, decode_step, init_random_model,
-                    load_weights, rms_norm, save_weights, zero_model)
+from .model import (ChecksumMismatchError, MalformedHeaderError, Model,
+                    ModelConfig, ModelWeights, ShapeMismatchError,
+                    TruncatedBlobError, WeightFormatError, attention_step,
+                    decode_step, init_random_model, load_weights, rms_norm,
+                    save_weights, zero_model)
 from .policies import (POLICY_FORMS, AccumulatedScores, PolicyKind,
                        accumulate_row, apply_policy, parse_policy,
                        recent_window)
@@ -28,11 +29,12 @@ from .state import (ACTION_APPEND, ACTION_EVICT, MultiState, RetentionTrace,
                     TraceEvent)
 
 __all__ = [
-    "ACTION_APPEND", "ACTION_EVICT", "AccumulatedScores", "ChunkResult",
-    "MalformedHeaderError", "MemoryReport", "Model", "ModelConfig",
-    "ModelWeights", "MultiState", "POLICY_FORMS", "PerplexityReport",
-    "PolicyKind", "RetentionTrace", "ScriptedTrace", "ShapeMismatchError",
-    "TokenStream", "TraceEvent", "TruncatedBlobError", "WeightFormatError",
+    "ACTION_APPEND", "ACTION_EVICT", "AccumulatedScores",
+    "ChecksumMismatchError", "ChunkResult", "MalformedHeaderError",
+    "MemoryReport", "Model", "ModelConfig", "ModelWeights", "MultiState",
+    "POLICY_FORMS", "PerplexityReport", "PolicyKind", "RetentionTrace",
+    "ScriptedTrace", "ShapeMismatchError", "TokenStream", "TraceEvent",
+    "TruncatedBlobError", "WeightFormatError",
     "accumulate_row", "apply_policy", "attention_step", "decode_step",
     "generate", "init_random_model", "lifetime_by_tag", "load_weights",
     "marker_rule", "masked_parallel_perplexity", "memory_report",

@@ -5,14 +5,16 @@ Sequential mode is the ground truth: one decode_step per token against an
 explicit multi-state, policy applied after each step. Masked-parallel mode
 is layer-major over the same kernel: per layer, the norm, q/k/v projections
 and rotation run over the whole chunk's rows in one `attention_inputs` call;
-then, row by row, `attend` appends and attends and `apply_layer_policy`
-evicts, so each row's attention mask is the policy's retained set for that
-layer (the band+prefix of the window family, the score-driven sets of
-H2O/TOVA); then W_O and the feed-forward block run over all rows in one
-`layer_output` call, and the LM head in one call after the last layer. Row
-t of every batched kernel call equals the one-token call bit for bit, so
-probabilities, decisions, and perplexities agree exactly; the acceptance
-tolerance is slack on top.
+then each row's attention mask is the policy's retained set for that layer.
+Under H2O and TOVA those sets are score-driven, so, row by row, `attend`
+appends and attends and `apply_layer_policy` evicts. The window family's are
+the fixed band+prefix, so `band_attention` runs the whole chunk with no
+multi-state and the trace gets the closed-form events in one
+`record_block` call. Then W_O and the feed-forward block run over all rows
+in one `layer_output` call, and the LM head in one call after the last
+layer. Row t of every batched kernel call equals the one-token call bit for
+bit, so probabilities, decisions, and perplexities agree exactly; the
+acceptance tolerance is slack on top.
 
 A layer's attention is one (H, S) float32 block throughout: the kernel
 returns it, the policies take it, a ScriptedTrace stores it per (step,
@@ -27,10 +29,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .model import Model, attend, attention_inputs, decode_step, layer_output, row_matmul
+from .model import (Model, attend, attention_inputs, band_attention, decode_step, layer_output,
+                    row_matmul)
 from .policies import PolicyKind, apply_layer_policy, apply_policy
 from .remap import remap_positions
-from .state import MultiState, RetentionTrace, read_csv_rows, write_csv_rows
+from .state import TRACE_COLUMNS, MultiState, RetentionTrace, read_csv_rows, write_csv_rows
 
 # unused here: bench/tracing.py patches these names on this module
 from .model import attention_step, rms_norm, rotate  # noqa: F401
@@ -178,18 +181,42 @@ def _score_chunks(model: Model, stream: TokenStream, remap: bool,
 # masked-parallel evaluation
 
 
+def _window_events(kind: PolicyKind, layer: int, ids: Sequence[int], n_heads: int) -> np.ndarray:
+    """A window-family chunk's trace rows at one layer, in closed form: every
+    head appends row t at step t and, from step k on, evicts position t-k+pin."""
+    steps = np.arange(len(ids))
+    evicted = steps[kind.k:] - kind.k + kind.pin
+    tokens = np.asarray(ids, dtype=np.int64)
+    # (step, action code, position, token) of each event, appends first
+    events = np.concatenate((np.stack((steps, np.zeros_like(steps), steps, tokens), 1),
+                             np.stack((steps[kind.k:], np.ones_like(evicted), evicted,
+                                       tokens[evicted]), 1)))
+    rows = np.empty((len(events), n_heads, len(TRACE_COLUMNS)), dtype=np.int64)
+    rows[..., [0, 3, 4, 5]] = events[:, None]
+    rows[..., 1] = layer
+    rows[..., 2] = np.arange(n_heads)
+    return rows.reshape(-1, len(TRACE_COLUMNS))
+
+
 def _decode_chunk_parallel(model: Model, ids: Sequence[int], kind: PolicyKind,
                            trace: RetentionTrace | None) -> float:
     config, w = model
-    state = _new_state(config.n_layers, config.n_heads, config.head_dim, kind, trace)
+    window = kind.family == "window"
+    state = None if window else _new_state(config.n_layers, config.n_heads, config.head_dim,
+                                           kind, trace)
     x = w.token_embedding[list(ids)]
     positions = np.arange(len(ids))[:, None]
     ctx = np.empty_like(x)
     for layer in range(config.n_layers):
         q, k, v = attention_inputs(model, layer, x, positions)
-        for t, token in enumerate(ids):  # append, attend and evict: the sequential part
-            ctx[t], probs = attend(model, layer, state, q[t], k[t], v[t], t, token)
-            apply_layer_policy(kind, state, layer, probs)
+        if window:  # a fixed band+prefix mask: no multi-state, no decisions
+            ctx = band_attention(q, k, v, kind.k, kind.pin)
+            if trace is not None:
+                trace.record_block(_window_events(kind, layer, ids, config.n_heads))
+        else:
+            for t, token in enumerate(ids):  # append, attend and evict: the sequential part
+                ctx[t], probs = attend(model, layer, state, q[t], k[t], v[t], t, token)
+                apply_layer_policy(kind, state, layer, probs)
         x = layer_output(model, layer, x, ctx)
 
     total = 0.0

@@ -7,27 +7,35 @@ calls: `attention_inputs` (norm, q/k/v projections, rotation), `attend`
 (append, attend; one token at a time) and `layer_output` (W_O and the
 feed-forward block). `decode_step` calls them with one token's vector; the
 masked-parallel evaluator calls the first and last with a whole chunk's rows
-and only `attend` per row. Keys are rotated once, when they are cached,
-unless positions are remapped: then they are cached unrotated and re-rotated
-at the remapped positions every step.
+and only `attend` per row, or, for the window family's fixed mask,
+`band_attention` once over all rows. Keys are rotated once, when they are
+cached, unless positions are remapped: then they are cached unrotated and
+re-rotated at the remapped positions every step.
 """
 
 from __future__ import annotations
 
 import math
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .state import MultiState
 
 WEIGHT_MAGIC = "msrnn-weights"
-WEIGHT_VERSION = 1
+# version 2 ends the file in a CRC-32 of everything before it; version 1
+# files, which have none, still load
+WEIGHT_VERSION = 2
 FF_GATE_NAME = "silu"
 RMS_EPS = np.float32(1e-5)
+# band rows per block when band_attention copies a pinned prefix into each
+# row's columns: it bounds the (H, rows, S, head_dim) copies
+_BAND_ROWS = 16
 
 # Callable mapping a layer's (n_heads, size) retained original positions
 # (newest last in each row) to real-valued rotation positions of the same
@@ -50,6 +58,10 @@ class ShapeMismatchError(WeightFormatError):
 
 
 class TruncatedBlobError(WeightFormatError):
+    pass
+
+
+class ChecksumMismatchError(WeightFormatError):
     pass
 
 
@@ -186,16 +198,17 @@ def _assemble(config: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelWeight
 
 
 # ---------------------------------------------------------------------------
-# weight file I/O: text header, then a little-endian float32 blob
+# weight file I/O: text header, a little-endian float32 blob, then (version 2)
+# the CRC-32 of both as four little-endian bytes
 
 # each config field's declared type, in field order: int, or float for rope_base
 _CONFIG_TYPES = get_type_hints(ModelConfig)
 
 
-def _header(config: ModelConfig) -> str:
+def _header(config: ModelConfig, version: int = WEIGHT_VERSION) -> str:
     """The weight-file header, one LF-ended line per item: save_weights writes
     it and load_weights accepts no other text for the config it reads."""
-    lines = [f"{WEIGHT_MAGIC} {WEIGHT_VERSION}"]
+    lines = [f"{WEIGHT_MAGIC} {version}"]
     lines += [f"{name} {kind(getattr(config, name))!r}" for name, kind in _CONFIG_TYPES.items()]
     lines.append(f"ff_gate {FF_GATE_NAME}")
     lines += [f"block {name} {' '.join(map(str, shape))}" for name, shape in _block_shapes(config)]
@@ -204,10 +217,11 @@ def _header(config: ModelConfig) -> str:
 
 def save_weights(path: str, config: ModelConfig, weights: ModelWeights) -> None:
     weights.validate(config)
+    data = _header(config).encode("ascii") + b"".join(
+        np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        for _, arr, _ in _iter_blocks(config, weights))
     with open(path, "wb") as fh:
-        fh.write(_header(config).encode("ascii"))
-        for _, arr, _ in _iter_blocks(config, weights):
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        fh.write(data + zlib.crc32(data).to_bytes(4, "little"))
 
 
 def load_weights(path: str) -> tuple[ModelConfig, ModelWeights]:
@@ -216,7 +230,9 @@ def load_weights(path: str) -> tuple[ModelConfig, ModelWeights]:
     MalformedHeaderError when the magic, config or ff_gate lines differ from
     what save_weights writes, ShapeMismatchError when the block lines differ
     from those the config implies, TruncatedBlobError when the binary payload
-    is shorter (or longer) than the header demands.
+    is shorter (or longer) than the header demands, and ChecksumMismatchError
+    when a version 2 file's last four bytes are not the little-endian CRC-32
+    of the header and blob before them.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -227,8 +243,10 @@ def load_weights(path: str) -> tuple[ModelConfig, ModelWeights]:
         lines = (header + end).decode("ascii").split("\n")
     except UnicodeDecodeError:
         raise MalformedHeaderError(f"{path}: header is not ASCII text") from None
-    if lines[0] != f"{WEIGHT_MAGIC} {WEIGHT_VERSION}":
+    versions = {f"{WEIGHT_MAGIC} {version}": version for version in (1, WEIGHT_VERSION)}
+    if lines[0] not in versions:
         raise MalformedHeaderError(f"{path}: bad magic or version line {lines[0]!r}")
+    version = versions[lines[0]]
     values = [line.partition(" ")[2] for line in lines[1:1 + len(_CONFIG_TYPES)]]
     if len(values) < len(_CONFIG_TYPES):
         raise MalformedHeaderError(f"{path}: header ends before its config fields")
@@ -237,17 +255,23 @@ def load_weights(path: str) -> tuple[ModelConfig, ModelWeights]:
                                 for (name, kind), value in zip(_CONFIG_TYPES.items(), values)})
     except ValueError as exc:
         raise MalformedHeaderError(f"{path}: invalid config values ({exc})") from None
-    for i, (got, want) in enumerate(zip_longest(lines, _header(config).split("\n"))):
+    for i, (got, want) in enumerate(zip_longest(lines, _header(config, version).split("\n"))):
         if got != want:  # the lines after magic, config and ff_gate are blocks
             error = ShapeMismatchError if i > 1 + len(_CONFIG_TYPES) else MalformedHeaderError
             raise error(f"{path}: header line {i + 1} reads {got!r}, config implies {want!r}")
 
     expected = list(_block_shapes(config))
     n_floats = sum(int(np.prod(shape)) for _, shape in expected)
-    if len(blob) != 4 * n_floats:
-        raise TruncatedBlobError(
-            f"{path}: blob holds {len(blob)} bytes, header demands {4 * n_floats}"
-        )
+    crc_bytes = 4 if version > 1 else 0
+    if len(blob) != 4 * n_floats + crc_bytes:
+        raise TruncatedBlobError(f"{path}: {len(blob)} bytes follow the header, "
+                                 f"it demands {4 * n_floats} of blob and {crc_bytes} of checksum")
+    if crc_bytes:
+        blob, stored = blob[:-crc_bytes], int.from_bytes(blob[-crc_bytes:], "little")
+        crc = zlib.crc32(data[:-crc_bytes])
+        if crc != stored:
+            raise ChecksumMismatchError(f"{path}: header and blob have CRC-32 {crc:08x}, "
+                                        f"the file records {stored:08x}")
     flat = np.frombuffer(blob, dtype="<f4").astype(np.float32)
     offset = 0
     arrays: dict[str, np.ndarray] = {}
@@ -341,6 +365,47 @@ def attention_step(q_rot: np.ndarray, keys_rot: np.ndarray,
     probs = softmax_rows(scores)
     ctx = np.einsum("hs,hsd->hd", probs, values)
     return ctx.reshape(-1), probs
+
+
+def band_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, capacity: int,
+                   pin: int) -> np.ndarray:
+    """A chunk's (T, hidden) context under the window family's fixed mask.
+
+    `q`, `k` and `v` are the chunk's (T, n_heads, head_dim) attention inputs,
+    rotated. Row t attends to rows 0..t while t < capacity, and after that to
+    the pinned prefix [0, pin) plus the band [t - capacity + pin, t]: the
+    S = capacity + 1 entries a window+pin multi-state holds once row t is
+    appended. The first rows make the one-token `attention_step` call on
+    leading columns laid out as `MultiState.layer_view` lays them out; the
+    band rows run batched over their S gathered columns with the same
+    einsums and softmax, so every row equals the one-token call bit for bit.
+    A pinned prefix is copied in front of the band a block of rows at a time.
+    """
+    n_rows, n_heads, head_dim = q.shape
+    keys = np.ascontiguousarray(k.transpose(1, 0, 2))
+    values = np.ascontiguousarray(v.transpose(1, 0, 2))
+    ctx = np.empty((n_rows, n_heads * head_dim), dtype=np.float32)
+    for t in range(min(capacity, n_rows)):
+        ctx[t] = attention_step(q[t], keys[:, :t + 1], values[:, :t + 1])[0]
+    if n_rows <= capacity:
+        return ctx
+    # (H, R, S - pin, d) views: band row r holds columns pin + r .. capacity + r
+    bands = [sliding_window_view(block[:, pin:], capacity + 1 - pin, axis=1).swapaxes(-1, -2)
+             for block in (keys, values)]
+    queries = q.transpose(1, 0, 2)
+    scale = np.float32(math.sqrt(head_dim))
+    step = _BAND_ROWS if pin else n_rows
+    for lo in range(capacity, n_rows, step):
+        hi = min(lo + step, n_rows)
+        gathered = [band[:, lo - capacity:hi - capacity] for band in bands]
+        if pin:
+            prefix = (n_heads, hi - lo, pin, head_dim)
+            gathered = [np.concatenate((np.broadcast_to(block[:, None, :pin], prefix), band), 2)
+                        for block, band in zip((keys, values), gathered)]
+        scores = np.einsum("hrsd,hrd->hrs", gathered[0], queries[:, lo:hi]) / scale
+        out = np.einsum("hrs,hrsd->hrd", softmax_rows(scores), gathered[1])
+        ctx[lo:hi] = out.transpose(1, 0, 2).reshape(hi - lo, -1)
+    return ctx
 
 
 def attention_inputs(model: Model, layer: int, x: np.ndarray,

@@ -16,7 +16,9 @@ them), so `apply_policy(kind, state, probs)` is one call for every family.
 Sequential decoding calls it after every token, and the masked-parallel
 evaluator calls `apply_layer_policy` after each row's `attend`, layer by
 layer, so a policy's retained sets are the parallel mode's attention masks
-and both modes take identical decisions.
+and both modes take identical decisions. The window family is the
+exception there: its retained sets are the closed-form band+prefix, which
+the evaluator runs as `model.band_attention` without calling a policy.
 """
 
 from __future__ import annotations

@@ -82,6 +82,29 @@ class RetentionTrace:
             self.n_steps = step + 1
         self._order = None
 
+    def record_block(self, rows: np.ndarray) -> None:
+        """Record an (n, 6) integer table of events in TRACE_COLUMNS order, each
+        action as its ACTIONS index: the events, order and checks of one
+        `record` per row, except that a table with a bad row records nothing."""
+        table = np.asarray(rows)
+        if table.ndim != 2 or table.shape[1] != len(TRACE_COLUMNS) or table.dtype.kind != "i":
+            raise ValueError(f"trace rows must be an (n, {len(TRACE_COLUMNS)}) integer table, "
+                             f"got shape {table.shape} of {table.dtype}")
+        if not len(table):
+            return
+        step, layer, head, action = table.T[:4]
+        bad_action = (action < 0) | (action >= len(ACTIONS))
+        bad = bad_action | (layer < 0) | (layer >= self.n_layers) \
+            | (head < 0) | (head >= self.n_heads)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if bad_action[i]:
+                raise ValueError(f"unknown trace action {int(action[i])!r}")
+            raise ValueError(f"layer/head ({layer[i]}, {head[i]}) out of range")
+        self._log.frombytes(table.astype(np.int64).tobytes())
+        self.n_steps = max(self.n_steps, int(step.max()) + 1)
+        self._order = None
+
     def _table(self) -> np.ndarray:  # a view: the log cannot grow while one lives
         return np.frombuffer(self._log, dtype=np.int64).reshape(-1, len(TRACE_COLUMNS))
 

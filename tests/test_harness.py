@@ -147,6 +147,53 @@ def test_masked_parallel_batches_the_rows(monkeypatch):
         "rms_norm": 2 * n_layers * 40, "rotate": n_layers * 40}
 
 
+def test_masked_parallel_window_keeps_no_multi_state(monkeypatch):
+    # the window family's masks are closed-form, so masked-parallel window
+    # and window+i never touch a MultiState; H2O and TOVA still append every
+    # row and evict every row past k, per head, as sequential decoding does
+    model = make_model(seed=3)
+    calls = {"append": 0, "evict": 0}
+    for name in calls:
+        def counted(*args, _method=getattr(MultiState, name), _name=name):
+            calls[_name] += 1
+            return _method(*args)
+        monkeypatch.setattr(MultiState, name, counted)
+    stream = make_stream(model, length=40, chunk_len=16, seed=2)  # chunks of 16, 16, 8
+    per_layer = model.config.n_layers * model.config.n_heads
+    for name, k in (("window", 4), ("window+2", 4), ("h2o-head", 4), ("tova-layer", 10)):
+        for score in (masked_parallel_perplexity, sequential_perplexity):
+            calls.update(append=0, evict=0)
+            score(model, stream, parse_policy(name, k))
+            if name.startswith("window") and score is masked_parallel_perplexity:
+                assert calls == {"append": 0, "evict": 0}, name
+            else:
+                evicted = sum(max(0, len(ids) - k) for _, ids in stream.chunks())
+                assert calls == {"append": per_layer * 40, "evict": per_layer * evicted}, name
+
+
+@pytest.mark.parametrize("policy,k,chunk_len", [
+    ("window", 16, 16),    # k >= chunk length: no band rows
+    ("window+3", 20, 16),
+    ("window", 1, 16),     # k = 1
+    ("window+5", 6, 16),   # pin = k - 1
+    ("window+1", 2, 16),
+    ("window", 1, 2),      # chunks of 2
+    ("window+1", 2, 2),
+])
+def test_window_band_edges_parallel_equals_sequential(tiny_model, policy, k, chunk_len):
+    stream = make_stream(tiny_model, length=40, chunk_len=chunk_len, seed=8)
+    kind = parse_policy(policy, k)
+    traces = [RetentionTrace(tiny_model.config.n_layers, tiny_model.config.n_heads)
+              for _ in range(2)]
+    seq = sequential_perplexity(tiny_model, stream, kind, trace=traces[0])
+    par = masked_parallel_perplexity(tiny_model, stream, kind, trace=traces[1])
+    untraced = masked_parallel_perplexity(tiny_model, stream, kind)
+    assert [c.nll for c in par.chunks] == [c.nll for c in seq.chunks]
+    assert [c.nll for c in untraced.chunks] == [c.nll for c in par.chunks]
+    assert traces[1].sorted_events() == traces[0].sorted_events()
+    assert traces[1].n_steps == traces[0].n_steps == chunk_len
+
+
 def test_remap_runs_once_per_layer(monkeypatch):
     # a remapped step rotates the keys and q in one call per layer, and remaps
     # one (1, S) row while every head retains the same positions: always under

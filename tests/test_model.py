@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from msrnn import (MalformedHeaderError, Model, ModelConfig, MultiState,
-                   ShapeMismatchError, TruncatedBlobError, WeightFormatError,
-                   attention_step, decode_step, init_random_model,
-                   load_weights, rms_norm, save_weights, zero_model)
+from msrnn import (ChecksumMismatchError, MalformedHeaderError, Model,
+                   ModelConfig, MultiState, ShapeMismatchError,
+                   TruncatedBlobError, WeightFormatError, attention_step,
+                   decode_step, init_random_model, load_weights, rms_norm,
+                   save_weights, zero_model)
 from msrnn.model import RMS_EPS, _inv_freq, _iter_blocks, rotate, silu
 
 from conftest import make_config, make_model
@@ -64,8 +65,8 @@ def _saved_bytes(tmp_path):
 def test_malformed_header_errors(tmp_path):
     path, data = _saved_bytes(tmp_path)
     cases = [
-        data.replace(b"msrnn-weights 1", b"junkmagic 1", 1),
-        data.replace(b"msrnn-weights 1", b"msrnn-weights 9", 1),
+        data.replace(b"msrnn-weights 2", b"junkmagic 2", 1),
+        data.replace(b"msrnn-weights 2", b"msrnn-weights 9", 1),
         data.replace(b"ff_gate silu", b"ff_gate cube", 1),
         data.replace(b"ff_gate silu\n", b"", 1),
         data.replace(b"n_layers 2\n", b"", 1),
@@ -105,8 +106,37 @@ def test_truncated_blob_error(tmp_path):
         load_weights(path)
 
 
+def test_checksum_mismatch_error(tmp_path):
+    # a flipped blob byte, and a header edit that reads as another valid
+    # config of the same shapes, both load only without the checksum
+    path, data = _saved_bytes(tmp_path)
+    blob_byte = len(data) - 20
+    damaged = data[:blob_byte] + bytes([data[blob_byte] ^ 0x40]) + data[blob_byte + 1:]
+    for broken in (damaged, data.replace(b"rope_base 10000.0", b"rope_base 10001.0", 1),
+                   data[:-1] + bytes([data[-1] ^ 1])):
+        path.write_bytes(broken)
+        with pytest.raises(ChecksumMismatchError):
+            load_weights(path)
+
+
+def test_version_1_files_still_load(tmp_path):
+    # version 1 is version 2 without the trailing CRC-32; saving writes version 2
+    path, data = _saved_bytes(tmp_path)
+    v1 = data[:-4].replace(b"msrnn-weights 2\n", b"msrnn-weights 1\n", 1)
+    path.write_bytes(v1)
+    config, weights = load_weights(path)
+    assert config == make_config()
+    save_weights(tmp_path / "again.bin", config, weights)
+    assert (tmp_path / "again.bin").read_bytes() == data
+    for broken in (v1 + data[-4:], data[:-4]):  # a v1 file with a checksum, a v2 one without
+        path.write_bytes(broken)
+        with pytest.raises(TruncatedBlobError):
+            load_weights(path)
+
+
 def test_weight_errors_share_a_base_class():
-    for err in (MalformedHeaderError, ShapeMismatchError, TruncatedBlobError):
+    for err in (MalformedHeaderError, ShapeMismatchError, TruncatedBlobError,
+                ChecksumMismatchError):
         assert issubclass(err, WeightFormatError)
         assert issubclass(err, ValueError)
 

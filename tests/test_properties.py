@@ -4,7 +4,9 @@ position arrays and its bounds, the kernels' rows against one-vector calls,
 remapped attention against separate key and query rotations, sequential
 decoding against masked-parallel evaluation, simulator replay, the
 vectorised retention analyses against a per-event set replay, trace CSV
-round trips and reads against the csv module, and damaged weight files."""
+round trips and reads against the csv module, block trace records against
+per-event ones, the window band kernel against one-row attention, and
+damaged weight files."""
 
 import csv
 import re
@@ -22,9 +24,10 @@ from msrnn import (ACTION_APPEND, ACTION_EVICT, AccumulatedScores, Model,
                    retention_matrix, save_weights, sequential_perplexity,
                    simulate_with_rule, token_lifetime, trace_driven_simulate,
                    zero_model)
-from msrnn.model import (_inv_freq, attend, attention_step, rms_norm, rotate, row_matmul,
-                         silu, softmax_rows)
-from msrnn.state import TRACE_COLUMNS
+import msrnn.model
+from msrnn.model import (_inv_freq, attend, attention_step, band_attention, rms_norm, rotate,
+                         row_matmul, silu, softmax_rows)
+from msrnn.state import ACTIONS, TRACE_COLUMNS
 
 
 @settings(max_examples=100, deadline=None)
@@ -258,6 +261,44 @@ def test_row_kernels_equal_one_vector_calls(data, n_rows, width, offset):
     for t, position in enumerate(positions):
         for vector in (vecs[t], vecs[t].copy()):
             assert np.array_equal(out[t], rotate(vector, position, inv_freq))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       n_heads=st.integers(1, 5),
+       head_dim=st.integers(1, 32).map(lambda pairs: 2 * pairs),
+       n_rows=st.integers(2, 160),
+       offset=st.integers(0, 15))
+def test_band_attention_rows_equal_one_row_calls(data, n_heads, head_dim, n_rows, offset):
+    # the window family's masked-parallel kernel: every row of
+    # band_attention equals the one-token attention_step over the columns a
+    # window+pin multi-state retains at that row, read through layer_view
+    # as sequential decoding reads them, bit for bit; q, k and v are cut
+    # from buffers at a float offset, so they sit at every alignment
+    capacity = data.draw(st.integers(1, n_rows - 1), label="k")
+    pin = data.draw(st.integers(0, capacity - 1), label="pin")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    scale = rng.uniform(1e-2, 1e2)
+    n = n_rows * n_heads * head_dim
+    q, k, v = ((rng.standard_normal(n + offset) * scale).astype(np.float32)[offset:]
+               .reshape(n_rows, n_heads, head_dim) for _ in range(3))
+    ctx = band_attention(q, k, v, capacity, pin)
+    state = MultiState(1, n_heads, head_dim, capacity=capacity)
+    for t in range(n_rows):
+        for head in range(n_heads):
+            state.append(0, head, k[t, head], v[t, head], t, 0)
+        keys, values, positions = state.layer_view(0)
+        band = range(max(pin, t - capacity + pin), t + 1)
+        assert positions.tolist() == [list(range(min(pin, t + 1))) + list(band)] * n_heads
+        assert np.array_equal(ctx[t], attention_step(q[t], keys, values)[0]), t
+        if t >= capacity:
+            for head in range(n_heads):
+                state.evict(0, head, pin)
+    # so blocking the band rows changes no bit either
+    for rows in (1, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(msrnn.model, "_BAND_ROWS", rows)
+            assert np.array_equal(band_attention(q, k, v, capacity, pin), ctx)
 
 
 @settings(max_examples=200, deadline=None)
@@ -505,6 +546,32 @@ def test_trace_csv_round_trip(tmp_path_factory, events, newline, blank):
     assert path.read_bytes() == written
 
 
+@settings(max_examples=100, deadline=None)
+@given(events=events, split=st.integers(0, 60))
+def test_record_block_equals_per_event_records(tmp_path_factory, events, split):
+    # a table of rows given to record_block (the first `split` rows, then
+    # per-event records after a sorted read) leaves the trace that one
+    # record per row leaves: the same insertion order, canonical order,
+    # n_steps and CSV bytes
+    one = RetentionTrace(4, 4)
+    for ev in events:
+        one.record(*ev)
+    block = RetentionTrace(4, 4)
+    block.record_block(np.array([(s, l, h, ACTIONS.index(a), p, t)
+                                 for s, l, h, a, p, t in events[:split]], dtype=np.int64)
+                       .reshape(-1, len(TRACE_COLUMNS)))
+    block.sorted_events()  # the cached order must not outlive later records
+    for ev in events[split:]:
+        block.record(*ev)
+    assert block.events == one.events
+    assert block.sorted_events() == one.sorted_events()
+    assert block.n_steps == one.n_steps
+    path = tmp_path_factory.mktemp("trace")
+    one.write_csv(path / "one.csv")
+    block.write_csv(path / "block.csv")
+    assert (path / "block.csv").read_bytes() == (path / "one.csv").read_bytes()
+
+
 def _csv_module_read(path) -> list[tuple] | str:
     # the csv-module reader the row loop replaced: rows, or the bad line's prefix
     with open(path, newline="") as fh:
@@ -553,15 +620,16 @@ def test_trace_csv_reader_agrees_with_csv_module(tmp_path_factory, rows, ends):
 
 
 def test_damaged_weight_files_load_or_fail_cleanly(tmp_path):
-    # the format has no checksum, so some header flips (a digit of rope_base
-    # or train_context_len) load another valid config; a damaged file must
-    # never raise anything but a ValueError, and one that loads must be the
-    # file save_weights writes for what it loaded
+    # a version 2 file ends in a CRC-32 of everything before it, which
+    # catches every single-bit error: no truncation and no flipped bit loads,
+    # and each fails with a WeightFormatError (a header flip that reads as
+    # another valid config fails the length check or the checksum)
     config = ModelConfig(n_layers=1, n_heads=1, head_dim=2, hidden_dim=2, ff_dim=2,
                          vocab_size=4, train_context_len=8)
     path = tmp_path / "w.bin"
     save_weights(path, config, init_random_model(config, 0))
     data = path.read_bytes()
+    assert data.startswith(b"msrnn-weights 2\n")
     for size in range(len(data)):
         path.write_bytes(data[:size])
         with pytest.raises(WeightFormatError):
@@ -572,9 +640,8 @@ def test_damaged_weight_files_load_or_fail_cleanly(tmp_path):
         path.write_bytes(damaged)
         try:
             loaded = load_weights(path)
-        except ValueError:
+        except WeightFormatError:
             continue
         except Exception as exc:
             pytest.fail(f"flipping bit {bit} raised {exc!r}")
-        save_weights(tmp_path / "again.bin", *loaded)
-        assert (tmp_path / "again.bin").read_bytes() == damaged, f"bit {bit}"
+        pytest.fail(f"flipping bit {bit} loaded {loaded[0]}")

@@ -3,6 +3,7 @@ import pytest
 
 from msrnn import (ACTION_APPEND, ACTION_EVICT, MultiState, RetentionTrace,
                    TraceEvent)
+from msrnn.state import ACTIONS
 
 
 def test_append_validates_position_and_token():
@@ -119,3 +120,30 @@ def test_trace_validates_actions_and_ranges():
         trace.record(0, 0, 0, "drop", 0, 0)
     with pytest.raises(ValueError):
         trace.record(0, 1, 0, ACTION_APPEND, 0, 0)
+
+
+@pytest.mark.parametrize("row", [(0, 2, 0, 0, 0, 0), (0, -1, 0, 1, 0, 0), (0, 0, 3, 0, 0, 0),
+                                 (0, 0, -1, 1, 0, 0), (0, 0, 0, 2, 0, 0), (0, 0, 0, -1, 0, 0),
+                                 (0, 5, 0, 7, 0, 0)])
+def test_record_block_fails_as_record_does(row):
+    # a bad layer, head or action code fails with record's own message, and
+    # a table with a bad row records nothing
+    step, layer, head, code, position, token = row
+    with pytest.raises(ValueError) as per_event:
+        RetentionTrace(2, 3).record(step, layer, head,
+                                    ACTIONS[code] if code in (0, 1) else code, position, token)
+    trace = RetentionTrace(2, 3)
+    with pytest.raises(ValueError) as block:
+        trace.record_block(np.array([(0, 1, 2, 0, 0, 0), row]))
+    assert str(block.value) == str(per_event.value)
+    assert trace.events == [] and trace.n_steps == 0
+
+
+def test_record_block_takes_only_integer_tables():
+    trace = RetentionTrace(1, 1)
+    for bad in (np.zeros((2, 5), dtype=np.int64), np.zeros(6, dtype=np.int64),
+                np.zeros((1, 6), dtype=np.float64)):
+        with pytest.raises(ValueError, match="integer table"):
+            trace.record_block(bad)
+    trace.record_block(np.zeros((0, 6), dtype=np.int64))
+    assert trace.events == [] and trace.n_steps == 0
