@@ -5,16 +5,17 @@ Sequential mode is the ground truth: one decode_step per token against an
 explicit multi-state, policy applied after each step. Masked-parallel mode
 is layer-major over the same kernel: per layer, the norm, q/k/v projections
 and rotation run over the whole chunk's rows in one `attention_inputs` call;
-then each row's attention mask is the policy's retained set for that layer.
-Under H2O and TOVA those sets are score-driven, so, row by row, `attend`
-appends and attends and `apply_layer_policy` evicts. The window family's are
-the fixed band+prefix, so `band_attention` runs the whole chunk with no
-multi-state and the trace gets the closed-form events in one
-`record_block` call. Then W_O and the feed-forward block run over all rows
-in one `layer_output` call, and the LM head in one call after the last
-layer. Row t of every batched kernel call equals the one-token call bit for
-bit, so probabilities, decisions, and perplexities agree exactly; the
-acceptance tolerance is slack on top.
+then each row's attention mask is the policy's retained set for that layer,
+and no multi-state is built. Under H2O and TOVA those sets are score-driven:
+row by row, each head's retained columns of the chunk's K and V gain the
+row's own, `attention_step` attends over them, and `decide_layer` picks the
+column to drop. The window family's are the fixed band+prefix, so
+`band_attention` runs the whole chunk at once. Either way the trace gets the
+layer's append and evict events in one `record_block` call. Then W_O and the
+feed-forward block run over all rows in one `layer_output` call, and the LM
+head in one call after the last layer. Row t of every batched kernel call
+equals the one-token call bit for bit, so probabilities, decisions, and
+perplexities agree exactly; the acceptance tolerance is slack on top.
 
 A layer's attention is one (H, S) float32 block throughout: the kernel
 returns it, the policies take it, a ScriptedTrace stores it per (step,
@@ -29,15 +30,15 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .model import (Model, attend, attention_inputs, band_attention, decode_step, layer_output,
-                    row_matmul)
-from .policies import PolicyKind, apply_layer_policy, apply_policy
+from .model import (Model, attention_inputs, attention_step, band_attention, decode_step,
+                    layer_output, row_matmul)
+from .policies import AccumulatedScores, PolicyKind, apply_policy, decide_layer
 from .remap import remap_positions
 from .state import TRACE_COLUMNS, MultiState, RetentionTrace, read_csv_rows, write_csv_rows
 
 # unused here: bench/tracing.py patches these names on this module
-from .model import attention_step, rms_norm, rotate  # noqa: F401
-from .policies import accumulate_row, decide_layer  # noqa: F401
+from .model import rms_norm, rotate  # noqa: F401
+from .policies import accumulate_row  # noqa: F401
 
 SCRIPT_COLUMNS = ("step", "layer", "head", "state_slot", "probability")
 ROW_SUM_TOL = 1e-6
@@ -181,42 +182,92 @@ def _score_chunks(model: Model, stream: TokenStream, remap: bool,
 # masked-parallel evaluation
 
 
-def _window_events(kind: PolicyKind, layer: int, ids: Sequence[int], n_heads: int) -> np.ndarray:
-    """A window-family chunk's trace rows at one layer, in closed form: every
-    head appends row t at step t and, from step k on, evicts position t-k+pin."""
-    steps = np.arange(len(ids))
-    evicted = steps[kind.k:] - kind.k + kind.pin
-    tokens = np.asarray(ids, dtype=np.int64)
-    # (step, action code, position, token) of each event, appends first
-    events = np.concatenate((np.stack((steps, np.zeros_like(steps), steps, tokens), 1),
-                             np.stack((steps[kind.k:], np.ones_like(evicted), evicted,
-                                       tokens[evicted]), 1)))
-    rows = np.empty((len(events), n_heads, len(TRACE_COLUMNS)), dtype=np.int64)
-    rows[..., [0, 3, 4, 5]] = events[:, None]
-    rows[..., 1] = layer
-    rows[..., 2] = np.arange(n_heads)
-    return rows.reshape(-1, len(TRACE_COLUMNS))
+def _chunk_events(layer: int, ids: Sequence[int], n_heads: int,
+                  evicts: np.ndarray) -> np.ndarray:
+    """A chunk's trace rows at one layer: every head appends row t at step t,
+    and `evicts` is the (n, 3) table of evicted (step, head, position)."""
+    steps = np.repeat(np.arange(len(ids)), n_heads)
+    heads = np.tile(np.arange(n_heads), len(ids))
+    rows = np.zeros((len(steps) + len(evicts), len(TRACE_COLUMNS)), dtype=np.int64)
+    # (step, head, position) of each event, appends first
+    rows[:, [0, 2, 4]] = np.concatenate((np.stack((steps, heads, steps), 1), evicts))
+    rows[:, 1] = layer
+    rows[len(steps):, 3] = 1  # the ACTIONS index of an evict
+    rows[:, 5] = np.asarray(ids, dtype=np.int64)[rows[:, 4]]
+    return rows
+
+
+def _window_evicts(kind: PolicyKind, n_rows: int, n_heads: int) -> np.ndarray:
+    """The window family's evictions in closed form: from step k on, every
+    head evicts position t-k+pin at step t."""
+    steps = np.arange(kind.k, n_rows)[:, None]
+    table = np.broadcast_arrays(steps, np.arange(n_heads), steps - kind.k + kind.pin)
+    return np.stack(table, -1).reshape(-1, 3)
+
+
+def _policy_attention(kind: PolicyKind, q: np.ndarray, k: np.ndarray,
+                      v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A chunk's (T, hidden) context at one layer under H2O or TOVA, and the
+    (n, 3) table of its evicted (step, head, position).
+
+    `q`, `k` and `v` are the chunk's (T, n_heads, head_dim) attention inputs,
+    rotated. Each head's retained entries are a set of at most k+1 columns,
+    oldest first, as a multi-state holds them; column t * n_heads + h is
+    row t of head h in the chunk's K and V. Row t adds its column to every
+    head, attends over the gathered columns with the one-token
+    `attention_step`, folds the probabilities into the H2O scores, and drops
+    the columns `decide_layer` picks: append, attend and evict as
+    bookkeeping, with no K/V store beside the chunk's own.
+    """
+    n_rows, n_heads, head_dim = q.shape
+    keys, values = k.reshape(-1, head_dim), v.reshape(-1, head_dim)
+    columns = np.arange(n_rows * n_heads).reshape(n_rows, n_heads)
+    kept = np.empty((n_heads, kind.k + 1), dtype=np.intp)
+    scores = AccumulatedScores(1, n_heads) if kind.needs_scores else None
+    acc = None
+    ctx = np.empty((n_rows, n_heads * head_dim), dtype=np.float32)
+    gone = np.full((n_rows, n_heads), -1)  # the column each head evicts at each step
+    size = 0
+    for t in range(n_rows):
+        kept[:, size] = columns[t]
+        size += 1
+        ctx[t], probs = attention_step(q[t], keys.take(kept[:, :size], 0),
+                                       values.take(kept[:, :size], 0))
+        if scores is not None:
+            scores.accumulate(0, probs)
+            acc = scores.layer(0)
+        evicted = decide_layer(kind, probs, acc)
+        if evicted[0] is None:  # every policy evicts from all heads of a layer or none
+            continue
+        if kind.headwise:
+            for head, idx in enumerate(evicted):
+                gone[t, head] = kept[head, idx]
+                kept[head, idx:size - 1] = kept[head, idx + 1:size]
+        else:
+            idx = evicted[0]
+            gone[t] = kept[:, idx]
+            kept[:, idx:size - 1] = kept[:, idx + 1:size]
+        size -= 1
+        if scores is not None:
+            scores.drop(0, evicted)
+    steps, heads = np.nonzero(gone >= 0)
+    return ctx, np.stack((steps, heads, gone[steps, heads] // n_heads), 1)
 
 
 def _decode_chunk_parallel(model: Model, ids: Sequence[int], kind: PolicyKind,
                            trace: RetentionTrace | None) -> float:
     config, w = model
-    window = kind.family == "window"
-    state = None if window else _new_state(config.n_layers, config.n_heads, config.head_dim,
-                                           kind, trace)
     x = w.token_embedding[list(ids)]
     positions = np.arange(len(ids))[:, None]
-    ctx = np.empty_like(x)
     for layer in range(config.n_layers):
         q, k, v = attention_inputs(model, layer, x, positions)
-        if window:  # a fixed band+prefix mask: no multi-state, no decisions
+        if kind.family == "window":  # a fixed band+prefix mask: no decisions
             ctx = band_attention(q, k, v, kind.k, kind.pin)
-            if trace is not None:
-                trace.record_block(_window_events(kind, layer, ids, config.n_heads))
+            evicts = _window_evicts(kind, len(ids), config.n_heads)
         else:
-            for t, token in enumerate(ids):  # append, attend and evict: the sequential part
-                ctx[t], probs = attend(model, layer, state, q[t], k[t], v[t], t, token)
-                apply_layer_policy(kind, state, layer, probs)
+            ctx, evicts = _policy_attention(kind, q, k, v)
+        if trace is not None:
+            trace.record_block(_chunk_events(layer, ids, config.n_heads, evicts))
         x = layer_output(model, layer, x, ctx)
 
     total = 0.0
@@ -231,8 +282,9 @@ def masked_parallel_perplexity(model: Model, stream: TokenStream, kind: PolicyKi
 
     Each layer sees the whole chunk before the next layer starts; the
     policy's retained sets act as the attention masks (band+prefix for the
-    window family, grown row by row from the layer's own attention weights
-    for H2O and TOVA). Positions stay original (no remapping in this mode).
+    window family; for H2O and TOVA, column sets grown row by row and pruned
+    by `decide_layer` from the layer's own attention weights). No multi-state
+    is built. Positions stay original (no remapping in this mode).
     """
     if kind is None:
         raise ValueError("masked-parallel evaluation needs a policy; "

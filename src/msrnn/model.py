@@ -2,15 +2,16 @@
 
 Single-token decoding against an explicit multi-state: pre-norm attention and
 feed-forward blocks with residual connections, rotary-style positions, float32
-arithmetic throughout. The layer kernel is three functions that every mode
-calls: `attention_inputs` (norm, q/k/v projections, rotation), `attend`
-(append, attend; one token at a time) and `layer_output` (W_O and the
-feed-forward block). `decode_step` calls them with one token's vector; the
-masked-parallel evaluator calls the first and last with a whole chunk's rows
-and only `attend` per row, or, for the window family's fixed mask,
-`band_attention` once over all rows. Keys are rotated once, when they are
-cached, unless positions are remapped: then they are cached unrotated and
-re-rotated at the remapped positions every step.
+arithmetic throughout. The layer kernel is three functions: `attention_inputs`
+(norm, q/k/v projections, rotation), `attend` (append, attend; one token at a
+time) and `layer_output` (W_O and the feed-forward block). `decode_step` calls
+them with one token's vector. The masked-parallel evaluator calls the first
+and last with a whole chunk's rows and keeps no multi-state, so instead of
+`attend` it calls `attention_step` per row over the row's gathered columns
+under H2O and TOVA, and `band_attention` once over all rows for the window
+family's fixed mask. Keys are rotated once, when they are cached, unless
+positions are remapped: then they are cached unrotated and re-rotated at the
+remapped positions every step.
 """
 
 from __future__ import annotations

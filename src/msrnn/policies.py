@@ -13,12 +13,14 @@ over a family-chosen score block and column range, per head or over the
 head mean. `apply_layer_policy` wires it to one layer of a MultiState, whose
 `scores` slot keeps H2O's running sums (the state's first H2O step makes
 them), so `apply_policy(kind, state, probs)` is one call for every family.
-Sequential decoding calls it after every token, and the masked-parallel
-evaluator calls `apply_layer_policy` after each row's `attend`, layer by
-layer, so a policy's retained sets are the parallel mode's attention masks
-and both modes take identical decisions. The window family is the
-exception there: its retained sets are the closed-form band+prefix, which
-the evaluator runs as `model.band_attention` without calling a policy.
+Sequential decoding calls it after every token. The masked-parallel
+evaluator keeps no multi-state: under H2O and TOVA it calls `decide_layer`
+after each row's attention, layer by layer, on column sets it prunes
+itself, with its own `AccumulatedScores` for H2O, so a policy's retained
+sets are the parallel mode's attention masks and both modes take identical
+decisions. The window family's retained sets are the closed-form
+band+prefix, which the evaluator runs as `model.band_attention` without
+calling a policy.
 """
 
 from __future__ import annotations

@@ -172,9 +172,10 @@ def test_perplexity_end_to_end_and_determinism(tmp_path):
         == "chunk,start,n_scored,nll"
 
 
-def test_parallel_command_matches_sequential(tmp_path):
+@pytest.mark.parametrize("policy", ["h2o-layer", "h2o-head", "tova-head", "tova-layer+2"])
+def test_parallel_command_matches_sequential(tmp_path, policy):
     stream = write_stream(tmp_path / "s.txt")
-    shared = ["--seed", "5", "--stream", str(stream), "--policy", "h2o-layer",
+    shared = ["--seed", "5", "--stream", str(stream), "--policy", policy,
               "--k", "8", "--chunk-len", "32"]
     assert main(["perplexity"] + shared +
                 ["--out-dir", str(tmp_path / "seq"),

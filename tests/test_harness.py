@@ -123,8 +123,8 @@ def test_parallel_equals_sequential_small(tiny_model):
 
 def test_masked_parallel_batches_the_rows(monkeypatch):
     # per chunk and layer, masked-parallel normalises twice and rotates once
-    # over all rows; only append/attend/evict may run per row. Sequential
-    # decoding makes the same calls once per token.
+    # over all rows; only attention and the policy's decision may run per
+    # row. Sequential decoding makes the same calls once per token.
     model = make_model(seed=3)
     calls = {"rms_norm": 0, "rotate": 0}
     for name in calls:
@@ -147,10 +147,10 @@ def test_masked_parallel_batches_the_rows(monkeypatch):
         "rms_norm": 2 * n_layers * 40, "rotate": n_layers * 40}
 
 
-def test_masked_parallel_window_keeps_no_multi_state(monkeypatch):
-    # the window family's masks are closed-form, so masked-parallel window
-    # and window+i never touch a MultiState; H2O and TOVA still append every
-    # row and evict every row past k, per head, as sequential decoding does
+def test_masked_parallel_keeps_no_multi_state(monkeypatch):
+    # masked-parallel runs keep each layer's retained rows as column sets, so
+    # no family touches a MultiState there; sequential decoding appends every
+    # row and evicts every row past k, per head
     model = make_model(seed=3)
     calls = {"append": 0, "evict": 0}
     for name in calls:
@@ -164,7 +164,7 @@ def test_masked_parallel_window_keeps_no_multi_state(monkeypatch):
         for score in (masked_parallel_perplexity, sequential_perplexity):
             calls.update(append=0, evict=0)
             score(model, stream, parse_policy(name, k))
-            if name.startswith("window") and score is masked_parallel_perplexity:
+            if score is masked_parallel_perplexity:
                 assert calls == {"append": 0, "evict": 0}, name
             else:
                 evicted = sum(max(0, len(ids) - k) for _, ids in stream.chunks())
@@ -188,6 +188,32 @@ def test_window_band_edges_parallel_equals_sequential(tiny_model, policy, k, chu
     seq = sequential_perplexity(tiny_model, stream, kind, trace=traces[0])
     par = masked_parallel_perplexity(tiny_model, stream, kind, trace=traces[1])
     untraced = masked_parallel_perplexity(tiny_model, stream, kind)
+    assert [c.nll for c in par.chunks] == [c.nll for c in seq.chunks]
+    assert [c.nll for c in untraced.chunks] == [c.nll for c in par.chunks]
+    assert traces[1].sorted_events() == traces[0].sorted_events()
+    assert traces[1].n_steps == traces[0].n_steps == chunk_len
+
+
+@pytest.mark.parametrize("policy,k,chunk_len,zero", [
+    ("h2o-head", 1, 16, False),      # k = 1: the recent window leaves one candidate
+    ("h2o-layer", 1, 16, False),
+    ("h2o-head", 16, 16, False),     # k >= chunk length: nothing is evicted
+    ("tova-layer", 20, 16, False),
+    ("h2o-layer", 1, 2, False),      # chunks of 2
+    ("tova-head", 1, 2, False),
+    ("tova-layer+4", 5, 16, False),  # pin = k - 1
+    ("tova-head", 4, 16, True),      # zero weights: every per-head argmin is a tie
+])
+def test_score_driven_edges_parallel_equals_sequential(policy, k, chunk_len, zero):
+    model = make_model(seed=4, n_heads=3)
+    if zero:
+        model = Model(model.config, zero_model(model.config))
+    stream = make_stream(model, length=40, chunk_len=chunk_len, seed=9)
+    kind = parse_policy(policy, k)
+    traces = [RetentionTrace(model.config.n_layers, model.config.n_heads) for _ in range(2)]
+    seq = sequential_perplexity(model, stream, kind, trace=traces[0])
+    par = masked_parallel_perplexity(model, stream, kind, trace=traces[1])
+    untraced = masked_parallel_perplexity(model, stream, kind)
     assert [c.nll for c in par.chunks] == [c.nll for c in seq.chunks]
     assert [c.nll for c in untraced.chunks] == [c.nll for c in par.chunks]
     assert traces[1].sorted_events() == traces[0].sorted_events()
