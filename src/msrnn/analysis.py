@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import RetentionTrace, write_csv_rows
+from .state import RetentionTrace, read_text_lines, write_csv_rows
 
 UNKNOWN_TAG = "UNK"
 AVERAGE_ROW = "Avg."
@@ -61,21 +61,20 @@ def token_lifetime(trace: RetentionTrace) -> dict[int, float]:
 def read_tag_file(path: str) -> dict[int, str]:
     """Tab-separated position/tag pairs; positions must be unique."""
     tags: dict[int, str] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'position<TAB>tag'")
-            try:
-                position = int(parts[0])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad position {parts[0]!r}") from None
-            if position in tags:
-                raise ValueError(f"{path}:{lineno}: duplicate position {position}")
-            tags[position] = parts[1]
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'position<TAB>tag'")
+        try:
+            position = int(parts[0])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad position {parts[0]!r}") from None
+        if position in tags:
+            raise ValueError(f"{path}:{lineno}: duplicate position {position}")
+        tags[position] = parts[1]
     return tags
 
 

@@ -53,9 +53,11 @@ _SWITCH_VALUES = {"1": True, "true": True, "yes": True, "on": True,
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise CliError(f"config: cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise CliError(f"config: {path}: not UTF-8 text") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -351,7 +353,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parse_config(list(sys.argv[1:] if argv is None else argv))
         args.run(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -34,7 +34,8 @@ from .model import (Model, attention_inputs, attention_step, band_attention, dec
                     layer_output, row_matmul)
 from .policies import AccumulatedScores, PolicyKind, apply_policy, decide_layer
 from .remap import remap_positions
-from .state import TRACE_COLUMNS, MultiState, RetentionTrace, read_csv_rows, write_csv_rows
+from .state import (TRACE_COLUMNS, MultiState, RetentionTrace, read_csv_rows, read_text_lines,
+                    write_csv_rows)
 
 # unused here: bench/tracing.py patches these names on this module
 from .model import rms_norm, rotate  # noqa: F401
@@ -72,18 +73,17 @@ class TokenStream:
 def read_token_stream(path: str, chunk_len: int, vocab_size: int | None = None) -> TokenStream:
     """One decimal token id per line."""
     ids = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                tok = int(line)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: not a token id: {line!r}") from None
-            if tok < 0 or (vocab_size is not None and tok >= vocab_size):
-                raise ValueError(f"{path}:{lineno}: token {tok} out of range")
-            ids.append(tok)
+    for lineno, line in enumerate(read_text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            tok = int(line)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: not a token id: {line!r}") from None
+        if tok < 0 or (vocab_size is not None and tok >= vocab_size):
+            raise ValueError(f"{path}:{lineno}: token {tok} out of range")
+        ids.append(tok)
     return TokenStream(ids=tuple(ids), chunk_len=chunk_len)
 
 
@@ -125,15 +125,15 @@ def nll_of(logits: np.ndarray, target: int) -> float:
 
 
 def _new_state(n_layers: int, n_heads: int, head_dim: int, kind: PolicyKind | None,
-               trace: RetentionTrace | None) -> MultiState:
-    """An empty multi-state bounded by `kind`."""
-    return MultiState(n_layers, n_heads, head_dim, capacity=kind.k if kind else None, trace=trace)
+               steps: int, trace: RetentionTrace | None) -> MultiState:
+    """An empty multi-state bounded by `kind`, or a topline sized for `steps` appends."""
+    return MultiState(n_layers, n_heads, head_dim, kind.k if kind else max(steps, 1), trace)
 
 
 def _decode_chunk_sequential(model: Model, ids: Sequence[int], kind: PolicyKind | None,
                              remap: bool, trace: RetentionTrace | None) -> float:
     config = model.config
-    state = _new_state(config.n_layers, config.n_heads, config.head_dim, kind, trace)
+    state = _new_state(config.n_layers, config.n_heads, config.head_dim, kind, len(ids), trace)
     position_fn = remap_positions if remap else None
     total = 0.0
     for t, token in enumerate(ids):
@@ -410,7 +410,7 @@ def _simulate(layer_rows: Callable[[int, int, MultiState], Sequence], kind: Poli
               steps: int, trace: RetentionTrace) -> Iterator[list[np.ndarray]]:
     """Run `steps` model-free steps through the policy into `trace`, yielding each
     step's checked blocks; `layer_rows(t, layer, state)` gives a layer's rows."""
-    state = _new_state(trace.n_layers, trace.n_heads, 0, kind, trace)
+    state = _new_state(trace.n_layers, trace.n_heads, 0, kind, steps, trace)
     empty = np.zeros(0, dtype=np.float32)
     for t in range(steps):
         for layer in range(state.n_layers):
@@ -496,7 +496,8 @@ def generate(model: Model, prompt: Sequence[int], max_steps: int,
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     config = model.config
-    state = _new_state(config.n_layers, config.n_heads, config.head_dim, kind, trace)
+    state = _new_state(config.n_layers, config.n_heads, config.head_dim, kind,
+                       len(prompt) + max_steps, trace)
     position_fn = remap_positions if remap else None
     out = list(prompt)
     for t in range(len(prompt) + max_steps):

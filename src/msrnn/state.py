@@ -1,9 +1,9 @@
 """Bounded multi-state storage and the retention event trace.
 
-The multi-state is the recurrent state of the decoder: per layer, preallocated
-buffers that hold each head's ordered key/value rows plus metadata. Policies
-shrink it by evicting entries; every append and evict lands in a
-RetentionTrace that the analysis tools consume.
+The multi-state is the recurrent state of the decoder: preallocated buffers
+of k+1 rows per head that hold each head's ordered key/value rows plus
+metadata. Policies shrink it by evicting entries; every append and evict
+lands in a RetentionTrace that the analysis tools consume.
 """
 
 from __future__ import annotations
@@ -40,17 +40,27 @@ def write_csv_rows(path: str, header: Sequence[str], blocks: list[tuple]) -> Non
         fh.write("\r\n".join([",".join(header), *rows]) + "\r\n")
 
 
+def read_text_lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 text file, with LF, CRLF and CR line ends all read
+    as LF; a byte that is not UTF-8 fails as `<path>: not UTF-8 text`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+
+
 def read_csv_rows(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of every non-blank row after a `header` line, the
     format write_csv_rows writes: rows end in LF, CRLF or CR, no cell is quoted."""
-    with open(path, newline="") as fh:  # a line ends at LF, CRLF or CR
-        fields = fh.readline().rstrip("\r\n").split(",")
-        if fields != list(header):
-            raise ValueError(f"{path}: bad header {fields}, expected {list(header)}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\r\n")
-            if line:
-                yield lineno, line.split(",")
+    lines = read_text_lines(path)
+    fields = next(lines, "").rstrip("\n").split(",")
+    if fields != list(header):
+        raise ValueError(f"{path}: bad header {fields}, expected {list(header)}")
+    for lineno, line in enumerate(lines, start=2):
+        line = line.rstrip("\n")
+        if line:
+            yield lineno, line.split(",")
 
 
 class RetentionTrace:
@@ -200,69 +210,50 @@ class RetentionTrace:
 
 # metadata columns are (original position, token id)
 _POS = 0
-# rows per head that an unbounded state starts with; it doubles when full
-_FIRST_ROWS = 16
 
 
 class MultiState:
     """Per-layer, per-head ordered multi-state of cached K/V rows.
 
-    Each layer holds one preallocated (H, rows, d) float32 key buffer and one
-    value buffer, an aligned (H, rows, 2) int64 metadata buffer (original
-    position, token id) and a size per head; head h's entries are rows
-    0..size-1, oldest first. An entry's position is also the step it was
-    appended at, and an eviction is stamped with the latest position
-    appended to its layer. `capacity=None` gives the unbounded
-    g(t)=t cache, whose buffers start small and double when full; an integer
-    k gives the bounded g(t)=min(t,k) regime with rows = k+1, where callers
-    append first and policies evict afterwards (a head holds k+1 entries
-    transiently within a step, never more). Appending writes one row and
-    evicting shifts the head's tail left by one in place, so neither
-    allocates, and the surviving entries never reorder. `scores` holds H2O's
-    `policies.AccumulatedScores`, None until the state's first H2O step.
+    The state holds one preallocated (L, H, k+1, d) float32 key buffer and one
+    value buffer, an aligned (L, H, k+1, 2) int64 metadata buffer (original
+    position, token id) and a size per head; head h of layer l holds its
+    entries in rows 0..size-1, oldest first. Capacity k gives the bounded
+    g(t)=min(t,k) regime: callers append first and policies evict afterwards,
+    so a head holds k+1 entries transiently within a step, never more. The
+    unbounded g(t)=t topline of a T-step run is the state with k = T. An
+    entry's position is also the step it was appended at, and an eviction is
+    stamped with the latest position appended to the state. Appending writes
+    one row and evicting shifts the head's tail left by one in place, so
+    neither allocates, and the surviving entries never reorder. `scores`
+    holds H2O's `policies.AccumulatedScores`, None until the state's first
+    H2O step.
     """
 
-    def __init__(self, n_layers: int, n_heads: int, head_dim: int,
-                 capacity: int | None = None, trace: RetentionTrace | None = None):
+    def __init__(self, n_layers: int, n_heads: int, head_dim: int, capacity: int,
+                 trace: RetentionTrace | None = None):
         if n_layers < 1 or n_heads < 1:
             raise ValueError("n_layers and n_heads must be >= 1")
         if head_dim < 0:
             raise ValueError("head_dim must be >= 0")
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 when bounded")
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
         self.n_layers = n_layers
         self.n_heads = n_heads
         self.head_dim = head_dim
         self.capacity = capacity
         self.trace = trace
         self.scores = None
-        rows = _FIRST_ROWS if capacity is None else capacity + 1
         self._sizes = [[0] * n_heads for _ in range(n_layers)]
-        self._keys = [np.zeros((n_heads, rows, head_dim), dtype=np.float32)
-                      for _ in range(n_layers)]
-        self._values = [np.zeros((n_heads, rows, head_dim), dtype=np.float32)
-                        for _ in range(n_layers)]
-        self._meta = [np.zeros((n_heads, rows, 2), dtype=np.int64) for _ in range(n_layers)]
-        self._flat = [self._flat_views(layer) for layer in range(n_layers)]
-        # latest position appended to each layer: the step an eviction is
-        # stamped with, per layer because the masked-parallel evaluator runs
-        # a whole chunk through one layer before the next
-        self._last_step = [-1] * n_layers
-
-    def _flat_views(self, layer: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        self._keys = np.zeros((n_layers, n_heads, capacity + 1, head_dim), dtype=np.float32)
+        self._values = np.zeros(self._keys.shape, dtype=np.float32)
+        self._meta = np.zeros((n_layers, n_heads, capacity + 1, 2), dtype=np.int64)
         # 1-D views of each head's rows: a left shift on them is one memmove
-        keys, values, meta = self._keys[layer], self._values[layer], self._meta[layer]
-        return [(keys[h].reshape(-1), values[h].reshape(-1), meta[h].reshape(-1))
-                for h in range(self.n_heads)]
-
-    def _grow(self, layer: int) -> None:
-        """Double an unbounded layer's rows, keeping its entries."""
-        for bufs in (self._keys, self._values, self._meta):
-            old = bufs[layer]
-            new = np.zeros((old.shape[0], 2 * old.shape[1]) + old.shape[2:], dtype=old.dtype)
-            new[:, :old.shape[1]] = old
-            bufs[layer] = new
-        self._flat[layer] = self._flat_views(layer)
+        self._flat = [[(self._keys[layer, head].reshape(-1),
+                        self._values[layer, head].reshape(-1),
+                        self._meta[layer, head].reshape(-1)) for head in range(n_heads)]
+                      for layer in range(n_layers)]
+        self._last_step = -1  # latest position appended: the step an eviction is stamped with
 
     def _check(self, layer: int, head: int) -> None:
         if not (0 <= layer < self.n_layers and 0 <= head < self.n_heads):
@@ -283,25 +274,23 @@ class MultiState:
         if position < 0 or token < 0:
             raise ValueError(f"position {position} and token {token} must be non-negative")
         size = self._sizes[layer][head]
-        meta_rows = self._meta[layer]
-        if size and position <= meta_rows[head, size - 1, _POS]:
+        meta = self._meta
+        if size and position <= meta[layer, head, size - 1, _POS]:
             raise ValueError(
                 f"position {position} not greater than current "
-                f"maximum {meta_rows[head, size - 1, _POS]}"
+                f"maximum {meta[layer, head, size - 1, _POS]}"
             )
-        if size == meta_rows.shape[1]:
-            if self.capacity is not None:
-                raise ValueError(
-                    f"bounded state already holds k+1 = {size} entries at layer "
-                    f"{layer}, head {head}; evict before appending"
-                )
-            self._grow(layer)
-            meta_rows = self._meta[layer]
-        self._keys[layer][head, size] = key
-        self._values[layer][head, size] = value
-        meta_rows[head, size] = (position, token)
+        if size > self.capacity:
+            raise ValueError(
+                f"state already holds k+1 = {size} entries at layer "
+                f"{layer}, head {head}; evict before appending"
+            )
+        self._keys[layer, head, size] = key
+        self._values[layer, head, size] = value
+        meta[layer, head, size] = (position, token)
         self._sizes[layer][head] = size + 1
-        self._last_step[layer] = max(self._last_step[layer], position)
+        if position > self._last_step:
+            self._last_step = position
         if self.trace is not None:
             self.trace.record(position, layer, head, ACTION_APPEND, position, token)
 
@@ -313,7 +302,7 @@ class MultiState:
         keys, values, meta_rows = self._flat[layer][head]
         if self.trace is not None:
             position, token = meta_rows[2 * index:2 * index + 2].tolist()
-            self.trace.record(self._last_step[layer], layer, head, ACTION_EVICT, position, token)
+            self.trace.record(self._last_step, layer, head, ACTION_EVICT, position, token)
         d = self.head_dim
         keys[index * d:(size - 1) * d] = keys[(index + 1) * d:size * d]
         values[index * d:(size - 1) * d] = values[(index + 1) * d:size * d]
@@ -325,11 +314,11 @@ class MultiState:
 
         The view is valid until the next append or evict on this state.
         """
-        return self._keys[layer][head, :self.size(layer, head)]
+        return self._keys[layer, head, :self.size(layer, head)]
 
     def values(self, layer: int, head: int) -> np.ndarray:
         """(size, head_dim) view of one head's cached values; see `keys`."""
-        return self._values[layer][head, :self.size(layer, head)]
+        return self._values[layer, head, :self.size(layer, head)]
 
     def layer_view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(keys, values, positions) views of one layer: (H, S, d), (H, S, d), (H, S).
@@ -342,9 +331,9 @@ class MultiState:
         size = sizes[0]
         if any(s != size for s in sizes):
             raise ValueError(f"heads of layer {layer} differ in size: {sizes}")
-        return (self._keys[layer][:, :size], self._values[layer][:, :size],
-                self._meta[layer][:, :size, _POS])
+        return (self._keys[layer, :, :size], self._values[layer, :, :size],
+                self._meta[layer, :, :size, _POS])
 
     def retained_positions(self, layer: int, head: int) -> list[int]:
         """Original positions currently cached, in list order (strictly increasing)."""
-        return self._meta[layer][head, :self.size(layer, head), _POS].tolist()
+        return self._meta[layer, head, :self.size(layer, head), _POS].tolist()

@@ -365,6 +365,45 @@ def test_irregular_traces_fail_cleanly(tmp_path, capsys):
             assert f"error: irregular trace at {message}" in _single_error_line(capsys)
 
 
+def test_oversized_retention_grid_fails_cleanly(tmp_path, capsys):
+    # a valid trace whose second append is at step 10**8: the retention grid
+    # would take 8.88 PiB, which no machine can back, so numpy refuses the
+    # allocation at once; the event-count analyses never build that grid
+    trace = tmp_path / "trace.csv"
+    trace.write_text(TRACE_HEADER + "0,0,0,append,0,7\n100000000,0,0,append,100000000,8\n")
+    base = ["--trace", str(trace), "--out-dir", str(tmp_path / "an")]
+    assert main(["analyze", "retention"] + base) == 1
+    assert "8.88 PiB" in _single_error_line(capsys)
+    assert main(["analyze", "lifetime"] + base) == 0
+
+
+@pytest.mark.parametrize("bad", ["stream", "tags", "config", "trace", "script"])
+def test_non_utf8_inputs_name_their_file(tmp_path, capsys, bad):
+    good = {
+        "stream": "1\n2\n3\n",
+        "tags": "0\tA\n",
+        "config": "seed = 1\n",
+        "trace": TRACE_HEADER + "0,0,0,append,0,7\n",
+        "script": "step,layer,head,state_slot,probability\n0,0,0,0,1.0\n",
+    }
+    paths = {name: tmp_path / name for name in good}
+    for name, text in good.items():
+        paths[name].write_bytes(text.encode() + (b"\xff\n" if name == bad else b""))
+    out = ["--out-dir", str(tmp_path / "o")]
+    argv = {
+        "stream": ["perplexity", "--seed", "1", "--stream", str(paths["stream"])],
+        "tags": ["analyze", "tags", "--trace", str(paths["trace"]), "--tags", str(paths["tags"])],
+        "config": ["analyze", "lifetime", "--config", str(paths["config"]),
+                   "--trace", str(paths["trace"])],
+        "trace": ["analyze", "lifetime", "--trace", str(paths["trace"])],
+        "script": ["simulate-trace", "--script", str(paths["script"]), "--policy", "window",
+                   "--k", "2"],
+    }[bad]
+    assert main(argv + out) == 1
+    prefix = "config: " if bad == "config" else ""
+    assert _single_error_line(capsys) == f"error: {prefix}{paths[bad]}: not UTF-8 text"
+
+
 def test_analyze_recent_takes_pin_without_policy(tmp_path, capsys):
     from msrnn import parse_policy, simulate_with_rule, uniform_rule
     _, trace = simulate_with_rule(uniform_rule, parse_policy("window+2", k=6), steps=20)

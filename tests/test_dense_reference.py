@@ -70,7 +70,7 @@ def engine_nlls(model, ids, kind):
     config = model.config
     trace = RetentionTrace(config.n_layers, config.n_heads)
     state = MultiState(config.n_layers, config.n_heads, config.head_dim,
-                       capacity=kind.k if kind else None, trace=trace)
+                       capacity=kind.k if kind else len(ids), trace=trace)
     nlls = []
     for t, token in enumerate(ids):
         logits, probs = decode_step(model, state, token, t)

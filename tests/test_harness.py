@@ -490,6 +490,47 @@ def test_generate_full_capacity_matches_unbounded(tiny_model):
         assert generate(tiny_model, prompt, steps, kind) == baseline
 
 
+def _traced(run, config):
+    trace = RetentionTrace(config.n_layers, config.n_heads)
+    return run(trace), trace.sorted_events()
+
+
+@pytest.mark.parametrize("chunk_len", [2, 40])
+def test_topline_sized_by_chunk_matches_full_window(chunk_len):
+    # the unbounded topline holds a whole chunk, here past 16 rows too, with
+    # the decisions and NLLs of the window whose k is the chunk length
+    model = make_model(seed=7, train_context_len=64)
+    stream = make_stream(model, length=chunk_len, chunk_len=chunk_len, seed=4)
+    top = _traced(lambda tr: sequential_perplexity(model, stream, None, trace=tr).total_nll,
+                  model.config)
+    kind = parse_policy("window", k=chunk_len)
+    window = _traced(lambda tr: sequential_perplexity(model, stream, kind, trace=tr).total_nll,
+                     model.config)
+    assert top == window
+
+
+@pytest.mark.parametrize("prompt,steps", [([5], 0), ([3, 1, 4], 40)])
+def test_topline_sized_by_generation_matches_full_window(prompt, steps):
+    model = make_model(seed=7, train_context_len=64)
+    top = _traced(lambda tr: generate(model, prompt, steps, trace=tr), model.config)
+    kind = parse_policy("window", k=len(prompt) + steps)
+    assert top == _traced(lambda tr: generate(model, prompt, steps, kind, trace=tr),
+                          model.config)
+    assert len(top[0]) == len(prompt) + steps
+
+
+@pytest.mark.parametrize("steps", [0, 17])
+def test_topline_sized_by_simulation_steps(steps):
+    script, trace = simulate_with_rule(uniform_rule, None, steps, n_layers=2, n_heads=2)
+    assert script.n_steps == steps
+    assert len(trace.events) == 2 * 2 * steps
+    assert trace_driven_simulate(script, None).sorted_events() == trace.sorted_events()
+    if steps:
+        _, window = simulate_with_rule(uniform_rule, parse_policy("window", k=steps), steps,
+                                       n_layers=2, n_heads=2)
+        assert window.sorted_events() == trace.sorted_events()
+
+
 def test_remap_is_identity_without_evictions(tiny_model):
     # consecutive retained positions have gap 1, which remaps to itself, so
     # the remapped run reproduces the plain one bit for bit

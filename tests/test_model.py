@@ -217,7 +217,7 @@ def test_attention_step_two_state_oracle():
 def test_decode_step_grows_state_and_shapes():
     model = make_model(seed=1)
     config = model.config
-    state = MultiState(config.n_layers, config.n_heads, config.head_dim)
+    state = MultiState(config.n_layers, config.n_heads, config.head_dim, capacity=2)
     logits, rows = decode_step(model, state, token=3, step=0)
     assert logits.shape == (config.vocab_size,)
     assert len(rows) == config.n_layers
@@ -236,6 +236,6 @@ def test_decode_step_grows_state_and_shapes():
 def test_zero_model_gives_flat_logits():
     config = make_config()
     model = Model(config, zero_model(config))
-    state = MultiState(config.n_layers, config.n_heads, config.head_dim)
+    state = MultiState(config.n_layers, config.n_heads, config.head_dim, capacity=1)
     logits, _ = decode_step(model, state, token=0, step=0)
     assert np.array_equal(logits, np.zeros(config.vocab_size, dtype=np.float32))

@@ -35,7 +35,7 @@ from msrnn.state import ACTIONS, TRACE_COLUMNS
        n_layers=st.integers(1, 2),
        n_heads=st.integers(1, 3),
        head_dim=st.integers(0, 4),
-       capacity=st.none() | st.integers(1, 6))
+       capacity=st.integers(1, 6))
 def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capacity):
     trace = RetentionTrace(n_layers, n_heads)
     state = MultiState(n_layers, n_heads, head_dim, capacity=capacity, trace=trace)
@@ -43,7 +43,7 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
     # entry's position is also its append step
     ref = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
     events = []
-    last_step = [-1] * n_layers  # evictions carry the latest step appended to their layer
+    last_step = -1  # evictions carry the latest step appended to the state
     next_pos = 0
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     n_ops = data.draw(st.integers(0, 80), label="n_ops")
@@ -62,13 +62,13 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
                 with pytest.raises(ValueError):
                     state.append(layer, head, key, value, stale, token)
                 continue
-            if capacity is not None and len(entries) == capacity + 1:
+            if len(entries) == capacity + 1:
                 with pytest.raises(ValueError, match="k\\+1"):
                     state.append(layer, head, key, value, next_pos, token)
                 continue
             state.append(layer, head, key, value, next_pos, token)
             entries.append((next_pos, token, key, value))
-            last_step[layer] = max(last_step[layer], next_pos)
+            last_step = max(last_step, next_pos)
             events.append(TraceEvent(next_pos, layer, head, ACTION_APPEND, next_pos, token))
         else:
             index = data.draw(st.integers(-1, len(entries)), label="index")
@@ -78,7 +78,7 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
                 continue
             state.evict(layer, head, index)
             pos, token, _, _ = entries.pop(index)
-            events.append(TraceEvent(last_step[layer], layer, head, ACTION_EVICT, pos, token))
+            events.append(TraceEvent(last_step, layer, head, ACTION_EVICT, pos, token))
 
         for l in range(n_layers):
             for h in range(n_heads):
@@ -103,11 +103,9 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
     assert trace.events == events
 
 
-@pytest.mark.parametrize("capacity", [None, 40])
-def test_multistate_keeps_rows_across_growth(capacity):
-    # 41 appends overflow an unbounded state's first buffer twice; the bounded
-    # state holds k+1 = 41 rows from the start and refuses a 42nd
-    state = MultiState(1, 2, 3, capacity=capacity)
+def test_multistate_keeps_rows_at_capacity():
+    # the state holds k+1 = 41 rows from the start and refuses a 42nd
+    state = MultiState(1, 2, 3, capacity=40)
     rows = np.arange(41 * 3, dtype=np.float32).reshape(41, 3)
     for pos in range(41):
         for head in range(2):
@@ -116,14 +114,10 @@ def test_multistate_keeps_rows_across_growth(capacity):
     assert np.array_equal(state.keys(0, 0), rows)
     assert np.array_equal(state.values(0, 1), -rows[1:])
     assert state.retained_positions(0, 1) == list(range(1, 41))
-    if capacity is None:
+    with pytest.raises(ValueError):
         state.append(0, 0, rows[0], rows[0], 41, 0)
-        assert state.size(0, 0) == 42
-    else:
-        with pytest.raises(ValueError):
-            state.append(0, 0, rows[0], rows[0], 41, 0)
-        state.append(0, 1, rows[0], rows[0], 41, 0)
-        assert state.size(0, 1) == 41
+    state.append(0, 1, rows[0], rows[0], 41, 0)
+    assert state.size(0, 1) == 41
 
 
 @settings(max_examples=150, deadline=None)
@@ -335,7 +329,7 @@ def test_remapped_attend_equals_separate_rotations(data, n_heads, head_dim, size
     positions = np.cumsum(data.draw(st.lists(st.integers(1, 10**4), min_size=size + n_evict,
                                              max_size=size + n_evict), label="gaps"))
     keys, values = rng.standard_normal((2, size + n_evict, n_heads, head_dim)).astype(np.float32)
-    states = [MultiState(1, n_heads, head_dim) for _ in range(2)]
+    states = [MultiState(1, n_heads, head_dim, capacity=size + n_evict) for _ in range(2)]
     for state in states:
         for t in range(size - 1 + n_evict):
             for head in range(n_heads):

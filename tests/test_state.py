@@ -7,7 +7,7 @@ from msrnn.state import ACTIONS
 
 
 def test_append_validates_position_and_token():
-    state = MultiState(n_layers=1, n_heads=1, head_dim=2)
+    state = MultiState(n_layers=1, n_heads=1, head_dim=2, capacity=1)
     row = np.zeros(2, dtype=np.float32)
     with pytest.raises(ValueError, match="non-negative"):
         state.append(0, 0, row, row, -1, 0)
@@ -19,7 +19,7 @@ def test_append_validates_position_and_token():
 
 
 def test_append_and_evict_bookkeeping():
-    state = MultiState(n_layers=1, n_heads=2, head_dim=3)
+    state = MultiState(n_layers=1, n_heads=2, head_dim=3, capacity=4)
     key = np.arange(3, dtype=np.float32)
     for pos in range(4):
         state.append(0, 0, key + pos, key - pos, pos, 0)
@@ -37,7 +37,7 @@ def test_append_and_evict_bookkeeping():
 
 
 def test_append_rejects_bad_shapes_and_positions():
-    state = MultiState(n_layers=1, n_heads=1, head_dim=3)
+    state = MultiState(n_layers=1, n_heads=1, head_dim=3, capacity=1)
     good = np.zeros(3, dtype=np.float32)
     with pytest.raises(ValueError):
         state.append(0, 0, np.zeros(4), good, 0, 0)
