@@ -27,11 +27,7 @@ def retention_matrix(trace: RetentionTrace, layer: int,
     With `head=None` the matrix is the mean over heads (fractional cells for
     head-wise policies).
     """
-    if head is not None and not (0 <= head < trace.n_heads):
-        raise ValueError(f"head {head} out of range for {trace.n_heads}")
-    grid = trace.retained_grid(layer)
-    heads = grid if head is None else grid[head:head + 1]
-    return heads.sum(axis=0, dtype=np.int32) / len(heads)
+    return trace.retained_counts(layer, head) / (trace.n_heads if head is None else 1)
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str) -> None:

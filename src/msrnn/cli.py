@@ -11,6 +11,7 @@ Outputs are deterministic: identical inputs produce byte-identical files
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from pathlib import Path
 from typing import Callable, Sequence
@@ -271,8 +272,6 @@ def _cmd_perplexity(args: argparse.Namespace) -> None:
     if args.command == "perplexity-parallel":
         if args.remap:
             raise CliError("remap: masked-parallel evaluation keeps original positions")
-        if args.kind is None:
-            raise CliError("policy: perplexity-parallel needs a policy")
         report = masked_parallel_perplexity(model, stream, args.kind, trace=trace)
     else:
         report = sequential_perplexity(model, stream, args.kind, remap=args.remap,
@@ -326,9 +325,9 @@ def _cmd_analyze(args: argparse.Namespace) -> None:
             raise CliError("tags: --tags file is required for analyze tags")
         table = lifetime_by_tag(trace, read_tag_file(args.tag_file))
         with open(out / "tags.csv", "w", newline="") as fh:
-            fh.write("tag,mean_steps\n")
-            for tag, mean in table:
-                fh.write(f"{tag},{mean:.6g}\n")
+            writer = csv.writer(fh, lineterminator="\n")  # quotes a tag that needs it
+            writer.writerow(("tag", "mean_steps"))
+            writer.writerows((tag, f"{mean:.6g}") for tag, mean in table)
     else:
         if args.k is None:
             raise CliError("recent: --k is required for analyze recent")

@@ -124,35 +124,36 @@ def nll_of(logits: np.ndarray, target: int) -> float:
     return (m + math.log(float(np.exp(x - m).sum()))) - float(x[target])
 
 
-def _new_state(n_layers: int, n_heads: int, head_dim: int, kind: PolicyKind | None,
-               steps: int, trace: RetentionTrace | None) -> MultiState:
-    """An empty multi-state bounded by `kind`, or a topline sized for `steps` appends."""
-    return MultiState(n_layers, n_heads, head_dim, kind.k if kind else max(steps, 1), trace)
+def _bounded(kind: PolicyKind | None, steps: int) -> PolicyKind:
+    """`kind`, or for the unbounded topline (None) the window that `steps` steps never fill."""
+    return kind if kind is not None else PolicyKind("window", max(steps, 1))
 
 
 def _decode_chunk_sequential(model: Model, ids: Sequence[int], kind: PolicyKind | None,
                              remap: bool, trace: RetentionTrace | None) -> float:
     config = model.config
-    state = _new_state(config.n_layers, config.n_heads, config.head_dim, kind, len(ids), trace)
+    kind = _bounded(kind, len(ids))
+    state = MultiState(config.n_layers, config.n_heads, config.head_dim, kind.k, trace)
     position_fn = remap_positions if remap else None
     total = 0.0
     for t, token in enumerate(ids):
         logits, probs = decode_step(model, state, token, t, position_fn)
         if t + 1 < len(ids):
             total += nll_of(logits, ids[t + 1])
-        if kind is not None:
-            apply_policy(kind, state, probs)
+        apply_policy(kind, state, probs)
     return total
 
 
 def sequential_perplexity(model: Model, stream: TokenStream,
                           kind: PolicyKind | None = None, *, remap: bool = False,
                           trace: RetentionTrace | None = None) -> PerplexityReport:
-    """Token-by-token perplexity under a policy (None = unbounded topline).
+    """Token-by-token perplexity under a policy.
 
-    Chunks are independent: the state resets between them and the first token
-    of each chunk is never scored. A provided trace captures the first chunk
-    only (steps are chunk-local).
+    `kind=None` is the unbounded topline: the window of k = the chunk's
+    length, which the chunk never fills, so nothing is evicted. Chunks are
+    independent: the state resets between them and the first token of each
+    chunk is never scored. A provided trace captures the first chunk only
+    (steps are chunk-local).
     """
     return _score_chunks(model, stream, remap, trace,
                          lambda ids, tr: _decode_chunk_sequential(model, ids, kind, remap, tr))
@@ -254,9 +255,10 @@ def _policy_attention(kind: PolicyKind, q: np.ndarray, k: np.ndarray,
     return ctx, np.stack((steps, heads, gone[steps, heads] // n_heads), 1)
 
 
-def _decode_chunk_parallel(model: Model, ids: Sequence[int], kind: PolicyKind,
+def _decode_chunk_parallel(model: Model, ids: Sequence[int], kind: PolicyKind | None,
                            trace: RetentionTrace | None) -> float:
     config, w = model
+    kind = _bounded(kind, len(ids))
     x = w.token_embedding[list(ids)]
     positions = np.arange(len(ids))[:, None]
     for layer in range(config.n_layers):
@@ -276,7 +278,7 @@ def _decode_chunk_parallel(model: Model, ids: Sequence[int], kind: PolicyKind,
     return total
 
 
-def masked_parallel_perplexity(model: Model, stream: TokenStream, kind: PolicyKind,
+def masked_parallel_perplexity(model: Model, stream: TokenStream, kind: PolicyKind | None = None,
                                *, trace: RetentionTrace | None = None) -> PerplexityReport:
     """Per-chunk evaluation that runs the chunk through one layer at a time.
 
@@ -284,11 +286,10 @@ def masked_parallel_perplexity(model: Model, stream: TokenStream, kind: PolicyKi
     policy's retained sets act as the attention masks (band+prefix for the
     window family; for H2O and TOVA, column sets grown row by row and pruned
     by `decide_layer` from the layer's own attention weights). No multi-state
-    is built. Positions stay original (no remapping in this mode).
+    is built. Positions stay original (no remapping in this mode). `kind=None`
+    is the unbounded topline, as in `sequential_perplexity`: a band as wide
+    as the chunk, so row t attends to rows 0..t, a plain causal transformer.
     """
-    if kind is None:
-        raise ValueError("masked-parallel evaluation needs a policy; "
-                         "use sequential_perplexity for the unbounded topline")
     return _score_chunks(model, stream, False, trace,
                          lambda ids, tr: _decode_chunk_parallel(model, ids, kind, tr))
 
@@ -380,9 +381,9 @@ def _check_rows(rows: Sequence, shape: tuple[int, int] | int,
     n_heads, size = shape if isinstance(shape, tuple) else (len(rows), shape)
     try:
         block = np.asarray(rows, dtype=np.float32)
-    except ValueError:  # rows of different lengths, or a row that is not numeric
+    except ValueError as exc:  # rows of different lengths, or a row that is not numeric
         if len(rows) == 1:
-            raise
+            raise ValueError(f"{where(0)}: {exc}") from None
         block = None
     if block is None or block.shape != (n_heads, size):
         if len(rows) != n_heads:
@@ -410,7 +411,8 @@ def _simulate(layer_rows: Callable[[int, int, MultiState], Sequence], kind: Poli
               steps: int, trace: RetentionTrace) -> Iterator[list[np.ndarray]]:
     """Run `steps` model-free steps through the policy into `trace`, yielding each
     step's checked blocks; `layer_rows(t, layer, state)` gives a layer's rows."""
-    state = _new_state(trace.n_layers, trace.n_heads, 0, kind, steps, trace)
+    kind = _bounded(kind, steps)
+    state = MultiState(trace.n_layers, trace.n_heads, 0, kind.k, trace)
     empty = np.zeros(0, dtype=np.float32)
     for t in range(steps):
         for layer in range(state.n_layers):
@@ -419,8 +421,7 @@ def _simulate(layer_rows: Callable[[int, int, MultiState], Sequence], kind: Poli
         blocks = [_check_rows(layer_rows(t, layer, state), (state.n_heads, state.size(layer, 0)),
                               lambda head: f"step {t}, layer {layer}, head {head}")
                   for layer in range(state.n_layers)]
-        if kind is not None:
-            apply_policy(kind, state, blocks)
+        apply_policy(kind, state, blocks)
         yield blocks
 
 
@@ -496,14 +497,13 @@ def generate(model: Model, prompt: Sequence[int], max_steps: int,
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     config = model.config
-    state = _new_state(config.n_layers, config.n_heads, config.head_dim, kind,
-                       len(prompt) + max_steps, trace)
+    kind = _bounded(kind, len(prompt) + max_steps)
+    state = MultiState(config.n_layers, config.n_heads, config.head_dim, kind.k, trace)
     position_fn = remap_positions if remap else None
     out = list(prompt)
     for t in range(len(prompt) + max_steps):
         if t >= len(prompt):
             out.append(int(np.argmax(logits)))
         logits, probs = decode_step(model, state, out[t], t, position_fn)
-        if kind is not None:
-            apply_policy(kind, state, probs)
+        apply_policy(kind, state, probs)
     return out

@@ -164,21 +164,25 @@ class RetentionTrace:
         ends = np.where(np.append(same[1:], False), np.roll(step, -1), self.n_steps)
         return tuple(column[action == 0] for column in (layer, head, position, step, ends))
 
-    def retained_grid(self, layer: int) -> np.ndarray:
-        """(n_heads, n_steps, n_steps) int8, 1 where a position is retained after a step:
-        +1 at appends, -1 at ends (a spare row takes n_steps), one cumsum over steps."""
+    def retained_counts(self, layer: int, head: int | None = None) -> np.ndarray:
+        """(n_steps, n_steps) count of the heads, `head` alone or all, that retain
+        position p after step t's events: +1 at appends, -1 at ends (a spare row
+        takes n_steps), one cumsum over steps in place. int8 up to 127 heads."""
         if not (0 <= layer < self.n_layers):
             raise ValueError(f"layer {layer} out of range for {self.n_layers}")
+        if head is not None and not (0 <= head < self.n_heads):
+            raise ValueError(f"head {head} out of range for {self.n_heads}")
         layers, heads, positions, starts, ends = self.lifespans()
-        mine = layers == layer
-        grid = np.zeros((self.n_heads, self.n_steps + 1, self.n_steps), dtype=np.int8)
-        grid[heads[mine], starts[mine], positions[mine]] = 1
-        grid[heads[mine], ends[mine], positions[mine]] -= 1
-        return np.cumsum(grid[:, :-1], axis=1, dtype=np.int8)
+        mine = (layers == layer) & (heads == head if head is not None else True)
+        dtype = np.int8 if head is not None or self.n_heads < 128 else np.int32
+        counts = np.zeros((self.n_steps + 1, self.n_steps), dtype=dtype)
+        np.add.at(counts, (starts[mine], positions[mine]), 1)
+        np.add.at(counts, (ends[mine], positions[mine]), -1)
+        return np.cumsum(counts, axis=0, dtype=dtype, out=counts)[:-1]
 
     def retained_sets(self, layer: int, head: int) -> list[set[int]]:
         """Retained positions of one (layer, head) right after each step's events."""
-        return [set(np.flatnonzero(row).tolist()) for row in self.retained_grid(layer)[head]]
+        return [set(np.flatnonzero(row).tolist()) for row in self.retained_counts(layer, head)]
 
     def write_csv(self, path: str) -> None:
         rows = self._table()[self._sorted_order()]

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -189,14 +190,20 @@ def test_parallel_command_matches_sequential(tmp_path, policy):
         == (tmp_path / "par" / "trace.csv").read_bytes()
 
 
-def test_parallel_rejects_remap_and_no_policy(tmp_path, capsys):
+def test_parallel_rejects_remap_and_scores_the_topline(tmp_path, capsys):
     stream = write_stream(tmp_path / "s.txt")
-    base = ["perplexity-parallel", "--seed", "5", "--stream", str(stream),
-            "--chunk-len", "32", "--out-dir", str(tmp_path / "o")]
-    assert main(base + ["--policy", "window", "--k", "8", "--remap"]) == 1
+    base = ["--seed", "5", "--stream", str(stream), "--chunk-len", "32"]
+    assert main(["perplexity-parallel"] + base + ["--policy", "window", "--k", "8", "--remap",
+                                                  "--out-dir", str(tmp_path / "o")]) == 1
     assert "remap" in capsys.readouterr().err
-    assert main(base) == 1
-    assert "policy" in capsys.readouterr().err
+    # without a policy both modes run the unbounded topline, to the same bytes
+    for command, policy in [("perplexity", ["--policy", "none"]), ("perplexity-parallel", [])]:
+        out = tmp_path / command
+        assert main([command] + base + policy + ["--out-dir", str(out),
+                                                 "--trace-out", str(out / "trace.csv")]) == 0
+    for name in ("report.txt", "chunks.csv", "trace.csv"):
+        assert (tmp_path / "perplexity-parallel" / name).read_bytes() \
+            == (tmp_path / "perplexity" / name).read_bytes()
 
 
 def test_model_file_flow(tmp_path):
@@ -262,6 +269,18 @@ def test_simulate_and_analyze_pipeline(tmp_path):
     assert main(["analyze", "recent", "--trace", str(trace_path),
                  "--k", "4", "--out-dir", out]) == 0
     assert (tmp_path / "an" / "recent.txt").read_text() == "recent_proportion 1\n"
+
+
+def test_analyze_tags_quotes_commas_and_quotes(tmp_path):
+    trace = tmp_path / "t.csv"
+    trace.write_text(TRACE_HEADER + "0,0,0,append,0,7\n1,0,0,append,1,8\n2,0,0,append,2,9\n")
+    (tmp_path / "tags.tsv").write_text('0\tNOUN,PL\n1\t"q"\n2\tA\n')
+    assert main(["analyze", "tags", "--trace", str(trace), "--tags", str(tmp_path / "tags.tsv"),
+                 "--out-dir", str(tmp_path / "an")]) == 0
+    with open(tmp_path / "an" / "tags.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["tag", "mean_steps"], ["Avg.", "2"], ["NOUN,PL", "3"], ['"q"', "2"],
+                    ["A", "1"]]
 
 
 def test_analyze_requires_inputs(tmp_path, capsys):

@@ -85,7 +85,8 @@ def retained_masks(trace):
     """Per layer, (H, T, T): row t is the set retained after step t-1, plus t."""
     masks = []
     for layer in range(trace.n_layers):
-        grid = trace.retained_grid(layer).astype(bool)
+        grid = np.stack([trace.retained_counts(layer, head)
+                         for head in range(trace.n_heads)]).astype(bool)
         mask = np.zeros_like(grid)
         mask[:, 1:] = grid[:, :-1]
         mask[:, np.arange(trace.n_steps), np.arange(trace.n_steps)] = True

@@ -252,10 +252,19 @@ def test_remap_runs_once_per_layer(monkeypatch):
     assert set(heights) == {1, n_heads}  # the tova-head heads diverged
 
 
-def test_parallel_requires_policy(tiny_model):
-    stream = make_stream(tiny_model, length=16, chunk_len=8, seed=6)
-    with pytest.raises(ValueError):
-        masked_parallel_perplexity(tiny_model, stream, None)
+def test_parallel_topline_equals_sequential(tiny_model):
+    # no policy is the window of k = the chunk's length in both modes, so the
+    # masked-parallel rows attend causally; (18, 8) ends in a 2-token chunk
+    config = tiny_model.config
+    for length, chunk_len in [(2, 2), (9, 2), (18, 8), (32, 16)]:
+        stream = make_stream(tiny_model, length=length, chunk_len=chunk_len, seed=6)
+        seq_trace = RetentionTrace(config.n_layers, config.n_heads)
+        par_trace = RetentionTrace(config.n_layers, config.n_heads)
+        seq = sequential_perplexity(tiny_model, stream, trace=seq_trace)
+        par = masked_parallel_perplexity(tiny_model, stream, trace=par_trace)
+        assert par.chunks == seq.chunks  # start, count and NLL float of every chunk
+        assert par_trace.sorted_events() == seq_trace.sorted_events()
+        assert {event.action for event in seq_trace.events} == {"append"}
 
 
 def test_trace_captures_first_chunk_only(tiny_model):
@@ -352,6 +361,7 @@ def test_check_rows_names_the_first_bad_head():
         ([good, short, unsummed], "^h1: row length \\(1,\\)"),
         ([good, negative, unsummed], "^h1: negative probability -0.5"),
         ([good, good, [np.nan, 1.0]], "^h2: probabilities sum to nan"),
+        ([good, ["x", 1.0]], "^h1: could not convert string to float"),
     ]:
         with pytest.raises(ValueError, match=message):
             _check_rows([np.array(r) for r in rows], 2, lambda head: f"h{head}")
