@@ -179,8 +179,13 @@ def _config_defaults(path: str, commands: dict[str, argparse.ArgumentParser]) ->
     return values
 
 
-def _policy_kind(args: argparse.Namespace) -> PolicyKind | None:
-    if args.policy != "none" and args.k is None:
+def _policy_kind(args: argparse.Namespace, k_flag: int | None) -> PolicyKind | None:
+    """The parsed policy; `k_flag` is --k as given in argv, which no policy
+    refuses, where a config file's k may be meant for another command."""
+    if args.policy.strip() == "none":
+        if k_flag is not None:
+            raise CliError("policy: --k given but policy is none")
+    elif args.k is None:
         raise CliError("policy: --k is required when a policy is set")
     try:
         return parse_policy(args.policy, args.k if args.k is not None else 1, args.pin)
@@ -199,6 +204,7 @@ def parse_config(argv: Sequence[str]) -> argparse.Namespace:
     as `run`.
     """
     args = _PARSER.parse_args(argv)
+    k_flag = getattr(args, "k", None)
     if args.config:
         parser = build_parser()
         commands = next(a.choices for a in parser._actions if a.dest == "command")
@@ -212,7 +218,7 @@ def parse_config(argv: Sequence[str]) -> argparse.Namespace:
         except CliError as exc:  # argv alone parsed above, so a file value failed
             raise CliError(f"config: {args.config}: {str(exc).removeprefix('usage: ')}") from None
     # only the commands that take the policy group run a policy
-    args.kind = _policy_kind(args) if "policy" in args else None
+    args.kind = _policy_kind(args, k_flag) if "policy" in args else None
     return args
 
 

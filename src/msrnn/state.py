@@ -8,9 +8,11 @@ lands in a RetentionTrace that the analysis tools consume.
 
 from __future__ import annotations
 
+import warnings
 from array import array
 from collections import namedtuple
-from typing import Iterator, Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -40,14 +42,21 @@ def write_csv_rows(path: str, header: Sequence[str], blocks: list[tuple]) -> Non
         fh.write("\r\n".join([",".join(header), *rows]) + "\r\n")
 
 
-def read_text_lines(path: str) -> Iterator[str]:
-    """The lines of a UTF-8 text file, with LF, CRLF and CR line ends all read
-    as LF; a byte that is not UTF-8 fails as `<path>: not UTF-8 text`."""
+@contextmanager
+def _text_file(path: str) -> Iterator[TextIO]:
+    """A UTF-8 text file, with LF, CRLF and CR line ends all read as LF; a byte
+    that is not UTF-8 fails as `<path>: not UTF-8 text`."""
     try:
         with open(path, encoding="utf-8") as fh:
-            yield from fh
+            yield fh
     except UnicodeDecodeError:
         raise ValueError(f"{path}: not UTF-8 text") from None
+
+
+def read_text_lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 text file, as `_text_file` reads them."""
+    with _text_file(path) as fh:
+        yield from fh
 
 
 def read_csv_rows(path: str, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
@@ -69,7 +78,8 @@ class RetentionTrace:
     The store is one int64 table in insertion order, a column per
     TRACE_COLUMNS field (the action as its ACTIONS index). The canonical
     (step, layer, head, append-before-evict, position) order of file output
-    and `sorted_events` is one lexsort, cached until the next `record`.
+    and `sorted_events` is one lexsort, and `lifespans` another; both are
+    cached until the next `record` or `record_block`.
     """
 
     def __init__(self, n_layers: int, n_heads: int):
@@ -80,6 +90,7 @@ class RetentionTrace:
         self.n_steps = 0
         self._log = array("q")
         self._order: np.ndarray | None = None
+        self._spans: tuple[np.ndarray, ...] | None = None
 
     def record(self, step: int, layer: int, head: int, action: str,
                original_position: int, token_id: int) -> None:
@@ -90,7 +101,7 @@ class RetentionTrace:
         self._log.extend((step, layer, head, _CODES[action], original_position, token_id))
         if step >= self.n_steps:
             self.n_steps = step + 1
-        self._order = None
+        self._order = self._spans = None
 
     def record_block(self, rows: np.ndarray) -> None:
         """Record an (n, 6) integer table of events in TRACE_COLUMNS order, each
@@ -113,7 +124,7 @@ class RetentionTrace:
             raise ValueError(f"layer/head ({layer[i]}, {head[i]}) out of range")
         self._log.frombytes(table.astype(np.int64).tobytes())
         self.n_steps = max(self.n_steps, int(step.max()) + 1)
-        self._order = None
+        self._order = self._spans = None
 
     def _table(self) -> np.ndarray:  # a view: the log cannot grow while one lives
         return np.frombuffer(self._log, dtype=np.int64).reshape(-1, len(TRACE_COLUMNS))
@@ -144,7 +155,10 @@ class RetentionTrace:
 
         The end is the evict step, or n_steps if never evicted. One lexsort lines
         up each (layer, head, position)'s events; an irregular one raises ValueError.
+        The columns are read-only and cached until the next record.
         """
+        if self._spans is not None:
+            return self._spans
         if not self._log:
             raise ValueError("trace holds no events")
         table = self._table()[np.lexsort(self._table().T[[3, 0, 4, 2, 1]])]  # last key first
@@ -162,7 +176,10 @@ class RetentionTrace:
                              f"{position[i]}: {got}; each needs one append and at most one "
                              f"evict, no earlier, at steps >= 0 and positions 0..n_steps-1")
         ends = np.where(np.append(same[1:], False), np.roll(step, -1), self.n_steps)
-        return tuple(column[action == 0] for column in (layer, head, position, step, ends))
+        self._spans = tuple(column[action == 0] for column in (layer, head, position, step, ends))
+        for column in self._spans:
+            column.flags.writeable = False
+        return self._spans
 
     def retained_counts(self, layer: int, head: int | None = None) -> np.ndarray:
         """(n_steps, n_steps) count of the heads, `head` alone or all, that retain
@@ -191,25 +208,55 @@ class RetentionTrace:
 
     @classmethod
     def read_csv(cls, path: str) -> "RetentionTrace":
-        """Read a trace CSV; read_csv_rows gives its line ends and blank lines."""
-        log = array("q")
-        for lineno, row in read_csv_rows(path, TRACE_COLUMNS):
-            try:  # a short or long row fails the unpacking
-                step, layer, head, action, position, token = row
-                log.extend((int(step), int(layer), int(head), _CODES[action],
-                            int(position), int(token)))
-            except (KeyError, ValueError, OverflowError):
-                raise ValueError(f"{path}:{lineno}: expected {len(TRACE_COLUMNS)} fields "
-                                 f"{TRACE_COLUMNS}, all integers except the action "
-                                 f"({ACTION_APPEND} or {ACTION_EVICT}), got {row}") from None
-        if not log:
+        """Read a trace CSV. A canonical file is parsed in one np.loadtxt call; any
+        body that call refuses (an empty one, a bad row, a cell such as `1_0` that
+        int() reads) goes through the read_csv_rows loop, which names a bad line.
+        Both give the same table, so the checks after it are the same."""
+        table = _parse_trace_table(path)
+        if table is None:
+            log = array("q")
+            for lineno, row in read_csv_rows(path, TRACE_COLUMNS):
+                try:  # a short or long row fails the unpacking
+                    step, layer, head, action, position, token = row
+                    log.extend((int(step), int(layer), int(head), _CODES[action],
+                                int(position), int(token)))
+                except (KeyError, ValueError, OverflowError):
+                    raise ValueError(f"{path}:{lineno}: expected {len(TRACE_COLUMNS)} fields "
+                                     f"{TRACE_COLUMNS}, all integers except the action "
+                                     f"({ACTION_APPEND} or {ACTION_EVICT}), got {row}") from None
+            table = np.frombuffer(log, dtype=np.int64).reshape(-1, len(TRACE_COLUMNS))
+        if not len(table):
             raise ValueError(f"retention trace {path} holds no events")
-        step, layer, head = np.array(log, dtype=np.int64).reshape(-1, len(TRACE_COLUMNS)).T[:3]
+        step, layer, head = table.T[:3]
         if min(layer.min(), head.min()) < 0:
             raise ValueError(f"{path}: negative layer or head")
         trace = cls(int(layer.max()) + 1, int(head.max()) + 1)
-        trace._log, trace.n_steps = log, max(int(step.max()) + 1, 0)
+        trace._log, trace.n_steps = array("q", table.tobytes()), max(int(step.max()) + 1, 0)
         return trace
+
+
+def _parse_trace_table(path: str) -> np.ndarray | None:
+    """The (n, 6) int64 table of a trace CSV parsed in one np.loadtxt call, or
+    None where that call might read the body otherwise than the row loop: it
+    refuses (an odd or bad cell, a wrong field count), it warns (an empty body),
+    or the body holds an ASCII separator \\x1c-\\x1f, which loadtxt skips as space
+    and int() does not."""
+    try:
+        with _text_file(path) as fh:
+            if fh.readline().rstrip("\n").split(",") != list(TRACE_COLUMNS):
+                return None
+            body = fh.read()
+        if any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # encoding=None hands the converter str, not bytes, on numpy < 2
+            table = np.loadtxt(body.split("\n"), delimiter=",", dtype=np.int64,
+                               comments=None, ndmin=2, encoding=None,
+                               converters={3: _CODES.__getitem__})
+    except (ValueError, KeyError, OverflowError, Warning):
+        return None
+    return table if table.shape[1] == len(TRACE_COLUMNS) else None
 
 
 # metadata columns are (original position, token id)

@@ -441,6 +441,25 @@ def test_analyze_recent_takes_pin_without_policy(tmp_path, capsys):
     assert "policy: pin given but policy is none" in _single_error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["perplexity", "generate"])
+@pytest.mark.parametrize("truncate", [[], ["--truncate"]])
+def test_policy_none_refuses_k(tmp_path, capsys, command, truncate):
+    # a --k flag under no policy fails as --pin does, before --truncate reads
+    # it, instead of being dropped; a config file's k serves other commands
+    stream = write_stream(tmp_path / "s.txt", n=40)
+    argv = [command, "--seed", "5", "--stream", str(stream), "--out-dir", str(tmp_path / "o")]
+    assert main(argv + ["--policy", "none", "--k", "8"] + truncate) == 1
+    assert _single_error_line(capsys) == "error: policy: --k given but policy is none"
+    assert not (tmp_path / "o").exists()
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("k = 8\n")
+    if truncate:  # without a --k flag, --truncate still names what it needs
+        assert main(argv + ["--config", str(cfg_file)] + truncate) == 1
+        assert _single_error_line(capsys) == "error: truncate: --truncate needs a policy with --k"
+    else:
+        assert main(argv + ["--config", str(cfg_file)]) == 0
+
+
 def test_full_capacity_policy_report_matches_topline(tmp_path):
     # k at least the chunk length means no eviction ever fires, so the
     # bounded run writes byte-identical reports to the unbounded one

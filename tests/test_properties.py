@@ -579,7 +579,10 @@ def _csv_module_read(path) -> list[tuple] | str:
                 step, layer, head, action, position, token = row
                 if action not in (ACTION_APPEND, ACTION_EVICT):
                     raise ValueError(action)
-                rows.append((int(step), int(layer), int(head), action, int(position), int(token)))
+                values = (int(step), int(layer), int(head), action, int(position), int(token))
+                if not all(-2**63 <= v < 2**63 for v in values[:3] + values[4:]):
+                    raise ValueError(values)  # the trace stores int64
+                rows.append(values)
             except ValueError:
                 return f"{path}:{reader.line_num}: "
     return rows
@@ -587,7 +590,7 @@ def _csv_module_read(path) -> list[tuple] | str:
 
 # no quotes: the writer never quotes a cell, and the row loop reads none
 FIELDS = ("0", "1", "7", "-2", " 3", "+4", "3.0", "1_0", "", "x", "append", "evict",
-          " append", "drop")
+          " append", "drop", "9223372036854775808", "\u0663", "#", "\t3", "3 ", "\x1c3")
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,9 +1,13 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
+import msrnn.state
 from msrnn import (ACTION_APPEND, ACTION_EVICT, MultiState, RetentionTrace,
                    TraceEvent)
-from msrnn.state import ACTIONS
+from msrnn.state import ACTIONS, TRACE_COLUMNS
 
 
 def test_append_validates_position_and_token():
@@ -112,6 +116,76 @@ def test_trace_csv_round_trip(tmp_path):
     empty.write_text("step,layer,head,action,original_position,token_id\n")
     with pytest.raises(ValueError):
         RetentionTrace.read_csv(empty)
+
+
+def _no_row_loop(path, header):
+    raise AssertionError("read_csv_rows called")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\n", "\r"])
+def test_written_trace_skips_the_row_loop(tmp_path, monkeypatch, newline):
+    # every file write_csv writes, in any line end and with blank lines, is
+    # parsed in one vectorised call
+    trace = RetentionTrace(2, 3)
+    for t in range(6):
+        trace.record(t, t % 2, t % 3, ACTION_APPEND, t, 100 + t)
+    trace.record(5, 0, 0, ACTION_EVICT, 0, 100)
+    path = tmp_path / "trace.csv"
+    trace.write_csv(path)
+    lines = path.read_bytes().decode().split("\r\n")
+    lines[3:3] = ["", ""]
+    path.write_bytes(newline.join(lines).encode())
+    monkeypatch.setattr(msrnn.state, "read_csv_rows", _no_row_loop)
+    back = RetentionTrace.read_csv(path)
+    assert (back.n_layers, back.n_heads, back.n_steps) == (2, 3, 6)
+    assert back.events == trace.sorted_events()
+
+
+def test_odd_trace_cells_read_as_the_row_loop_reads_them(tmp_path):
+    # int() takes a sign, spaces, underscores and non-ASCII digits; the
+    # ASCII separators \x1c-\x1f are not spaces to it
+    header = ",".join(TRACE_COLUMNS) + "\n"
+    path = tmp_path / "trace.csv"
+    path.write_text(header + "+4,0,0,append,1_0,\u0663\n 4 ,0,+0,evict,+1_0,7\n",
+                    encoding="utf-8")
+    back = RetentionTrace.read_csv(path)
+    assert back.events == [TraceEvent(4, 0, 0, ACTION_APPEND, 10, 3),
+                           TraceEvent(4, 0, 0, ACTION_EVICT, 10, 7)]
+    assert back.n_steps == 5
+    for cell in ("\x1c3", "3\x1f"):
+        path.write_text(header + f"0,0,0,append,0,0\n1,0,0,append,1,{cell}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: expected 6 fields"):
+            RetentionTrace.read_csv(path)
+
+
+@pytest.mark.parametrize("body", ["", "\r\n", "\n\n\r"])
+def test_empty_trace_body_fails_without_a_warning(tmp_path, body):
+    path = tmp_path / "trace.csv"
+    path.write_text(",".join(TRACE_COLUMNS) + "\r\n" + body, newline="")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="holds no events"):
+            RetentionTrace.read_csv(path)
+    assert not caught
+
+
+def test_lifespans_are_cached_read_only_until_the_next_record():
+    trace = RetentionTrace(1, 1)
+    trace.record(0, 0, 0, ACTION_APPEND, 0, 5)
+    spans = trace.lifespans()
+    assert trace.lifespans() is spans
+    with pytest.raises(ValueError, match="read-only"):
+        spans[4][0] = 9
+    trace.record(1, 0, 0, ACTION_APPEND, 1, 6)
+    assert [column.tolist() for column in trace.lifespans()] \
+        == [[0, 0], [0, 0], [0, 1], [0, 1], [2, 2]]
+    trace.record_block(np.array([[2, 0, 0, 1, 0, 5]]))
+    assert trace.lifespans()[4].tolist() == [2, 3]
+    # an irregular trace is not cached: it raises on every call
+    trace.record(3, 0, 0, ACTION_EVICT, 0, 5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="irregular trace"):
+            trace.lifespans()
 
 
 def test_trace_validates_actions_and_ranges():
