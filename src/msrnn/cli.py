@@ -180,17 +180,18 @@ def _config_defaults(path: str, commands: dict[str, argparse.ArgumentParser]) ->
 
 
 def _policy_kind(args: argparse.Namespace, k_flag: int | None) -> PolicyKind | None:
-    """The parsed policy; `k_flag` is --k as given in argv, which no policy
-    refuses, where a config file's k may be meant for another command."""
-    if args.policy.strip() == "none":
-        if k_flag is not None:
-            raise CliError("policy: --k given but policy is none")
-    elif args.k is None:
+    """The parsed policy. `k_flag` is --k as given in argv: it is refused under
+    none, where a config file's k is ignored, since the file may serve several
+    commands."""
+    if args.policy != "none" and args.k is None:
         raise CliError("policy: --k is required when a policy is set")
     try:
-        return parse_policy(args.policy, args.k if args.k is not None else 1, args.pin)
+        kind = parse_policy(args.policy, args.k if args.k is not None else 1, args.pin)
     except ValueError as exc:
         raise CliError(str(exc) if str(exc).startswith("policy") else f"policy: {exc}") from None
+    if kind is None and k_flag is not None:
+        raise CliError("policy: --k given but policy is none")
+    return kind
 
 
 def parse_config(argv: Sequence[str]) -> argparse.Namespace:

@@ -78,8 +78,7 @@ class RetentionTrace:
     The store is one int64 table in insertion order, a column per
     TRACE_COLUMNS field (the action as its ACTIONS index). The canonical
     (step, layer, head, append-before-evict, position) order of file output
-    and `sorted_events` is one lexsort, and `lifespans` another; both are
-    cached until the next `record` or `record_block`.
+    and `sorted_events` is one lexsort, cached until the next `record`.
     """
 
     def __init__(self, n_layers: int, n_heads: int):
@@ -90,7 +89,6 @@ class RetentionTrace:
         self.n_steps = 0
         self._log = array("q")
         self._order: np.ndarray | None = None
-        self._spans: tuple[np.ndarray, ...] | None = None
 
     def record(self, step: int, layer: int, head: int, action: str,
                original_position: int, token_id: int) -> None:
@@ -101,7 +99,7 @@ class RetentionTrace:
         self._log.extend((step, layer, head, _CODES[action], original_position, token_id))
         if step >= self.n_steps:
             self.n_steps = step + 1
-        self._order = self._spans = None
+        self._order = None
 
     def record_block(self, rows: np.ndarray) -> None:
         """Record an (n, 6) integer table of events in TRACE_COLUMNS order, each
@@ -124,7 +122,7 @@ class RetentionTrace:
             raise ValueError(f"layer/head ({layer[i]}, {head[i]}) out of range")
         self._log.frombytes(table.astype(np.int64).tobytes())
         self.n_steps = max(self.n_steps, int(step.max()) + 1)
-        self._order = self._spans = None
+        self._order = None
 
     def _table(self) -> np.ndarray:  # a view: the log cannot grow while one lives
         return np.frombuffer(self._log, dtype=np.int64).reshape(-1, len(TRACE_COLUMNS))
@@ -155,10 +153,7 @@ class RetentionTrace:
 
         The end is the evict step, or n_steps if never evicted. One lexsort lines
         up each (layer, head, position)'s events; an irregular one raises ValueError.
-        The columns are read-only and cached until the next record.
         """
-        if self._spans is not None:
-            return self._spans
         if not self._log:
             raise ValueError("trace holds no events")
         table = self._table()[np.lexsort(self._table().T[[3, 0, 4, 2, 1]])]  # last key first
@@ -176,10 +171,7 @@ class RetentionTrace:
                              f"{position[i]}: {got}; each needs one append and at most one "
                              f"evict, no earlier, at steps >= 0 and positions 0..n_steps-1")
         ends = np.where(np.append(same[1:], False), np.roll(step, -1), self.n_steps)
-        self._spans = tuple(column[action == 0] for column in (layer, head, position, step, ends))
-        for column in self._spans:
-            column.flags.writeable = False
-        return self._spans
+        return tuple(column[action == 0] for column in (layer, head, position, step, ends))
 
     def retained_counts(self, layer: int, head: int | None = None) -> np.ndarray:
         """(n_steps, n_steps) count of the heads, `head` alone or all, that retain

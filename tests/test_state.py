@@ -169,25 +169,6 @@ def test_empty_trace_body_fails_without_a_warning(tmp_path, body):
     assert not caught
 
 
-def test_lifespans_are_cached_read_only_until_the_next_record():
-    trace = RetentionTrace(1, 1)
-    trace.record(0, 0, 0, ACTION_APPEND, 0, 5)
-    spans = trace.lifespans()
-    assert trace.lifespans() is spans
-    with pytest.raises(ValueError, match="read-only"):
-        spans[4][0] = 9
-    trace.record(1, 0, 0, ACTION_APPEND, 1, 6)
-    assert [column.tolist() for column in trace.lifespans()] \
-        == [[0, 0], [0, 0], [0, 1], [0, 1], [2, 2]]
-    trace.record_block(np.array([[2, 0, 0, 1, 0, 5]]))
-    assert trace.lifespans()[4].tolist() == [2, 3]
-    # an irregular trace is not cached: it raises on every call
-    trace.record(3, 0, 0, ACTION_EVICT, 0, 5)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="irregular trace"):
-            trace.lifespans()
-
-
 def test_trace_validates_actions_and_ranges():
     trace = RetentionTrace(1, 1)
     with pytest.raises(ValueError):
