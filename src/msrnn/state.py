@@ -28,18 +28,28 @@ TraceEvent = namedtuple("TraceEvent", TRACE_COLUMNS)
 
 
 def write_csv_rows(path: str, header: Sequence[str], blocks: list[tuple]) -> None:
-    """csv.writer's bytes from (values, fmt) blocks of row-aligned 2-D arrays;
-    a block formats each distinct value once and gathers the texts back.
-    Floats are distinct by bit pattern, so -0.0 keeps its own text."""
+    """csv.writer's bytes from (values, fmt) blocks of row-aligned 2-D arrays,
+    in whole-table passes. A block's distinct values are its sorted keys less
+    equal neighbours, and each is formatted once; floats are keyed by bit
+    pattern, so -0.0 and each NaN keep their own text. Every text gets a ","
+    copy and a "\\r\\n" copy, the last column indexes the second, and the body
+    is one join of the copies the index table picks."""
     texts, cells = [], []
     for values, fmt in blocks:
         keys = values.view(f"i{values.itemsize}") if values.dtype.kind == "f" else values
-        distinct = np.unique(keys)
+        ordered = np.sort(keys, axis=None)
+        first = np.ones(len(ordered), dtype=bool)  # zero rows leave it empty
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        distinct = ordered[first]
         cells.append(np.searchsorted(distinct, keys) + len(texts))
         texts += map(fmt, distinct.view(values.dtype).tolist())
-    rows = (",".join(map(texts.__getitem__, row)) for row in np.hstack(cells).tolist())
+    index = np.hstack(cells)
+    index[:, -1] += len(texts)
+    pieces = np.array([text + "," for text in texts] + [text + "\r\n" for text in texts],
+                      dtype=object)
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(header), *rows]) + "\r\n")
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(pieces[index.ravel()].tolist()))
 
 
 @contextmanager
@@ -200,8 +210,10 @@ class RetentionTrace:
 
     @classmethod
     def read_csv(cls, path: str) -> "RetentionTrace":
-        """Read a trace CSV. A canonical file is parsed in one np.loadtxt call; any
-        body that call refuses (an empty one, a bad row, a cell such as `1_0` that
+        """Read a trace CSV. A canonical file is parsed in whole-table passes: one
+        np.loadtxt call into records with a text action, then one comparison per
+        action to code them. Any body those refuse (an empty one, a bad row, an
+        action that is not exactly append or evict, a cell such as `1_0` that
         int() reads) goes through the read_csv_rows loop, which names a bad line.
         Both give the same table, so the checks after it are the same."""
         table = _parse_trace_table(path)
@@ -227,28 +239,39 @@ class RetentionTrace:
         return trace
 
 
+# one trace CSV row; the action field holds a character more than any action,
+# so a longer cell, which loadtxt cuts to fit, matches none
+_TRACE_ROW = np.dtype([(name, f"U{max(map(len, ACTIONS)) + 1}" if name == "action"
+                        else np.int64) for name in TRACE_COLUMNS])
+
+
 def _parse_trace_table(path: str) -> np.ndarray | None:
-    """The (n, 6) int64 table of a trace CSV parsed in one np.loadtxt call, or
-    None where that call might read the body otherwise than the row loop: it
-    refuses (an odd or bad cell, a wrong field count), it warns (an empty body),
-    or the body holds an ASCII separator \\x1c-\\x1f, which loadtxt skips as space
-    and int() does not."""
+    """The (n, 6) int64 table of a trace CSV, or None where the parse might read
+    the body otherwise than the row loop. One np.loadtxt call reads the rows
+    into _TRACE_ROW records, and one comparison per action maps the action
+    texts to codes. None when loadtxt refuses (an odd or bad cell, a wrong
+    field count) or warns (an empty body), when an action is not exactly one
+    of ACTIONS, or when the body holds \\x00, which a U field drops from the
+    end, or an ASCII separator \\x1c-\\x1f, which loadtxt skips as space and
+    int() does not."""
     try:
         with _text_file(path) as fh:
             if fh.readline().rstrip("\n").split(",") != list(TRACE_COLUMNS):
                 return None
             body = fh.read()
-        if any(sep in body for sep in "\x1c\x1d\x1e\x1f"):
+        if any(sep in body for sep in "\x00\x1c\x1d\x1e\x1f"):
             return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # encoding=None hands the converter str, not bytes, on numpy < 2
-            table = np.loadtxt(body.split("\n"), delimiter=",", dtype=np.int64,
-                               comments=None, ndmin=2, encoding=None,
-                               converters={3: _CODES.__getitem__})
-    except (ValueError, KeyError, OverflowError, Warning):
+            # the lines are str; encoding=None keeps numpy < 2 from its bytes default
+            rows = np.loadtxt(body.split("\n"), delimiter=",", dtype=_TRACE_ROW,
+                              comments=None, ndmin=1, encoding=None)
+    except (ValueError, OverflowError, Warning):
         return None
-    return table if table.shape[1] == len(TRACE_COLUMNS) else None
+    codes = np.select([rows["action"] == action for action in ACTIONS], range(len(ACTIONS)), -1)
+    if (codes < 0).any():
+        return None
+    return np.column_stack([codes if name == "action" else rows[name] for name in TRACE_COLUMNS])
 
 
 # metadata columns are (original position, token id)

@@ -4,17 +4,19 @@ position arrays and its bounds, the kernels' rows against one-vector calls,
 remapped attention against separate key and query rotations, sequential
 decoding against masked-parallel evaluation, simulator replay, the
 vectorised retention analyses against a per-event set replay, trace CSV
-round trips and reads against the csv module, block trace records against
-per-event ones, the window band kernel against one-row attention, and
-damaged weight files."""
+round trips and reads against the csv module, CSV writes against
+csv.writer, block trace records against per-event ones, the window band
+kernel against one-row attention, and damaged weight files."""
 
 import csv
+import io
 import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from msrnn import (ACTION_APPEND, ACTION_EVICT, AccumulatedScores, Model,
                    ModelConfig, MultiState, RetentionTrace, TokenStream,
@@ -27,7 +29,7 @@ from msrnn import (ACTION_APPEND, ACTION_EVICT, AccumulatedScores, Model,
 import msrnn.model
 from msrnn.model import (_inv_freq, attend, attention_step, band_attention, rms_norm, rotate,
                          row_matmul, silu, softmax_rows)
-from msrnn.state import ACTIONS, TRACE_COLUMNS
+from msrnn.state import ACTIONS, TRACE_COLUMNS, write_csv_rows
 
 
 @settings(max_examples=100, deadline=None)
@@ -564,6 +566,54 @@ def test_record_block_equals_per_event_records(tmp_path_factory, events, split):
     one.write_csv(path / "one.csv")
     block.write_csv(path / "block.csv")
     assert (path / "block.csv").read_bytes() == (path / "one.csv").read_bytes()
+
+
+def _float_bits(dtype) -> st.SearchStrategy:
+    # any bit pattern, often -0.0, +-inf, NaN or a NaN with a payload
+    bits = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    special = np.array([0.0, -0.0, np.nan, np.inf, -np.inf], dtype=dtype).view(bits).tolist()
+    special.append(special[2] | 1)
+    return st.one_of(st.sampled_from(special), st.integers(0, np.iinfo(bits).max))
+
+
+@st.composite
+def _csv_blocks(draw) -> list[tuple]:
+    n_rows = draw(st.integers(0, 5), label="rows")
+    blocks = []
+    for _ in range(draw(st.integers(1, 3), label="blocks")):
+        dtype = draw(st.sampled_from([np.int64, np.float32, np.float64]), label="dtype")
+        shape = (n_rows, draw(st.integers(1, 3), label="columns"))
+        if dtype is np.int64:
+            values = draw(arrays(dtype, shape, elements=st.one_of(
+                st.integers(-2, 2), st.integers(-2**63, 2**63 - 1))), label="ints")
+            fmt = str
+        else:
+            bits = f"u{np.dtype(dtype).itemsize}"
+            values = draw(arrays(bits, shape, elements=_float_bits(dtype)),
+                          label="bits").view(dtype)
+            fmt = draw(st.sampled_from(["{:.6g}".format, "{:.9g}".format, repr]), label="fmt")
+        blocks.append((values, fmt))
+    return blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks=_csv_blocks())
+@example(blocks=[(np.zeros((0, 3), dtype=np.int64), str),
+                 (np.zeros((0, 1), dtype=np.float32), repr)])
+@example(blocks=[(np.arange(4, dtype=np.int64)[:, None], str),
+                 (np.array([[0.0], [-0.0], [np.nan], [-np.inf]]), "{:.6g}".format)])
+def test_write_csv_rows_matches_csv_writer(tmp_path_factory, blocks):
+    # the bytes csv.writer writes from the same formatted cells, whatever the
+    # dtypes, repeats, zero signs and NaN payloads, for any row count
+    header = [f"c{i}" for i in range(sum(values.shape[1] for values, _ in blocks))]
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv_rows(path, header, blocks)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([fmt(v) for values, fmt in blocks for v in values[i].tolist()]
+                     for i in range(len(blocks[0][0])))
+    assert path.read_bytes() == expected.getvalue().encode()
 
 
 def _csv_module_read(path) -> list[tuple] | str:

@@ -7,6 +7,7 @@ import pytest
 import msrnn.state
 from msrnn import (ACTION_APPEND, ACTION_EVICT, MultiState, RetentionTrace,
                    TraceEvent)
+from msrnn.harness import SCRIPT_COLUMNS, ScriptedTrace
 from msrnn.state import ACTIONS, TRACE_COLUMNS
 
 
@@ -118,6 +119,13 @@ def test_trace_csv_round_trip(tmp_path):
         RetentionTrace.read_csv(empty)
 
 
+def test_empty_tables_write_the_header_alone(tmp_path):
+    RetentionTrace(2, 2).write_csv(tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (",".join(TRACE_COLUMNS) + "\r\n").encode()
+    ScriptedTrace(n_layers=1, n_heads=1, rows=[]).write_csv(tmp_path / "script.csv")
+    assert (tmp_path / "script.csv").read_bytes() == (",".join(SCRIPT_COLUMNS) + "\r\n").encode()
+
+
 def _no_row_loop(path, header):
     raise AssertionError("read_csv_rows called")
 
@@ -152,9 +160,17 @@ def test_odd_trace_cells_read_as_the_row_loop_reads_them(tmp_path):
     assert back.events == [TraceEvent(4, 0, 0, ACTION_APPEND, 10, 3),
                            TraceEvent(4, 0, 0, ACTION_EVICT, 10, 7)]
     assert back.n_steps == 5
-    for cell in ("\x1c3", "3\x1f"):
-        path.write_text(header + f"0,0,0,append,0,0\n1,0,0,append,1,{cell}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: expected 6 fields"):
+    # neither a separator in an int cell nor an action that is not exactly
+    # append or evict reads, and the row loop names each one's own line; a
+    # trailing \x00 is dropped by a fixed-width string, so it must fail too
+    bad_rows = [f"1,0,0,append,1,{cell}" for cell in ("\x1c3", "3\x1f")] + \
+        [f"1,0,0,{action},1,1"
+         for action in ("append\x00", "evict\x00", "appendx", "Append", "evict ")]
+    for lineno, row in enumerate(bad_rows, start=3):
+        path.write_text(header + "0,0,0,append,0,0\n" * (lineno - 2) + row + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{lineno}: expected 6 "
+                                             f"fields.*, got {re.escape(str(row.split(',')))}$"):
             RetentionTrace.read_csv(path)
 
 
