@@ -7,19 +7,19 @@ is layer-major over the same kernel: per layer, the norm, q/k/v projections
 and rotation run over the whole chunk's rows in one `attention_inputs` call;
 then each row's attention mask is the policy's retained set for that layer,
 and no multi-state is built. Under H2O and TOVA those sets are score-driven:
-row by row, each head's retained columns of the chunk's K and V gain the
-row's own, `attention_step` attends over them, and `decide_layer` picks the
-column to drop. The window family's are the fixed band+prefix, so
-`band_attention` runs the whole chunk at once. Either way the trace gets the
-layer's append and evict events in one `record_block` call. Then W_O and the
-feed-forward block run over all rows in one `layer_output` call, and the LM
-head in one call after the last layer. Row t of every batched kernel call
-equals the one-token call bit for bit, so probabilities, decisions, and
+row by row, a ColumnSets gives every head the row's column of the chunk's K
+and V, `attention_step` attends over each head's columns, and
+`apply_layer_policy` drops the decided ones. The window family's are the
+fixed band+prefix, so `band_attention` runs the whole chunk at once. Either
+way the trace gets the layer's events in one `record_block` call. Then W_O
+and the feed-forward block run over all rows in one `layer_output` call, and
+the LM head in one call after the last layer. Row t of every batched kernel
+call equals the one-token call bit for bit, so probabilities, decisions, and
 perplexities agree exactly; the acceptance tolerance is slack on top.
 
 A layer's attention is one (H, S) float32 block throughout: the kernel
 returns it, the policies take it, a ScriptedTrace stores it per (step,
-layer), and the model-free simulator checks it once per layer-step.
+layer), and the model-free simulator (on ColumnSets) checks it per layer-step.
 """
 
 from __future__ import annotations
@@ -32,14 +32,14 @@ import numpy as np
 
 from .model import (Model, attention_inputs, attention_step, band_attention, decode_step,
                     layer_output, row_matmul)
-from .policies import AccumulatedScores, PolicyKind, apply_policy, decide_layer
+from .policies import PolicyKind, apply_layer_policy, apply_policy
 from .remap import remap_positions
-from .state import (TRACE_COLUMNS, MultiState, RetentionTrace, read_csv_rows, read_text_lines,
-                    write_csv_rows)
+from .state import (TRACE_COLUMNS, ColumnSets, MultiState, RetentionTrace, read_csv_rows,
+                    read_text_lines, write_csv_rows)
 
 # unused here: bench/tracing.py patches these names on this module
 from .model import rms_norm, rotate  # noqa: F401
-from .policies import accumulate_row  # noqa: F401
+from .policies import accumulate_row, decide_layer  # noqa: F401
 
 SCRIPT_COLUMNS = ("step", "layer", "head", "state_slot", "probability")
 ROW_SUM_TOL = 1e-6
@@ -212,47 +212,20 @@ def _policy_attention(kind: PolicyKind, q: np.ndarray, k: np.ndarray,
     (n, 3) table of its evicted (step, head, position).
 
     `q`, `k` and `v` are the chunk's (T, n_heads, head_dim) attention inputs,
-    rotated. Each head's retained entries are a set of at most k+1 columns,
-    oldest first, as a multi-state holds them; column t * n_heads + h is
-    row t of head h in the chunk's K and V. Row t adds its column to every
-    head, attends over the gathered columns with the one-token
-    `attention_step`, folds the probabilities into the H2O scores, and drops
-    the columns `decide_layer` picks: append, attend and evict as
-    bookkeeping, with no K/V store beside the chunk's own.
+    rotated. Each head's retained entries are ColumnSets columns: column
+    t * n_heads + h is row t of head h in the chunk's K and V. Row t appends
+    its column to every head, attends over the gathered columns with the
+    one-token `attention_step`, and `apply_layer_policy` evicts.
     """
     n_rows, n_heads, head_dim = q.shape
     keys, values = k.reshape(-1, head_dim), v.reshape(-1, head_dim)
-    columns = np.arange(n_rows * n_heads).reshape(n_rows, n_heads)
-    kept = np.empty((n_heads, kind.k + 1), dtype=np.intp)
-    scores = AccumulatedScores(1, n_heads) if kind.needs_scores else None
-    acc = None
+    sets = ColumnSets(1, n_heads, kind.k)
     ctx = np.empty((n_rows, n_heads * head_dim), dtype=np.float32)
-    gone = np.full((n_rows, n_heads), -1)  # the column each head evicts at each step
-    size = 0
     for t in range(n_rows):
-        kept[:, size] = columns[t]
-        size += 1
-        ctx[t], probs = attention_step(q[t], keys.take(kept[:, :size], 0),
-                                       values.take(kept[:, :size], 0))
-        if scores is not None:
-            scores.accumulate(0, probs)
-            acc = scores.layer(0)
-        evicted = decide_layer(kind, probs, acc)
-        if evicted[0] is None:  # every policy evicts from all heads of a layer or none
-            continue
-        if kind.headwise:
-            for head, idx in enumerate(evicted):
-                gone[t, head] = kept[head, idx]
-                kept[head, idx:size - 1] = kept[head, idx + 1:size]
-        else:
-            idx = evicted[0]
-            gone[t] = kept[:, idx]
-            kept[:, idx:size - 1] = kept[:, idx + 1:size]
-        size -= 1
-        if scores is not None:
-            scores.drop(0, evicted)
-    steps, heads = np.nonzero(gone >= 0)
-    return ctx, np.stack((steps, heads, gone[steps, heads] // n_heads), 1)
+        columns = sets.append(0, t)
+        ctx[t], probs = attention_step(q[t], keys.take(columns, 0), values.take(columns, 0))
+        apply_layer_policy(kind, sets, 0, probs)
+    return ctx, sets.evictions(0)
 
 
 def _decode_chunk_parallel(model: Model, ids: Sequence[int], kind: PolicyKind | None,
@@ -284,11 +257,11 @@ def masked_parallel_perplexity(model: Model, stream: TokenStream, kind: PolicyKi
 
     Each layer sees the whole chunk before the next layer starts; the
     policy's retained sets act as the attention masks (band+prefix for the
-    window family; for H2O and TOVA, column sets grown row by row and pruned
-    by `decide_layer` from the layer's own attention weights). No multi-state
-    is built. Positions stay original (no remapping in this mode). `kind=None`
-    is the unbounded topline, as in `sequential_perplexity`: a band as wide
-    as the chunk, so row t attends to rows 0..t, a plain causal transformer.
+    window family; for H2O and TOVA, ColumnSets grown row by row and pruned
+    by `apply_layer_policy`). No multi-state is built. Positions stay
+    original (no remapping in this mode). `kind=None` is the unbounded
+    topline, as in `sequential_perplexity`: a band as wide as the chunk, so
+    row t attends to rows 0..t, a plain causal transformer.
     """
     return _score_chunks(model, stream, False, trace,
                          lambda ids, tr: _decode_chunk_parallel(model, ids, kind, tr))
@@ -369,16 +342,15 @@ class ScriptedTrace:
         return cls(n_layers=n_layers, n_heads=n_heads, rows=rows)
 
 
-def _check_rows(rows: Sequence, shape: tuple[int, int] | int,
+def _check_rows(rows: Sequence, shape: tuple[int, int],
                 where: Callable[[int], str]) -> np.ndarray:
     """One layer's rows (an (H, S) block or one row per head) as a checked float32 block.
 
-    `shape` is the expected (H, S), or S alone to take H from the rows. One
-    pass over the block checks every row's sum and sign (a NaN fails the
-    sum); an error names `where(head)` for the first bad head, with the
-    check that failed first on that head as the message.
+    `shape` is the expected (H, S). One pass over the block checks every row's
+    sum and sign (a NaN fails the sum); an error names `where(head)` for the
+    first bad head, with the check that failed first on that head as the message.
     """
-    n_heads, size = shape if isinstance(shape, tuple) else (len(rows), shape)
+    n_heads, size = shape
     try:
         block = np.asarray(rows, dtype=np.float32)
     except ValueError as exc:  # rows of different lengths, or a row that is not numeric
@@ -393,7 +365,7 @@ def _check_rows(rows: Sequence, shape: tuple[int, int] | int,
             raise ValueError(f"{where(0)}: row length {np.shape(rows[0])} does not match "
                              f"multi-state size {size}")
         # some row is off: check head by head, so the first bad head is named
-        return np.concatenate([_check_rows([row], size, lambda _, head=head: where(head))
+        return np.concatenate([_check_rows([row], (1, size), lambda _, head=head: where(head))
                                for head, row in enumerate(rows)])
     totals = block.sum(axis=1)
     lows = block.min(axis=1)
@@ -407,22 +379,23 @@ def _check_rows(rows: Sequence, shape: tuple[int, int] | int,
     return block
 
 
-def _simulate(layer_rows: Callable[[int, int, MultiState], Sequence], kind: PolicyKind | None,
+def _simulate(layer_rows: Callable[[int, int, np.ndarray], Sequence], kind: PolicyKind | None,
               steps: int, trace: RetentionTrace) -> Iterator[list[np.ndarray]]:
-    """Run `steps` model-free steps through the policy into `trace`, yielding each
-    step's checked blocks; `layer_rows(t, layer, state)` gives a layer's rows."""
+    """Run `steps` model-free steps into `trace` (each layer's events in one block at the
+    end), yielding each step's checked blocks of `layer_rows(t, layer, (H, S) columns)`."""
     kind = _bounded(kind, steps)
-    state = MultiState(trace.n_layers, trace.n_heads, 0, kind.k, trace)
-    empty = np.zeros(0, dtype=np.float32)
+    sets = ColumnSets(trace.n_layers, trace.n_heads, kind.k)
     for t in range(steps):
-        for layer in range(state.n_layers):
-            for head in range(state.n_heads):
-                state.append(layer, head, empty, empty, t, t)
-        blocks = [_check_rows(layer_rows(t, layer, state), (state.n_heads, state.size(layer, 0)),
-                              lambda head: f"step {t}, layer {layer}, head {head}")
-                  for layer in range(state.n_layers)]
-        apply_policy(kind, state, blocks)
+        blocks = []
+        for layer in range(sets.n_layers):
+            columns = sets.append(layer, t)
+            blocks.append(_check_rows(layer_rows(t, layer, columns), columns.shape,
+                                      lambda head: f"step {t}, layer {layer}, head {head}"))
+        apply_policy(kind, sets, blocks)
         yield blocks
+    for layer in range(sets.n_layers):
+        trace.record_block(_chunk_events(layer, range(steps), sets.n_heads,
+                                         sets.evictions(layer)))
 
 
 def trace_driven_simulate(script: ScriptedTrace, kind: PolicyKind | None) -> RetentionTrace:
@@ -433,7 +406,7 @@ def trace_driven_simulate(script: ScriptedTrace, kind: PolicyKind | None) -> Ret
     step (appends use position = step = token id).
     """
     trace = RetentionTrace(script.n_layers, script.n_heads)
-    for _ in _simulate(lambda t, layer, state: script.rows[t][layer], kind,
+    for _ in _simulate(lambda t, layer, columns: script.rows[t][layer], kind,
                        script.n_steps, trace):
         pass
     return trace
@@ -447,13 +420,10 @@ def simulate_with_rule(rule: RowRule, kind: PolicyKind | None, steps: int,
     The returned ScriptedTrace replays to the identical RetentionTrace via
     trace_driven_simulate (blocks are recorded exactly as consumed).
     """
-
-    def layer_rows(t: int, layer: int, state: MultiState) -> list[np.ndarray]:
-        return [rule(t, layer, head, state.retained_positions(layer, head))
-                for head in range(n_heads)]
-
     trace = RetentionTrace(n_layers, n_heads)
-    rows = list(_simulate(layer_rows, kind, steps, trace))
+    rows = list(_simulate(lambda t, layer, columns: [
+        rule(t, layer, head, positions)  # a head's retained positions are its columns // H
+        for head, positions in enumerate((columns // n_heads).tolist())], kind, steps, trace))
     return ScriptedTrace(n_layers=n_layers, n_heads=n_heads, rows=rows), trace
 
 

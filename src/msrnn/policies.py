@@ -10,17 +10,11 @@ over a layer's (H, S) float32 attention block (as `model.attend` returns it)
 and, for H2O, its (H, S) float64 accumulated scores. Once the layer holds
 more than k states, window drops a fixed index; the others take one argmin
 over a family-chosen score block and column range, per head or over the
-head mean. `apply_layer_policy` wires it to one layer of a MultiState, whose
-`scores` slot keeps H2O's running sums (the state's first H2O step makes
-them), so `apply_policy(kind, state, probs)` is one call for every family.
-Sequential decoding calls it after every token. The masked-parallel
-evaluator keeps no multi-state: under H2O and TOVA it calls `decide_layer`
-after each row's attention, layer by layer, on column sets it prunes
-itself, with its own `AccumulatedScores` for H2O, so a policy's retained
-sets are the parallel mode's attention masks and both modes take identical
-decisions. The window family's retained sets are the closed-form
-band+prefix, which the evaluator runs as `model.band_attention` without
-calling a policy.
+head mean. `apply_layer_policy` is the one code that applies it, to one
+layer of a MultiState (sequential decoding) or of its K/V-less ColumnSets
+(the simulator, and masked-parallel rows under H2O and TOVA), whose
+`scores` slot keeps H2O's running sums from the first H2O step on; so every
+mode takes identical decisions, in one `apply_policy` call per step.
 """
 
 from __future__ import annotations
@@ -29,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import MultiState
+from .state import ColumnSets, MultiState
 
 POLICY_FAMILIES = ("window", "h2o-head", "h2o-layer", "tova-head", "tova-layer")
 _PIN_FAMILIES = ("window", "tova-layer")
@@ -138,11 +132,11 @@ class AccumulatedScores:
         self._acc[layer] = accumulate_row(self._acc[layer], probs)
 
     def drop(self, layer: int, indices: list[int]) -> None:
-        """Remove column indices[h] from head h's sums."""
+        """Remove column indices[h] from head h's sums by a left shift in place."""
         block = self._acc[layer]
-        n_heads, size = block.shape
-        keep = np.arange(size) != np.asarray(indices)[:, None]
-        self._acc[layer] = block[keep].reshape(n_heads, size - 1)
+        for head, index in enumerate(indices):
+            block[head, index:-1] = block[head, index + 1:]
+        self._acc[layer] = block[:, :-1]
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +175,14 @@ def decide_layer(kind: PolicyKind, probs: np.ndarray, acc: np.ndarray | None) ->
     return [lo + int(np.argmin(mean[lo:hi]))] * n_heads
 
 
-def apply_layer_policy(kind: PolicyKind, state: MultiState, layer: int, probs: np.ndarray) -> None:
+def apply_layer_policy(kind: PolicyKind, state: MultiState | ColumnSets, layer: int,
+                       probs: np.ndarray) -> None:
     """Apply one step's policy to one layer of the multi-state.
 
     H2O kinds fold the layer's (H, S) `probs` block into `state.scores`, an
     AccumulatedScores made at the state's first H2O step, before deciding.
-    Evictions are applied to the state (which records them in its trace),
-    then the decided columns are dropped from the layer's scores.
+    Evictions are applied to the state (which logs them), then the decided
+    columns are dropped from the layer's scores.
     """
     scores = None
     if kind.needs_scores:
@@ -203,7 +198,8 @@ def apply_layer_policy(kind: PolicyKind, state: MultiState, layer: int, probs: n
             state.scores.drop(layer, evicted)
 
 
-def apply_policy(kind: PolicyKind, state: MultiState, probs: list[np.ndarray]) -> None:
+def apply_policy(kind: PolicyKind, state: MultiState | ColumnSets,
+                 probs: list[np.ndarray]) -> None:
     """Apply one step's policy to every layer; `probs[layer]` is that layer's (H, S) block."""
     for layer in range(state.n_layers):
         apply_layer_policy(kind, state, layer, probs[layer])

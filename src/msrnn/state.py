@@ -2,8 +2,8 @@
 
 The multi-state is the recurrent state of the decoder: preallocated buffers
 of k+1 rows per head that hold each head's ordered key/value rows plus
-metadata. Policies shrink it by evicting entries; every append and evict
-lands in a RetentionTrace that the analysis tools consume.
+metadata (ColumnSets keeps only their positions). Policies shrink it by
+evicting entries; every append and evict lands in a RetentionTrace.
 """
 
 from __future__ import annotations
@@ -403,3 +403,36 @@ class MultiState:
     def retained_positions(self, layer: int, head: int) -> list[int]:
         """Original positions currently cached, in list order (strictly increasing)."""
         return self._meta[layer, head, :self.size(layer, head), _POS].tolist()
+
+
+class ColumnSets:
+    """MultiState's bookkeeping with no K/V rows: head h of a layer holds its
+    entries as columns position * H + h, oldest first. `evict`, its stamps
+    and `scores` are MultiState's, and each layer logs its evictions."""
+
+    def __init__(self, n_layers: int, n_heads: int, capacity: int):
+        self.n_layers, self.n_heads = n_layers, n_heads
+        self.scores = None
+        self._columns = np.empty((n_layers, n_heads, capacity + 1), dtype=np.intp)
+        self._sizes = [[0] * n_heads for _ in range(n_layers)]
+        self._log = [array("q") for _ in range(n_layers)]
+        self._last_step = -1
+
+    def append(self, layer: int, step: int) -> np.ndarray:
+        """Give head h column step * H + h; the layer's (H, S) columns, as a view.
+        Every head must hold S-1 entries: policies evict from all heads or none."""
+        size, n_heads = self._sizes[layer][0], self.n_heads
+        self._columns[layer, :, size] = np.arange(step * n_heads, (step + 1) * n_heads)
+        self._sizes[layer] = [size + 1] * n_heads
+        self._last_step = max(self._last_step, step)
+        return self._columns[layer, :, :size + 1]
+
+    def evict(self, layer: int, head: int, index: int) -> None:
+        size, row = self._sizes[layer][head], self._columns[layer, head]
+        self._log[layer].extend((self._last_step, head, row.item(index) // self.n_heads))
+        row[index:size - 1] = row[index + 1:size]
+        self._sizes[layer][head] = size - 1
+
+    def evictions(self, layer: int) -> np.ndarray:
+        """The (n, 3) int64 table of the layer's evicted (step, head, position)."""
+        return np.frombuffer(self._log[layer], dtype=np.int64).reshape(-1, 3).copy()

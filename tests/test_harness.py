@@ -147,17 +147,23 @@ def test_masked_parallel_batches_the_rows(monkeypatch):
         "rms_norm": 2 * n_layers * 40, "rotate": n_layers * 40}
 
 
-def test_masked_parallel_keeps_no_multi_state(monkeypatch):
-    # masked-parallel runs keep each layer's retained rows as column sets, so
-    # no family touches a MultiState there; sequential decoding appends every
-    # row and evicts every row past k, per head
-    model = make_model(seed=3)
+def _count_multi_state_calls(monkeypatch) -> dict[str, int]:
+    """The live count of MultiState.append and MultiState.evict calls."""
     calls = {"append": 0, "evict": 0}
     for name in calls:
         def counted(*args, _method=getattr(MultiState, name), _name=name):
             calls[_name] += 1
             return _method(*args)
         monkeypatch.setattr(MultiState, name, counted)
+    return calls
+
+
+def test_masked_parallel_keeps_no_multi_state(monkeypatch):
+    # masked-parallel runs keep each layer's retained rows as column sets, so
+    # no family touches a MultiState there; sequential decoding appends every
+    # row and evicts every row past k, per head
+    model = make_model(seed=3)
+    calls = _count_multi_state_calls(monkeypatch)
     stream = make_stream(model, length=40, chunk_len=16, seed=2)  # chunks of 16, 16, 8
     per_layer = model.config.n_layers * model.config.n_heads
     for name, k in (("window", 4), ("window+2", 4), ("h2o-head", 4), ("tova-layer", 10)):
@@ -169,6 +175,21 @@ def test_masked_parallel_keeps_no_multi_state(monkeypatch):
             else:
                 evicted = sum(max(0, len(ids) - k) for _, ids in stream.chunks())
                 assert calls == {"append": per_layer * 40, "evict": per_layer * evicted}, name
+
+
+def test_simulator_keeps_no_multi_state(monkeypatch):
+    # the simulator keeps its retained sets as column sets too: recording a
+    # script and replaying it touch no MultiState, while every head of every
+    # layer still evicts once per step past k
+    calls = _count_multi_state_calls(monkeypatch)
+    for name in ("window+1", "h2o-head", "h2o-layer", "tova-head", "tova-layer+2"):
+        kind = parse_policy(name, 4)
+        script, trace = simulate_with_rule(uniform_rule, kind, 12, n_layers=2, n_heads=3)
+        replay = trace_driven_simulate(script, kind)
+        evicts = [ev for ev in replay.events if ev.action == "evict"]
+        assert len(evicts) == 2 * 3 * (12 - 4), name
+        assert replay.sorted_events() == trace.sorted_events(), name
+    assert calls == {"append": 0, "evict": 0}
 
 
 @pytest.mark.parametrize("policy,k,chunk_len", [
@@ -344,13 +365,13 @@ def test_check_row_rejects_nan_and_negative_entries():
     def where(head):
         return f"here {head}"
 
-    good = _check_rows([np.array([0.25, 0.75])], 2, where)
+    good = _check_rows([np.array([0.25, 0.75])], (1, 2), where)
     assert good.dtype == np.float32 and good.shape == (1, 2)
     for bad in ([np.nan, 1.0], [-0.5, 1.5], [-1e-7, 1.0 + 1e-7], [0.5, 0.4]):
         with pytest.raises(ValueError, match="^here 0: "):
-            _check_rows([np.array(bad)], 2, where)
+            _check_rows([np.array(bad)], (1, 2), where)
     with pytest.raises(ValueError, match="row length"):
-        _check_rows([np.array([1.0])], 2, where)
+        _check_rows([np.array([1.0])], (1, 2), where)
 
 
 def test_check_rows_names_the_first_bad_head():
@@ -364,8 +385,8 @@ def test_check_rows_names_the_first_bad_head():
         ([good, ["x", 1.0]], "^h1: could not convert string to float"),
     ]:
         with pytest.raises(ValueError, match=message):
-            _check_rows([np.array(r) for r in rows], 2, lambda head: f"h{head}")
-    block = _check_rows([good, [0.25, 0.75]], 2, lambda head: f"h{head}")
+            _check_rows([np.array(r) for r in rows], (len(rows), 2), lambda head: f"h{head}")
+    block = _check_rows([good, [0.25, 0.75]], (2, 2), lambda head: f"h{head}")
     assert block.dtype == np.float32 and block.tolist() == [good, [0.25, 0.75]]
 
 

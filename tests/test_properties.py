@@ -20,8 +20,8 @@ from hypothesis.extra.numpy import arrays
 
 from msrnn import (ACTION_APPEND, ACTION_EVICT, AccumulatedScores, Model,
                    ModelConfig, MultiState, RetentionTrace, TokenStream,
-                   TraceEvent, WeightFormatError, init_random_model, lifetime_by_tag,
-                   load_weights, masked_parallel_perplexity, parse_policy,
+                   TraceEvent, WeightFormatError, apply_policy, init_random_model,
+                   lifetime_by_tag, load_weights, masked_parallel_perplexity, parse_policy,
                    recent_proportion, remap_gap, remap_positions,
                    retention_matrix, save_weights, sequential_perplexity,
                    simulate_with_rule, token_lifetime, trace_driven_simulate,
@@ -369,7 +369,9 @@ def test_remapped_attend_equals_separate_rotations(data, n_heads, head_dim, size
        tied=st.booleans())
 def test_replayed_script_gives_the_same_events(data, n_layers, n_heads, steps, form, tied):
     # the script simulate_with_rule records replays to the identical trace,
-    # for every policy form; small integer weights make ties common
+    # for every policy form, and to the events of a simulator that appends
+    # empty K/V rows to a MultiState head by head; small integer weights
+    # make ties common
     pinned = form.endswith("+")
     k = data.draw(st.integers(2 if pinned else 1, 8), label="k")
     policy = form + str(data.draw(st.integers(1, k - 1), label="pin")) if pinned else form
@@ -382,6 +384,15 @@ def test_replayed_script_gives_the_same_events(data, n_layers, n_heads, steps, f
 
     script, trace = simulate_with_rule(rule, kind, steps, n_layers, n_heads)
     assert trace_driven_simulate(script, kind).events == trace.events
+    reference = RetentionTrace(n_layers, n_heads)
+    state = MultiState(n_layers, n_heads, 0, k, reference)
+    empty = np.zeros(0, dtype=np.float32)
+    for t, blocks in enumerate(script.rows):
+        for layer in range(n_layers):
+            for head in range(n_heads):
+                state.append(layer, head, empty, empty, t, t)
+        apply_policy(kind, state, blocks)
+    assert reference.sorted_events() == trace.sorted_events()
 
 
 def _replay_order(ev: TraceEvent) -> tuple:

@@ -8,7 +8,7 @@ import msrnn.state
 from msrnn import (ACTION_APPEND, ACTION_EVICT, MultiState, RetentionTrace,
                    TraceEvent)
 from msrnn.harness import SCRIPT_COLUMNS, ScriptedTrace
-from msrnn.state import ACTIONS, TRACE_COLUMNS
+from msrnn.state import ACTIONS, TRACE_COLUMNS, ColumnSets
 
 
 def test_append_validates_position_and_token():
@@ -55,6 +55,23 @@ def test_append_rejects_bad_shapes_and_positions():
         state.evict(0, 0, 1)
     with pytest.raises(ValueError):
         state.size(0, 1)
+
+
+def test_column_sets_bookkeeping():
+    # head h holds column position * H + h, oldest first; an eviction is
+    # logged as (latest step appended, head, position), as MultiState stamps it
+    sets = ColumnSets(n_layers=2, n_heads=2, capacity=2)
+    for step in range(3):
+        columns = sets.append(1, step)
+    assert columns.tolist() == [[0, 2, 4], [1, 3, 5]]
+    sets.evict(1, 0, 1)
+    sets.evict(1, 1, 0)
+    assert sets.append(1, 3).tolist() == [[0, 4, 6], [3, 5, 7]]
+    assert sets.append(0, 3).tolist() == [[6], [7]]
+    sets.evict(1, 1, 2)
+    sets.evict(1, 0, 0)
+    assert sets.evictions(1).tolist() == [[2, 0, 1], [2, 1, 0], [3, 1, 3], [3, 0, 0]]
+    assert sets.evictions(0).shape == (0, 3) and sets.scores is None
 
 
 def test_capacity_must_be_positive():
