@@ -19,7 +19,8 @@ perplexities agree exactly; the acceptance tolerance is slack on top.
 
 A layer's attention is one (H, S) float32 block throughout: the kernel
 returns it, the policies take it, a ScriptedTrace stores it per (step,
-layer), and the model-free simulator (on ColumnSets) checks it per layer-step.
+layer), and the model-free simulator (on ColumnSets) checks it per step,
+all layers' blocks in one pass.
 """
 
 from __future__ import annotations
@@ -275,11 +276,13 @@ RowRule = Callable[[int, int, int, Sequence[int]], np.ndarray]
 
 @dataclass
 class ScriptedTrace:
-    """Per-step, per-layer probability blocks over the retained states."""
+    """Per-step, per-layer probability blocks over the retained states. A
+    step is a list of (H, S) blocks when read from CSV, and the simulator's
+    checked (L, H, S) array when `simulate_with_rule` records it."""
 
     n_layers: int
     n_heads: int
-    rows: list[list[np.ndarray]]  # [step][layer] -> (n_heads, size) float32
+    rows: list[Sequence[np.ndarray]]  # [step][layer] -> (n_heads, size) float32
 
     @property
     def n_steps(self) -> int:
@@ -379,21 +382,43 @@ def _check_rows(rows: Sequence, shape: tuple[int, int],
     return block
 
 
+def _check_step(layers: Sequence[Sequence], shape: tuple[int, int, int],
+                step: int) -> np.ndarray:
+    """A step's rows (one layer's per entry) as a checked (L, H, S) float32 block.
+
+    One pass checks every row of the block. Rows are summed on its contiguous
+    last axis, so each row's float32 sum is bit for bit the one `_check_rows`
+    takes. A ragged or bad block goes through `_check_rows` layer by layer,
+    which names the first bad (layer, head) with that check's message.
+    """
+    try:
+        block = np.asarray(layers, dtype=np.float32)
+    except (ValueError, TypeError):  # ragged or not numeric: the fallback names the row
+        block = None
+    if block is not None and block.shape == shape and block.min() >= 0 \
+            and (np.abs(block.sum(axis=-1).astype(np.float64) - 1.0) <= ROW_SUM_TOL).all():
+        return block
+    return np.stack([_check_rows(rows, shape[1:], lambda head, layer=layer:
+                                 f"step {step}, layer {layer}, head {head}")
+                     for layer, rows in enumerate(layers)])
+
+
 def _simulate(layer_rows: Callable[[int, int, np.ndarray], Sequence], kind: PolicyKind | None,
-              steps: int, trace: RetentionTrace) -> Iterator[list[np.ndarray]]:
+              steps: int, trace: RetentionTrace) -> Iterator[np.ndarray]:
     """Run `steps` model-free steps into `trace` (each layer's events in one block at the
-    end), yielding each step's checked blocks of `layer_rows(t, layer, (H, S) columns)`."""
+    end), yielding each step's checked (L, H, S) block, whose layer `layer` is
+    `layer_rows(t, layer, (H, S) columns)`."""
     kind = _bounded(kind, steps)
     sets = ColumnSets(trace.n_layers, trace.n_heads, kind.k)
+    layers = range(sets.n_layers)
     for t in range(steps):
-        blocks = []
-        for layer in range(sets.n_layers):
-            columns = sets.append(layer, t)
-            blocks.append(_check_rows(layer_rows(t, layer, columns), columns.shape,
-                                      lambda head: f"step {t}, layer {layer}, head {head}"))
-        apply_policy(kind, sets, blocks)
-        yield blocks
-    for layer in range(sets.n_layers):
+        columns = [sets.append(layer, t) for layer in layers]
+        # every layer holds S entries: each drops one per head a step once past k
+        block = _check_step([layer_rows(t, layer, columns[layer]) for layer in layers],
+                            (len(columns),) + columns[0].shape, t)
+        apply_policy(kind, sets, block)
+        yield block
+    for layer in layers:
         trace.record_block(_chunk_events(layer, range(steps), sets.n_heads,
                                          sets.evictions(layer)))
 

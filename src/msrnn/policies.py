@@ -10,11 +10,12 @@ over a layer's (H, S) float32 attention block (as `model.attend` returns it)
 and, for H2O, its (H, S) float64 accumulated scores. Once the layer holds
 more than k states, window drops a fixed index; the others take one argmin
 over a family-chosen score block and column range, per head or over the
-head mean. `apply_layer_policy` is the one code that applies it, to one
-layer of a MultiState (sequential decoding) or of its K/V-less ColumnSets
-(the simulator, and masked-parallel rows under H2O and TOVA), whose
-`scores` slot keeps H2O's running sums from the first H2O step on; so every
-mode takes identical decisions, in one `apply_policy` call per step.
+head mean. `apply_layer_policy` is the one code that applies it, with one
+`evict_layer` call, to one layer of a MultiState (sequential decoding) or
+of its K/V-less ColumnSets (the simulator, and masked-parallel rows under
+H2O and TOVA), whose `scores` slot keeps H2O's running sums from the first
+H2O step on; so every mode takes identical decisions, in one `apply_policy`
+call per step.
 """
 
 from __future__ import annotations
@@ -132,10 +133,15 @@ class AccumulatedScores:
         self._acc[layer] = accumulate_row(self._acc[layer], probs)
 
     def drop(self, layer: int, indices: list[int]) -> None:
-        """Remove column indices[h] from head h's sums by a left shift in place."""
+        """Remove column indices[h] from head h's sums by a left shift in place:
+        one slice of every head when the indices agree, else one per head."""
         block = self._acc[layer]
-        for head, index in enumerate(indices):
-            block[head, index:-1] = block[head, index + 1:]
+        first = indices[0]
+        if indices.count(first) == len(indices):
+            block[:, first:-1] = block[:, first + 1:]
+        else:
+            for head, index in enumerate(indices):
+                block[head, index:-1] = block[head, index + 1:]
         self._acc[layer] = block[:, :-1]
 
 
@@ -181,8 +187,8 @@ def apply_layer_policy(kind: PolicyKind, state: MultiState | ColumnSets, layer: 
 
     H2O kinds fold the layer's (H, S) `probs` block into `state.scores`, an
     AccumulatedScores made at the state's first H2O step, before deciding.
-    Evictions are applied to the state (which logs them), then the decided
-    columns are dropped from the layer's scores.
+    The decision is applied with one `state.evict_layer` call (the state logs
+    it), then the decided columns are dropped from the layer's scores.
     """
     scores = None
     if kind.needs_scores:
@@ -192,8 +198,7 @@ def apply_layer_policy(kind: PolicyKind, state: MultiState | ColumnSets, layer: 
         scores = state.scores.layer(layer)
     evicted = decide_layer(kind, probs, scores)
     if evicted[0] is not None:  # every policy evicts from all heads of a layer or none
-        for head, idx in enumerate(evicted):
-            state.evict(layer, head, idx)
+        state.evict_layer(layer, evicted)
         if scores is not None:
             state.scores.drop(layer, evicted)
 

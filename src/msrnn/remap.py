@@ -43,8 +43,8 @@ def remap_positions(retained: Sequence[int] | np.ndarray) -> np.ndarray:
     retained = np.asarray(retained, dtype=np.int64)
     if retained.shape[-1] == 0:
         raise ValueError("retained set is empty")
-    gaps = np.diff(retained, axis=-1)
-    if (gaps < 1).any():
+    gaps = retained[..., 1:] - retained[..., :-1]
+    if gaps.size and gaps.min() < 1:
         bad = tuple(np.argwhere(gaps < 1)[0])
         after = bad[:-1] + (bad[-1] + 1,)
         raise ValueError(f"retained positions must strictly increase, "
@@ -53,5 +53,6 @@ def remap_positions(retained: Sequence[int] | np.ndarray) -> np.ndarray:
     out[..., 1:] = gaps
     wide = gaps > GAP_KNEE
     if wide.any():
-        out[..., 1:][wide] = [remap_gap(g) for g in gaps[wide].tolist()]
+        # remap_gap's math.log of each wide gap, without its call
+        out[..., 1:][wide] = [math.log(math.log(g)) for g in gaps[wide].tolist()]
     return np.cumsum(out, axis=-1, out=out)

@@ -400,6 +400,67 @@ def test_block_row_sums_equal_per_row_sums():
         assert block.sum(axis=1).tolist() == [row.sum() for row in block]
 
 
+@pytest.mark.parametrize("layer_1,message", [
+    ([[0.5, 0.5], [0.5, 0.25]], "head 1: probabilities sum to 0.75, not 1"),
+    ([[0.5, 0.5], [-0.5, 1.5]], "head 1: negative probability -0.5"),
+    ([[0.5, 0.5], [0.25, 0.25, 0.5]], "head 1: row length \\(3,\\) does not match multi-state "
+                                      "size 2"),
+    # every row of layer 1 is one wider than layer 0's
+    ([[0.25, 0.25, 0.5]] * 2, "head 0: row length \\(3,\\) does not match multi-state size 2"),
+])
+def test_simulator_step_check_names_the_bad_layer(layer_1, message):
+    # a step's layers are checked in one pass; a bad block is checked again
+    # layer by layer, so a good layer 0 passes and the error names layer 1
+    good = [[0.5, 0.5], [0.5, 0.5]]
+    rows = [[np.ones((2, 1), dtype=np.float32)] * 2,
+            [np.array(good, dtype=np.float32), [np.array(row) for row in layer_1]]]
+    for kind in (None, parse_policy("window", k=2), parse_policy("h2o-head", k=2)):
+        with pytest.raises(ValueError, match=f"^step 1, layer 1, {message}$"):
+            trace_driven_simulate(ScriptedTrace(2, 2, rows), kind)
+
+
+def test_simulator_step_check_row_sums_equal_per_layer_sums():
+    # the step check sums an (L, H, S) block on its contiguous last axis: bit
+    # for bit each layer's (H, S) sums, which the per-layer check takes
+    rng = np.random.default_rng(12)
+    for size in range(1, 260):
+        block = rng.random((4, 4, size)).astype(np.float32)
+        block /= block.sum(axis=-1, keepdims=True)
+        assert block.sum(axis=-1).tolist() == [layer.sum(axis=1).tolist() for layer in block]
+
+
+def test_simulate_with_rule_takes_per_head_lists():
+    # a rule may return each head's row as a list: the script and the trace
+    # equal those of the same rows as float32 arrays, and a bad list row is
+    # named by its step, layer and head
+    rng = np.random.default_rng(5)
+    weights = rng.integers(1, 9, size=(12, 2, 3, 5)).astype(np.float32)
+
+    def arrays(t, layer, head, retained):
+        row = weights[t, layer, head, :len(retained)]
+        return row / row.sum()
+
+    def lists(t, layer, head, retained):
+        return arrays(t, layer, head, retained).tolist()
+
+    for name in ("window+1", "h2o-head", "h2o-layer", "tova-head", "tova-layer"):
+        kind = parse_policy(name, 4)
+        script, trace = simulate_with_rule(lists, kind, 12, n_layers=2, n_heads=3)
+        ref_script, ref_trace = simulate_with_rule(arrays, kind, 12, n_layers=2, n_heads=3)
+        assert trace.events == ref_trace.events, name
+        assert [[block.dtype for block in blocks] for blocks in script.rows] == \
+            [[np.float32, np.float32]] * 12
+        assert [[block.tobytes() for block in blocks] for blocks in script.rows] == \
+            [[block.tobytes() for block in blocks] for blocks in ref_script.rows], name
+
+    def short(t, layer, head, retained):
+        return lists(t, layer, head, retained)[:-1 if (t, layer, head) == (6, 1, 2) else None]
+
+    with pytest.raises(ValueError, match="^step 6, layer 1, head 2: row length \\(4,\\) does "
+                                         "not match multi-state size 5$"):
+        simulate_with_rule(short, parse_policy("tova-head", 4), 12, n_layers=2, n_heads=3)
+
+
 def test_scripted_trace_rejects_malformed_rows(tmp_path):
     path = tmp_path / "bad.csv"
     header = "step,layer,head,state_slot,probability\n"

@@ -1,12 +1,13 @@
 """Property tests: the layer-buffer multi-state against a plain-list model,
-the H2O score block against per-head running sums, row-wise remapping of
-position arrays and its bounds, the kernels' rows against one-vector calls,
-remapped attention against separate key and query rotations, sequential
-decoding against masked-parallel evaluation, simulator replay, the
-vectorised retention analyses against a per-event set replay, trace CSV
-round trips and reads against the csv module, CSV writes against
-csv.writer, block trace records against per-event ones, the window band
-kernel against one-row attention, and damaged weight files."""
+layer evictions against per-head ones and a list model, the H2O score
+block against per-head running sums, row-wise remapping of position arrays
+and its bounds, the kernels' rows against one-vector calls, remapped
+attention against separate key and query rotations, sequential decoding
+against masked-parallel evaluation, simulator replay, the vectorised
+retention analyses against a per-event set replay, trace CSV round trips
+and reads against the csv module, CSV writes against csv.writer, block
+trace records against per-event ones, the window band kernel against
+one-row attention, and damaged weight files."""
 
 import csv
 import io
@@ -29,7 +30,7 @@ from msrnn import (ACTION_APPEND, ACTION_EVICT, AccumulatedScores, Model,
 import msrnn.model
 from msrnn.model import (_inv_freq, attend, attention_step, band_attention, rms_norm, rotate,
                          row_matmul, silu, softmax_rows)
-from msrnn.state import ACTIONS, TRACE_COLUMNS, write_csv_rows
+from msrnn.state import ACTIONS, TRACE_COLUMNS, ColumnSets, write_csv_rows
 
 
 @settings(max_examples=100, deadline=None)
@@ -120,6 +121,61 @@ def test_multistate_keeps_rows_at_capacity():
         state.append(0, 0, rows[0], rows[0], 41, 0)
     state.append(0, 1, rows[0], rows[0], 41, 0)
     assert state.size(0, 1) == 41
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       n_heads=st.integers(1, 5),
+       capacity=st.integers(1, 6),
+       steps=st.integers(1, 16))
+def test_evict_layer_matches_per_head_evicts(data, n_heads, capacity, steps):
+    # each step appends to every head of both layers; a layer past k (and,
+    # at random, one not yet full) drops one entry per head, every head the
+    # same index or each its own. MultiState.evict_layer leaves the K/V/meta
+    # rows, sizes and trace events of per-head evicts in head order, and
+    # ColumnSets.evict_layer the columns and evictions() of a list model
+    n_layers, head_dim = 2, 3
+    traces = RetentionTrace(n_layers, n_heads), RetentionTrace(n_layers, n_heads)
+    layered, per_head = (MultiState(n_layers, n_heads, head_dim, capacity, trace)
+                         for trace in traces)
+    sets = ColumnSets(n_layers, n_heads, capacity)
+    ref = [[[] for _ in range(n_heads)] for _ in range(n_layers)]  # retained positions
+    log = [[] for _ in range(n_layers)]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    for step in range(steps + 1):  # the extra append shows the last step's columns
+        for layer in range(n_layers):
+            assert sets.append(layer, step).tolist() == [
+                [p * n_heads + h for p in ref[layer][h] + [step]] for h in range(n_heads)]
+            if step == steps:
+                continue
+            rows = rng.standard_normal((n_heads, head_dim)).astype(np.float32)
+            for state in (layered, per_head):
+                for head in range(n_heads):
+                    state.append(layer, head, rows[head], -rows[head], step, step + 100)
+            for positions in ref[layer]:
+                positions.append(step)
+            size = len(ref[layer][0])
+            if size <= capacity and not data.draw(st.booleans(), label="early"):
+                continue
+            index = st.integers(0, size - 1)
+            if data.draw(st.booleans(), label="agree"):
+                indices = [data.draw(index, label="index")] * n_heads
+            else:
+                indices = data.draw(st.lists(index, min_size=n_heads, max_size=n_heads),
+                                    label="indices")
+            layered.evict_layer(layer, indices)
+            for head, i in enumerate(indices):
+                per_head.evict(layer, head, i)
+            sets.evict_layer(layer, indices)
+            log[layer] += [[step, head, ref[layer][head].pop(i)] for head, i in enumerate(indices)]
+        for layer in range(n_layers):
+            assert [layered.size(layer, h) for h in range(n_heads)] == \
+                [per_head.size(layer, h) for h in range(n_heads)] == [len(p) for p in ref[layer]]
+    for name in ("_keys", "_values", "_meta"):
+        assert np.array_equal(getattr(layered, name), getattr(per_head, name)), name
+    assert traces[0].events == traces[1].events
+    for layer in range(n_layers):
+        assert sets.evictions(layer).tolist() == log[layer]
 
 
 @settings(max_examples=150, deadline=None)

@@ -64,14 +64,17 @@ def test_column_sets_bookkeeping():
     for step in range(3):
         columns = sets.append(1, step)
     assert columns.tolist() == [[0, 2, 4], [1, 3, 5]]
-    sets.evict(1, 0, 1)
-    sets.evict(1, 1, 0)
+    sets.evict_layer(1, [1, 0])
     assert sets.append(1, 3).tolist() == [[0, 4, 6], [3, 5, 7]]
     assert sets.append(0, 3).tolist() == [[6], [7]]
-    sets.evict(1, 1, 2)
-    sets.evict(1, 0, 0)
-    assert sets.evictions(1).tolist() == [[2, 0, 1], [2, 1, 0], [3, 1, 3], [3, 0, 0]]
+    sets.evict_layer(1, [0, 2])
+    assert sets.evictions(1).tolist() == [[2, 0, 1], [2, 1, 0], [3, 0, 0], [3, 1, 3]]
     assert sets.evictions(0).shape == (0, 3) and sets.scores is None
+    # heads that agree drop their column in one shift, logged in head order too
+    assert sets.append(1, 4).tolist() == [[4, 6, 8], [3, 5, 9]]
+    sets.evict_layer(1, [1, 1])
+    assert sets.append(1, 5).tolist() == [[4, 8, 10], [3, 9, 11]]
+    assert sets.evictions(1).tolist()[4:] == [[4, 0, 3], [4, 1, 2]]
 
 
 def test_capacity_must_be_positive():
