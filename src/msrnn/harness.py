@@ -276,13 +276,11 @@ RowRule = Callable[[int, int, int, Sequence[int]], np.ndarray]
 
 @dataclass
 class ScriptedTrace:
-    """Per-step, per-layer probability blocks over the retained states. A
-    step is a list of (H, S) blocks when read from CSV, and the simulator's
-    checked (L, H, S) array when `simulate_with_rule` records it."""
+    """Per-step, per-layer probability blocks over the retained states."""
 
     n_layers: int
     n_heads: int
-    rows: list[Sequence[np.ndarray]]  # [step][layer] -> (n_heads, size) float32
+    rows: list[list[np.ndarray]]  # [step][layer] -> (n_heads, size) float32
 
     @property
     def n_steps(self) -> int:
@@ -386,18 +384,20 @@ def _check_step(layers: Sequence[Sequence], shape: tuple[int, int, int],
                 step: int) -> np.ndarray:
     """A step's rows (one layer's per entry) as a checked (L, H, S) float32 block.
 
-    One pass checks every row of the block. Rows are summed on its contiguous
-    last axis, so each row's float32 sum is bit for bit the one `_check_rows`
-    takes. A ragged or bad block goes through `_check_rows` layer by layer,
-    which names the first bad (layer, head) with that check's message.
+    A block of that shape is checked by one `_check_rows` pass over its
+    (L * H, S) view, whose row order is layer then head, so it names the first
+    bad (layer, head) as the per-layer check does. A ragged or misshapen block
+    goes through `_check_rows` layer by layer.
     """
+    n_layers, n_heads, size = shape
     try:
         block = np.asarray(layers, dtype=np.float32)
     except (ValueError, TypeError):  # ragged or not numeric: the fallback names the row
         block = None
-    if block is not None and block.shape == shape and block.min() >= 0 \
-            and (np.abs(block.sum(axis=-1).astype(np.float64) - 1.0) <= ROW_SUM_TOL).all():
-        return block
+    if block is not None and block.shape == shape:
+        return _check_rows(block.reshape(n_layers * n_heads, size), (n_layers * n_heads, size),
+                           lambda row: f"step {step}, layer {row // n_heads}, "
+                                       f"head {row % n_heads}").reshape(shape)
     return np.stack([_check_rows(rows, shape[1:], lambda head, layer=layer:
                                  f"step {step}, layer {layer}, head {head}")
                      for layer, rows in enumerate(layers)])
@@ -446,9 +446,9 @@ def simulate_with_rule(rule: RowRule, kind: PolicyKind | None, steps: int,
     trace_driven_simulate (blocks are recorded exactly as consumed).
     """
     trace = RetentionTrace(n_layers, n_heads)
-    rows = list(_simulate(lambda t, layer, columns: [
+    rows = [list(block) for block in _simulate(lambda t, layer, columns: [
         rule(t, layer, head, positions)  # a head's retained positions are its columns // H
-        for head, positions in enumerate((columns // n_heads).tolist())], kind, steps, trace))
+        for head, positions in enumerate((columns // n_heads).tolist())], kind, steps, trace)]
     return ScriptedTrace(n_layers=n_layers, n_heads=n_heads, rows=rows), trace
 
 

@@ -133,15 +133,10 @@ class AccumulatedScores:
         self._acc[layer] = accumulate_row(self._acc[layer], probs)
 
     def drop(self, layer: int, indices: list[int]) -> None:
-        """Remove column indices[h] from head h's sums by a left shift in place:
-        one slice of every head when the indices agree, else one per head."""
+        """Remove column indices[h] from head h's sums by a left shift in place."""
         block = self._acc[layer]
-        first = indices[0]
-        if indices.count(first) == len(indices):
-            block[:, first:-1] = block[:, first + 1:]
-        else:
-            for head, index in enumerate(indices):
-                block[head, index:-1] = block[head, index + 1:]
+        for head, index in enumerate(indices):
+            block[head, index:-1] = block[head, index + 1:]
         self._acc[layer] = block[:, :-1]
 
 

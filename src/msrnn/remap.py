@@ -53,6 +53,5 @@ def remap_positions(retained: Sequence[int] | np.ndarray) -> np.ndarray:
     out[..., 1:] = gaps
     wide = gaps > GAP_KNEE
     if wide.any():
-        # remap_gap's math.log of each wide gap, without its call
-        out[..., 1:][wide] = [math.log(math.log(g)) for g in gaps[wide].tolist()]
+        out[..., 1:][wide] = [remap_gap(g) for g in gaps[wide].tolist()]
     return np.cumsum(out, axis=-1, out=out)

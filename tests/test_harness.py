@@ -420,13 +420,14 @@ def test_simulator_step_check_names_the_bad_layer(layer_1, message):
 
 
 def test_simulator_step_check_row_sums_equal_per_layer_sums():
-    # the step check sums an (L, H, S) block on its contiguous last axis: bit
-    # for bit each layer's (H, S) sums, which the per-layer check takes
+    # the step check sums the rows of an (L, H, S) block's (L * H, S) view:
+    # bit for bit each layer's (H, S) sums, which the per-layer check takes
     rng = np.random.default_rng(12)
     for size in range(1, 260):
         block = rng.random((4, 4, size)).astype(np.float32)
         block /= block.sum(axis=-1, keepdims=True)
-        assert block.sum(axis=-1).tolist() == [layer.sum(axis=1).tolist() for layer in block]
+        assert block.reshape(16, size).sum(axis=1).tolist() == \
+            [x for layer in block for x in layer.sum(axis=1).tolist()]
 
 
 def test_simulate_with_rule_takes_per_head_lists():
