@@ -21,21 +21,20 @@ from .model import (ChecksumMismatchError, MalformedHeaderError, Model,
                     TruncatedBlobError, WeightFormatError, attention_step,
                     decode_step, init_random_model, load_weights, rms_norm,
                     save_weights, zero_model)
-from .policies import (POLICY_FORMS, AccumulatedScores, PolicyKind,
-                       accumulate_row, apply_policy, parse_policy,
+from .policies import (POLICY_FORMS, PolicyKind, apply_policy, parse_policy,
                        recent_window)
 from .remap import remap_gap, remap_positions
 from .state import (ACTION_APPEND, ACTION_EVICT, MultiState, RetentionTrace,
                     TraceEvent)
 
 __all__ = [
-    "ACTION_APPEND", "ACTION_EVICT", "AccumulatedScores",
+    "ACTION_APPEND", "ACTION_EVICT",
     "ChecksumMismatchError", "ChunkResult", "MalformedHeaderError",
     "MemoryReport", "Model", "ModelConfig", "ModelWeights", "MultiState",
     "POLICY_FORMS", "PerplexityReport", "PolicyKind", "RetentionTrace",
     "ScriptedTrace", "ShapeMismatchError", "TokenStream", "TraceEvent",
     "TruncatedBlobError", "WeightFormatError",
-    "accumulate_row", "apply_policy", "attention_step", "decode_step",
+    "apply_policy", "attention_step", "decode_step",
     "generate", "init_random_model", "lifetime_by_tag", "load_weights",
     "marker_rule", "masked_parallel_perplexity", "memory_report",
     "parse_policy", "read_tag_file", "read_token_stream",

@@ -7,9 +7,9 @@ is layer-major over the same kernel: per layer, the norm, q/k/v projections
 and rotation run over the whole chunk's rows in one `attention_inputs` call;
 then each row's attention mask is the policy's retained set for that layer,
 and no multi-state is built. Under H2O and TOVA those sets are score-driven:
-row by row, a ColumnSets gives every head the row's column of the chunk's K
-and V, `attention_step` attends over each head's columns, and
-`apply_layer_policy` drops the decided ones. The window family's are the
+row by row, a one-layer ColumnSets gives every head the row's column of the
+chunk's K and V, `attention_step` attends over each head's columns, and
+`apply_policy` drops the decided ones. The window family's are the
 fixed band+prefix, so `band_attention` runs the whole chunk at once. Either
 way the trace gets the layer's events in one `record_block` call. Then W_O
 and the feed-forward block run over all rows in one `layer_output` call, and
@@ -19,8 +19,8 @@ perplexities agree exactly; the acceptance tolerance is slack on top.
 
 A layer's attention is one (H, S) float32 block throughout: the kernel
 returns it, the policies take it, a ScriptedTrace stores it per (step,
-layer), and the model-free simulator (on ColumnSets) checks it per step,
-all layers' blocks in one pass.
+layer), and the model-free simulator (on ColumnSets) checks a step's
+(L, H, S) stack of them in one pass and hands it to `apply_policy` whole.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .model import (Model, attention_inputs, attention_step, band_attention, decode_step,
                     layer_output, row_matmul)
-from .policies import PolicyKind, apply_layer_policy, apply_policy
+from .policies import PolicyKind, apply_policy
 from .remap import remap_positions
 from .state import (TRACE_COLUMNS, ColumnSets, MultiState, RetentionTrace, read_csv_rows,
                     read_text_lines, write_csv_rows)
@@ -216,16 +216,16 @@ def _policy_attention(kind: PolicyKind, q: np.ndarray, k: np.ndarray,
     rotated. Each head's retained entries are ColumnSets columns: column
     t * n_heads + h is row t of head h in the chunk's K and V. Row t appends
     its column to every head, attends over the gathered columns with the
-    one-token `attention_step`, and `apply_layer_policy` evicts.
+    one-token `attention_step`, and `apply_policy` evicts.
     """
     n_rows, n_heads, head_dim = q.shape
     keys, values = k.reshape(-1, head_dim), v.reshape(-1, head_dim)
     sets = ColumnSets(1, n_heads, kind.k)
     ctx = np.empty((n_rows, n_heads * head_dim), dtype=np.float32)
     for t in range(n_rows):
-        columns = sets.append(0, t)
+        columns = sets.append(t)[0]
         ctx[t], probs = attention_step(q[t], keys.take(columns, 0), values.take(columns, 0))
-        apply_layer_policy(kind, sets, 0, probs)
+        apply_policy(kind, sets, probs[None])
     return ctx, sets.evictions(0)
 
 
@@ -259,7 +259,7 @@ def masked_parallel_perplexity(model: Model, stream: TokenStream, kind: PolicyKi
     Each layer sees the whole chunk before the next layer starts; the
     policy's retained sets act as the attention masks (band+prefix for the
     window family; for H2O and TOVA, ColumnSets grown row by row and pruned
-    by `apply_layer_policy`). No multi-state is built. Positions stay
+    by `apply_policy`). No multi-state is built. Positions stay
     original (no remapping in this mode). `kind=None` is the unbounded
     topline, as in `sequential_perplexity`: a band as wide as the chunk, so
     row t attends to rows 0..t, a plain causal transformer.
@@ -412,10 +412,9 @@ def _simulate(layer_rows: Callable[[int, int, np.ndarray], Sequence], kind: Poli
     sets = ColumnSets(trace.n_layers, trace.n_heads, kind.k)
     layers = range(sets.n_layers)
     for t in range(steps):
-        columns = [sets.append(layer, t) for layer in layers]
-        # every layer holds S entries: each drops one per head a step once past k
+        columns = sets.append(t)
         block = _check_step([layer_rows(t, layer, columns[layer]) for layer in layers],
-                            (len(columns),) + columns[0].shape, t)
+                            columns.shape, t)
         apply_policy(kind, sets, block)
         yield block
     for layer in layers:

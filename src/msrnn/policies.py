@@ -6,21 +6,20 @@ TOVA (evict the state the newest query attends to least, per head or with
 head-averaged rows). Every argmin breaks ties toward the lowest index.
 
 `decide_layer` is the one eviction rule for every family: a pure function
-over a layer's (H, S) float32 attention block (as `model.attend` returns it)
-and, for H2O, its (H, S) float64 accumulated scores. Once the layer holds
-more than k states, window drops a fixed index; the others take one argmin
-over a family-chosen score block and column range, per head or over the
-head mean. `apply_layer_policy` is the one code that applies it, with one
-`evict_layer` call, to one layer of a MultiState (sequential decoding) or
-of its K/V-less ColumnSets (the simulator, and masked-parallel rows under
-H2O and TOVA), whose `scores` slot keeps H2O's running sums from the first
-H2O step on; so every mode takes identical decisions, in one `apply_policy`
-call per step.
+over a step's (L, H, S) float32 attention block, or one layer's (H, S) block,
+and, for H2O, float64 accumulated scores of the same shape. Past k states,
+window drops a fixed index; the others take one argmin over a family-chosen
+score block and column range, per head or over each layer's head mean.
+`apply_policy` applies it a step at a time, with one `evict_step` call, to a
+MultiState (sequential decoding) or its K/V-less ColumnSets (the simulator,
+and masked-parallel rows under H2O and TOVA), so every mode takes identical
+decisions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +37,9 @@ class PolicyKind:
     family: str
     k: int
     pin: int = 0
+    # the family's flags, worked out once per kind
+    needs_scores: bool = field(init=False, repr=False, compare=False)
+    headwise: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in POLICY_FAMILIES:
@@ -49,14 +51,8 @@ class PolicyKind:
                 raise ValueError(f"policy {self.family!r} does not take a pinned prefix")
             if not (0 <= self.pin < self.k):
                 raise ValueError(f"pin {self.pin} must satisfy 0 <= pin < k ({self.k})")
-
-    @property
-    def needs_scores(self) -> bool:
-        return self.family.startswith("h2o")
-
-    @property
-    def headwise(self) -> bool:
-        return self.family.endswith("-head")
+        object.__setattr__(self, "needs_scores", self.family.startswith("h2o"))
+        object.__setattr__(self, "headwise", self.family.endswith("-head"))
 
     @property
     def name(self) -> str:
@@ -99,9 +95,9 @@ def parse_policy(text: str, k: int, pin: int | None = None) -> PolicyKind | None
 def accumulate_row(acc: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Element-wise add of probability rows into their running sums, along the last axis.
 
-    `acc` and `row` are one head's vectors or a layer's (H, S) blocks. The rows
-    may be one longer than the sums: the newest state starts from its own
-    first received probability. float64 out.
+    `acc` and `row` are one head's vectors or blocks such as a step's
+    (L, H, S). The rows may be one longer than the sums: the newest state
+    starts from its own first received probability. float64 out.
     """
     s0, s = acc.shape[-1], row.shape[-1]
     if acc.shape[:-1] == row.shape[:-1]:
@@ -118,26 +114,26 @@ def accumulate_row(acc: np.ndarray, row: np.ndarray) -> np.ndarray:
 class AccumulatedScores:
     """Running per-state sums of received attention probabilities.
 
-    One (H, S) float64 block per layer, aligned column-for-column with the
-    layer's multi-state rows; each step a decided column is dropped from
-    every head, so an evicted state's history is gone for good.
+    One (L, H, S) float64 block, aligned column-for-column with the
+    multi-state's rows; each step a decided column is dropped from every
+    head, so an evicted state's history is gone for good.
     """
 
     def __init__(self, n_layers: int, n_heads: int):
-        self._acc = [np.zeros((n_heads, 0), dtype=np.float64) for _ in range(n_layers)]
+        self.block = np.zeros((n_layers, n_heads, 0), dtype=np.float64)
 
-    def layer(self, layer: int) -> np.ndarray:
-        return self._acc[layer]
+    def accumulate(self, probs: np.ndarray) -> None:
+        """Fold a step's (L, H, S) probability block into the sums."""
+        self.block = accumulate_row(self.block, probs)
 
-    def accumulate(self, layer: int, probs: np.ndarray) -> None:
-        self._acc[layer] = accumulate_row(self._acc[layer], probs)
-
-    def drop(self, layer: int, indices: list[int]) -> None:
-        """Remove column indices[h] from head h's sums by a left shift in place."""
-        block = self._acc[layer]
-        for head, index in enumerate(indices):
-            block[head, index:-1] = block[head, index + 1:]
-        self._acc[layer] = block[:, :-1]
+    def drop(self, indices: list[int]) -> None:
+        """Remove column indices[layer * H + h] from head h of every layer by a
+        left shift in place."""
+        block, n_heads = self.block, self.block.shape[1]
+        for row, index in enumerate(indices):
+            layer, head = divmod(row, n_heads)
+            block[layer, head, index:-1] = block[layer, head, index + 1:]
+        self.block = block[..., :-1]
 
 
 # ---------------------------------------------------------------------------
@@ -150,56 +146,60 @@ def recent_window(k: int) -> int:
 
 
 def decide_layer(kind: PolicyKind, probs: np.ndarray, acc: np.ndarray | None) -> list[int | None]:
-    """The one eviction rule: the index each head of a layer drops this step.
+    """The one eviction rule: the index each head drops this step.
 
-    `probs` is the layer's (n_heads, size) attention block and `acc` its
-    accumulated scores, which H2O kinds require. Up to k states nothing is
+    `probs` is a layer's (n_heads, size) attention block or a stack of them,
+    such as a step's (L, H, S) block, and `acc` the accumulated scores of the
+    same shape, which H2O kinds require. One index per head comes back, layer
+    by layer, each layer's as it would come alone. Up to k states nothing is
     dropped, and the window family drops index `pin`. Otherwise the family
     picks its scores and candidate columns [lo, hi): H2O the accumulated
     scores outside the newest ceil(k/2) states, TOVA the current block past
-    the pinned prefix. Head-wise kinds drop each head's own argmin; layer-wise
-    kinds drop the argmin of the head mean from every head.
+    the pinned prefix. Head-wise kinds drop each head's own argmin;
+    layer-wise kinds drop the argmin of each layer's head mean from its heads.
     """
-    n_heads, size = probs.shape
+    n_heads, size = probs.shape[-2:]
     h2o = kind.needs_scores
     if h2o and acc is None:
         raise ValueError(f"policy {kind.name} needs accumulated scores")
-    if size <= kind.k:
-        return [None] * n_heads
-    if kind.family == "window":
-        return [kind.pin] * n_heads
+    if size <= kind.k or kind.family == "window":
+        return [None if size <= kind.k else kind.pin] * math.prod(probs.shape[:-1])
     scores, lo, hi = (acc, 0, size - recent_window(kind.k)) if h2o else (probs, kind.pin, size)
     if kind.headwise:
-        return [lo + idx for idx in np.argmin(scores[:, lo:hi], axis=1).tolist()]
+        return [lo + idx for idx in np.argmin(scores[..., lo:hi], axis=-1).ravel().tolist()]
     # np.mean's own arithmetic (sum, then divide) without its Python wrapper
-    mean = np.add.reduce(scores, axis=0, dtype=np.float64) / n_heads
-    return [lo + int(np.argmin(mean[lo:hi]))] * n_heads
+    mean = np.add.reduce(scores, axis=-2, dtype=np.float64) / n_heads
+    return [lo + idx for idx in np.ravel(np.argmin(mean[..., lo:hi], axis=-1)).tolist()
+            for _ in range(n_heads)]
 
 
-def apply_layer_policy(kind: PolicyKind, state: MultiState | ColumnSets, layer: int,
-                       probs: np.ndarray) -> None:
-    """Apply one step's policy to one layer of the multi-state.
+def apply_policy(kind: PolicyKind, state: MultiState | ColumnSets,
+                 probs: np.ndarray | list[np.ndarray]) -> None:
+    """Apply one step's policy to every layer of the multi-state at once.
 
-    H2O kinds fold the layer's (H, S) `probs` block into `state.scores`, an
+    `probs` is the step's (L, H, S) attention block, or one (H, S) block per
+    layer, where S is the size every head of every layer holds (a ValueError
+    names the sizes otherwise). H2O kinds fold it into `state.scores`, an
     AccumulatedScores made at the state's first H2O step, before deciding.
-    The decision is applied with one `state.evict_layer` call (the state logs
-    it), then the decided columns are dropped from the layer's scores.
+    One `state.evict_step` call applies the decision (the state logs it),
+    then the decided columns are dropped from the scores.
     """
+    shape = (state.n_layers, state.n_heads, state.step_size())
+    try:
+        block = np.asarray(probs)
+    except ValueError:  # blocks of different shapes
+        block = None
+    if block is None or block.shape != shape:
+        raise ValueError(f"a step's probabilities must be one (H, S) = {shape[1:]} block per "
+                         f"layer; got layer blocks of shapes {[np.shape(p) for p in probs]}")
     scores = None
     if kind.needs_scores:
         if state.scores is None:
             state.scores = AccumulatedScores(state.n_layers, state.n_heads)
-        state.scores.accumulate(layer, probs)
-        scores = state.scores.layer(layer)
-    evicted = decide_layer(kind, probs, scores)
-    if evicted[0] is not None:  # every policy evicts from all heads of a layer or none
-        state.evict_layer(layer, evicted)
+        state.scores.accumulate(block)
+        scores = state.scores.block
+    evicted = decide_layer(kind, block, scores)
+    if evicted[0] is not None:  # every policy evicts from all heads of every layer or none
+        state.evict_step(evicted)
         if scores is not None:
-            state.scores.drop(layer, evicted)
-
-
-def apply_policy(kind: PolicyKind, state: MultiState | ColumnSets,
-                 probs: list[np.ndarray]) -> None:
-    """Apply one step's policy to every layer; `probs[layer]` is that layer's (H, S) block."""
-    for layer in range(state.n_layers):
-        apply_layer_policy(kind, state, layer, probs[layer])
+            state.scores.drop(evicted)

@@ -3,8 +3,8 @@
 The multi-state is the recurrent state of the decoder: preallocated buffers
 of k+1 rows per head that hold each head's ordered key/value rows plus
 metadata (ColumnSets keeps only their positions). Policies shrink it one
-layer at a time, dropping one entry from every head with `evict_layer`;
-every append and evict lands in a RetentionTrace.
+step at a time, dropping one entry from every head of every layer with
+`evict_step`; every append and evict lands in a RetentionTrace.
 """
 
 from __future__ import annotations
@@ -293,10 +293,10 @@ class MultiState:
     stamped with the latest position appended to the state. Appending writes
     one row and evicting shifts the head's tail left by one in place, so
     neither allocates, and the surviving entries never reorder. A policy
-    evicts through `evict_layer`, which makes one per-head `evict` call for
-    each head of the layer, in head order. `scores`
-    holds H2O's `policies.AccumulatedScores`, None until the state's first
-    H2O step.
+    evicts through `evict_step`, which makes one per-head `evict` call for
+    each head of each layer, layer by layer in head order. `scores` holds
+    H2O's `policies.AccumulatedScores`, None until the state's first H2O
+    step.
     """
 
     def __init__(self, n_layers: int, n_heads: int, head_dim: int, capacity: int,
@@ -378,10 +378,17 @@ class MultiState:
         meta_rows[2 * index:2 * (size - 1)] = meta_rows[2 * (index + 1):2 * size]
         self._sizes[layer][head] = size - 1
 
-    def evict_layer(self, layer: int, indices: list[int]) -> None:
-        """Evict entry indices[h] from head h of `layer`, one `evict` per head in order."""
-        for head, index in enumerate(indices):
-            self.evict(layer, head, index)
+    def step_size(self) -> int:
+        """The size every head of every layer holds; a ValueError names the sizes otherwise."""
+        if self._sizes.count(self._sizes[0]) != self.n_layers or len(set(self._sizes[0])) > 1:
+            raise ValueError(f"a step needs every layer at one size; the heads hold {self._sizes}")
+        return self._sizes[0][0]
+
+    def evict_step(self, indices: list[int]) -> None:
+        """Evict entry indices[layer * H + h] from head h of every layer, one
+        `evict` per head, layer by layer in head order."""
+        for row, index in enumerate(indices):
+            self.evict(*divmod(row, self.n_heads), index)
 
     def keys(self, layer: int, head: int) -> np.ndarray:
         """(size, head_dim) view of one head's cached keys, oldest first.
@@ -415,42 +422,47 @@ class MultiState:
 
 class ColumnSets:
     """MultiState's bookkeeping with no K/V rows: head h of a layer holds its
-    entries as columns position * H + h, oldest first. Every head of a layer
-    has one size, since policies evict from all heads or none. `evict_layer`,
-    its stamps and `scores` are MultiState's, and each layer logs its
-    evictions."""
+    entries as columns position * H + h, oldest first, and all heads of all
+    layers have one size. `evict_step`, its stamps and `scores` are
+    MultiState's, and each layer logs its evictions."""
 
     def __init__(self, n_layers: int, n_heads: int, capacity: int):
         self.n_layers, self.n_heads = n_layers, n_heads
         self.scores = None
         self._columns = np.empty((n_layers, n_heads, capacity + 1), dtype=np.intp)
-        self._sizes = [0] * n_layers
+        self._size = 0
         self._log = [array("q") for _ in range(n_layers)]
         self._last_step = -1
 
-    def append(self, layer: int, step: int) -> np.ndarray:
-        """Give head h column step * H + h; the layer's (H, S) columns, as a view."""
-        size, n_heads = self._sizes[layer], self.n_heads
-        self._columns[layer, :, size] = np.arange(step * n_heads, (step + 1) * n_heads)
-        self._sizes[layer] = size + 1
-        self._last_step = max(self._last_step, step)
-        return self._columns[layer, :, :size + 1]
+    def step_size(self) -> int:
+        return self._size
 
-    def evict_layer(self, layer: int, indices: list[int]) -> None:
-        """Drop column indices[h] from head h, logging the heads in order: one 2-D
-        shift when every head drops the same index, else one shift per head."""
-        size, rows, log = self._sizes[layer], self._columns[layer], self._log[layer]
-        step, n_heads, first = self._last_step, self.n_heads, indices[0]
-        if indices.count(first) == n_heads:
-            for head, column in enumerate(rows[:, first].tolist()):
-                log.extend((step, head, column // n_heads))
-            rows[:, first:size - 1] = rows[:, first + 1:size]
-        else:
-            for head, index in enumerate(indices):
-                row = rows[head]
-                log.extend((step, head, row.item(index) // n_heads))
-                row[index:size - 1] = row[index + 1:size]
-        self._sizes[layer] = size - 1
+    def append(self, step: int) -> np.ndarray:
+        """Give head h of every layer column step * H + h, in one assignment;
+        the (L, H, S) columns, as a view."""
+        size, n_heads = self._size, self.n_heads
+        self._columns[:, :, size] = np.arange(step * n_heads, (step + 1) * n_heads)
+        self._size = size + 1
+        self._last_step = max(self._last_step, step)
+        return self._columns[:, :, :size + 1]
+
+    def evict_step(self, indices: list[int]) -> None:
+        """Drop column indices[layer * H + h] from head h of every layer, logging
+        each layer's heads in order: one 2-D shift for a layer whose heads drop
+        the same index, else one shift per head."""
+        size, step, n_heads = self._size, self._last_step, self.n_heads
+        for layer, (rows, log) in enumerate(zip(self._columns, self._log)):
+            mine = indices[layer * n_heads:(layer + 1) * n_heads]
+            first = mine[0]
+            if mine.count(first) == n_heads:
+                for head, column in enumerate(rows[:, first].tolist()):
+                    log.extend((step, head, column // n_heads))
+                rows[:, first:size - 1] = rows[:, first + 1:size]
+            else:
+                for head, (row, index) in enumerate(zip(rows, mine)):
+                    log.extend((step, head, row.item(index) // n_heads))
+                    row[index:size - 1] = row[index + 1:size]
+        self._size = size - 1
 
     def evictions(self, layer: int) -> np.ndarray:
         """The (n, 3) int64 table of the layer's evicted (step, head, position)."""

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msrnn import (AccumulatedScores, MultiState, PolicyKind, RetentionTrace,
-                   accumulate_row, apply_policy, parse_policy, recent_window)
-from msrnn.policies import decide_layer
+from msrnn import (MultiState, PolicyKind, RetentionTrace, apply_policy, parse_policy,
+                   recent_window)
+from msrnn.policies import AccumulatedScores, accumulate_row, decide_layer
+from msrnn.state import ColumnSets
 
 
 def test_parse_policy_forms():
@@ -47,6 +48,14 @@ def test_policy_kind_flags():
     assert PolicyKind("tova-head", 4).headwise
     assert not PolicyKind("tova-layer", 4).headwise
     assert not PolicyKind("window", 4).headwise
+    # worked out once, read-only, and outside equality and repr
+    kind = PolicyKind("h2o-head", 4)
+    with pytest.raises(AttributeError):
+        kind.needs_scores = False
+    with pytest.raises(TypeError):
+        PolicyKind("h2o-head", 4, 0, True)
+    assert kind == PolicyKind("h2o-head", 4) and hash(kind) == hash(PolicyKind("h2o-head", 4))
+    assert repr(kind) == "PolicyKind(family='h2o-head', k=4, pin=0)"
 
 
 def test_accumulate_row_examples():
@@ -153,7 +162,7 @@ def test_apply_policy_h2o_accumulates_current_row_before_deciding():
     state = _filled_state(3, capacity=2)
     state.scores = AccumulatedScores(1, 1)
     # prior sums [1.0, 0.2] for positions 0 and 1
-    state.scores._acc[0] = np.array([[1.0, 0.2]], dtype=np.float64)
+    state.scores.block = np.array([[[1.0, 0.2]]], dtype=np.float64)
     # current row lifts position 1 above position 0's total
     probs = np.array([[0.0, 0.9, 0.1]], dtype=np.float32)
     kind = parse_policy("h2o-head", k=2)
@@ -161,7 +170,7 @@ def test_apply_policy_h2o_accumulates_current_row_before_deciding():
     # with sums [1.0, 1.1]: position 0 goes
     apply_policy(kind, state, [probs])
     assert state.retained_positions(0, 0) == [1, 2]
-    np.testing.assert_allclose(state.scores.layer(0), [[1.1, 0.1]])
+    np.testing.assert_allclose(state.scores.block, [[[1.1, 0.1]]])
 
 
 def test_apply_policy_h2o_rejects_entries_older_than_its_scores():
@@ -180,29 +189,30 @@ def test_window_and_tova_steps_leave_scores_unset():
 
 
 def test_state_scores_equal_hand_driven_scores():
-    # N H2O steps from an empty state: the scores the state made for itself
-    # equal an AccumulatedScores fed the same blocks and drops by hand
+    # N H2O steps from an empty state: the step-wide scores the state made
+    # for itself equal one AccumulatedScores per layer, fed that layer's
+    # blocks and drops by hand
     rng = np.random.default_rng(3)
     for name in ("h2o-head", "h2o-layer"):
         kind = parse_policy(name, k=3)
         state = MultiState(2, 2, head_dim=2, capacity=3)
-        by_hand = AccumulatedScores(2, 2)
+        by_hand = [AccumulatedScores(1, 2) for _ in range(2)]
         row = np.zeros(2, dtype=np.float32)
         for t in range(9):
-            blocks = []
             for layer in range(2):
                 for head in range(2):
                     state.append(layer, head, row, row, t, t)
-                block = rng.random((2, min(t + 1, 4))).astype(np.float32)
-                blocks.append(block / block.sum(axis=1, keepdims=True))
-                by_hand.accumulate(layer, blocks[layer])
-                evicted = decide_layer(kind, blocks[layer], by_hand.layer(layer))
+            block = rng.random((2, 2, min(t + 1, 4))).astype(np.float32)
+            block /= block.sum(axis=-1, keepdims=True)
+            for layer, scores in enumerate(by_hand):
+                scores.accumulate(block[layer][None])
+                evicted = decide_layer(kind, block[layer], scores.block[0])
                 if evicted[0] is not None:
-                    by_hand.drop(layer, evicted)
-            apply_policy(kind, state, blocks)
-        for layer in range(2):
-            assert state.scores.layer(layer).tobytes() == by_hand.layer(layer).tobytes()
-            assert state.scores.layer(layer).shape == (2, 3)
+                    scores.drop(evicted)
+            apply_policy(kind, state, list(block))
+        by_layer = np.concatenate([scores.block for scores in by_hand])
+        assert state.scores.block.tobytes() == by_layer.tobytes()
+        assert state.scores.block.shape == (2, 2, 3)
 
 
 def test_tova_brute_force_small():
@@ -322,3 +332,60 @@ def test_decide_layer_matches_rule_oracle(data, form, n_heads, k):
     got = decide_layer(PolicyKind(family, k, pin), probs, acc)
     assert got == _rule_oracle(family, k, pin, probs, acc)
     assert all(type(idx) is int for idx in got if idx is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       form=st.sampled_from(("window", "window+i", "h2o-head", "h2o-layer",
+                             "tova-head", "tova-layer", "tova-layer+i")),
+       n_layers=st.integers(1, 4),
+       n_heads=st.integers(1, 4),
+       k=st.integers(1, 6),
+       dyadic=st.booleans())
+def test_decide_layer_on_a_stacked_block_equals_per_layer_calls(data, form, n_layers, n_heads,
+                                                                 k, dyadic):
+    # a step's (L, H, S) block decides what its L (H, S) layers decide alone,
+    # concatenated layer-major: with exact ties (quarters) or with random
+    # floats, whose float64 layer means must round as the per-layer ones do
+    family, _, suffix = form.partition("+")
+    pin = data.draw(st.integers(min(1, k - 1), k - 1), label="pin") if suffix else 0
+    size = data.draw(st.integers(1, k + 2), label="size")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+    def block(dtype, label):
+        if dyadic:
+            return np.stack([_dyadic_block(data, n_heads, size, dtype, f"{label} {layer}")
+                             for layer in range(n_layers)])
+        return rng.random((n_layers, n_heads, size)).astype(dtype)
+
+    probs = block(np.float32, "probs")
+    acc = block(np.float64, "acc") if family.startswith("h2o") else None
+    kind = PolicyKind(family, k, pin)
+    got = decide_layer(kind, probs, acc)
+    assert got == [idx for layer in range(n_layers)
+                   for idx in decide_layer(kind, probs[layer],
+                                           None if acc is None else acc[layer])]
+    assert all(type(idx) is int for idx in got if idx is not None)
+
+
+def test_apply_policy_rejects_unequal_layer_sizes():
+    # a step drops one entry per head from every layer, so every layer must
+    # hold one size: a state whose layers differ, or ragged blocks, fail
+    # with one ValueError that names the sizes
+    kind = parse_policy("tova-layer", k=2)
+    state = _filled_state(3, capacity=3, n_layers=2, n_heads=2)
+    state.evict(1, 0, 0)
+    state.evict(1, 1, 0)
+    with pytest.raises(ValueError, match=r"one size; the heads hold \[\[3, 3\], \[2, 2\]\]"):
+        apply_policy(kind, state, [np.full((2, 3), 1 / 3, np.float32),
+                                   np.full((2, 2), 0.5, np.float32)])
+    state = _filled_state(3, capacity=3, n_layers=2, n_heads=2)
+    ragged = [np.full((2, 3), 1 / 3, np.float32), np.full((2, 2), 0.5, np.float32)]
+    with pytest.raises(ValueError, match=r"one \(H, S\) = \(2, 3\) block per layer; got layer "
+                                         r"blocks of shapes \[\(2, 3\), \(2, 2\)\]"):
+        apply_policy(kind, state, ragged)
+    sets = ColumnSets(2, 2, capacity=3)
+    sets.append(0)
+    with pytest.raises(ValueError, match=r"got layer blocks of shapes \[\(2, 2\), \(2, 2\)\]"):
+        apply_policy(kind, sets, np.full((2, 2, 2), 0.5, np.float32))
+    assert state.step_size() == 3 and sets.step_size() == 1

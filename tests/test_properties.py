@@ -1,5 +1,5 @@
 """Property tests: the layer-buffer multi-state against a plain-list model,
-layer evictions against per-head ones and a list model, the H2O score
+step evictions against per-head ones and a list model, the H2O score
 block against per-head running sums, row-wise remapping of position arrays
 and its bounds, the kernels' rows against one-vector calls, remapped
 attention against separate key and query rotations, sequential decoding
@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from msrnn import (ACTION_APPEND, ACTION_EVICT, AccumulatedScores, Model,
+from msrnn import (ACTION_APPEND, ACTION_EVICT, Model,
                    ModelConfig, MultiState, RetentionTrace, TokenStream,
                    TraceEvent, WeightFormatError, apply_policy, init_random_model,
                    lifetime_by_tag, load_weights, masked_parallel_perplexity, parse_policy,
@@ -30,6 +30,7 @@ from msrnn import (ACTION_APPEND, ACTION_EVICT, AccumulatedScores, Model,
 import msrnn.model
 from msrnn.model import (_inv_freq, attend, attention_step, band_attention, rms_norm, rotate,
                          row_matmul, silu, softmax_rows)
+from msrnn.policies import AccumulatedScores
 from msrnn.state import ACTIONS, TRACE_COLUMNS, ColumnSets, write_csv_rows
 
 
@@ -128,51 +129,59 @@ def test_multistate_keeps_rows_at_capacity():
        n_heads=st.integers(1, 5),
        capacity=st.integers(1, 6),
        steps=st.integers(1, 16))
-def test_evict_layer_matches_per_head_evicts(data, n_heads, capacity, steps):
-    # each step appends to every head of both layers; a layer past k (and,
-    # at random, one not yet full) drops one entry per head, every head the
-    # same index or each its own. MultiState.evict_layer leaves the K/V/meta
-    # rows, sizes and trace events of per-head evicts in head order, and
-    # ColumnSets.evict_layer the columns and evictions() of a list model
+def test_evict_step_matches_per_head_evicts(data, n_heads, capacity, steps):
+    # each step appends to every head of both layers; past k (and, at
+    # random, before) every layer drops one entry per head, every head of a
+    # layer the same index or each its own, and the layers the same indices
+    # or each their own. MultiState.evict_step leaves the K/V/meta rows,
+    # sizes and trace events of per-head evicts in layer and head order, and
+    # ColumnSets.evict_step the columns and evictions() of a list model
     n_layers, head_dim = 2, 3
     traces = RetentionTrace(n_layers, n_heads), RetentionTrace(n_layers, n_heads)
-    layered, per_head = (MultiState(n_layers, n_heads, head_dim, capacity, trace)
+    stepped, per_head = (MultiState(n_layers, n_heads, head_dim, capacity, trace)
                          for trace in traces)
     sets = ColumnSets(n_layers, n_heads, capacity)
     ref = [[[] for _ in range(n_heads)] for _ in range(n_layers)]  # retained positions
     log = [[] for _ in range(n_layers)]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     for step in range(steps + 1):  # the extra append shows the last step's columns
+        assert sets.append(step).tolist() == [
+            [[p * n_heads + h for p in ref[layer][h] + [step]] for h in range(n_heads)]
+            for layer in range(n_layers)]
+        if step == steps:
+            continue
         for layer in range(n_layers):
-            assert sets.append(layer, step).tolist() == [
-                [p * n_heads + h for p in ref[layer][h] + [step]] for h in range(n_heads)]
-            if step == steps:
-                continue
             rows = rng.standard_normal((n_heads, head_dim)).astype(np.float32)
-            for state in (layered, per_head):
+            for state in (stepped, per_head):
                 for head in range(n_heads):
                     state.append(layer, head, rows[head], -rows[head], step, step + 100)
             for positions in ref[layer]:
                 positions.append(step)
-            size = len(ref[layer][0])
-            if size <= capacity and not data.draw(st.booleans(), label="early"):
-                continue
+        size = len(ref[0][0])
+        if size > capacity or data.draw(st.booleans(), label="early"):
             index = st.integers(0, size - 1)
-            if data.draw(st.booleans(), label="agree"):
-                indices = [data.draw(index, label="index")] * n_heads
-            else:
-                indices = data.draw(st.lists(index, min_size=n_heads, max_size=n_heads),
-                                    label="indices")
-            layered.evict_layer(layer, indices)
-            for head, i in enumerate(indices):
-                per_head.evict(layer, head, i)
-            sets.evict_layer(layer, indices)
-            log[layer] += [[step, head, ref[layer][head].pop(i)] for head, i in enumerate(indices)]
+            indices = []
+            for layer in range(n_layers):
+                if layer and data.draw(st.booleans(), label="layers agree"):
+                    indices += indices[:n_heads]
+                elif data.draw(st.booleans(), label="heads agree"):
+                    indices += [data.draw(index, label="index")] * n_heads
+                else:
+                    indices += data.draw(st.lists(index, min_size=n_heads, max_size=n_heads),
+                                         label="indices")
+            stepped.evict_step(indices)
+            for row, i in enumerate(indices):
+                per_head.evict(row // n_heads, row % n_heads, i)
+            sets.evict_step(indices)
+            for layer in range(n_layers):
+                log[layer] += [[step, head, ref[layer][head].pop(i)] for head, i in
+                               enumerate(indices[layer * n_heads:(layer + 1) * n_heads])]
         for layer in range(n_layers):
-            assert [layered.size(layer, h) for h in range(n_heads)] == \
+            assert [stepped.size(layer, h) for h in range(n_heads)] == \
                 [per_head.size(layer, h) for h in range(n_heads)] == [len(p) for p in ref[layer]]
+        assert stepped.step_size() == sets.step_size() == len(ref[0][0])
     for name in ("_keys", "_values", "_meta"):
-        assert np.array_equal(getattr(layered, name), getattr(per_head, name)), name
+        assert np.array_equal(getattr(stepped, name), getattr(per_head, name)), name
     assert traces[0].events == traces[1].events
     for layer in range(n_layers):
         assert sets.evictions(layer).tolist() == log[layer]
@@ -185,34 +194,38 @@ def test_evict_layer_matches_per_head_evicts(data, n_heads, capacity, steps):
        steps=st.integers(1, 20),
        layerwise=st.booleans())
 def test_score_block_matches_per_head_running_sums(data, n_heads, k, steps, layerwise):
-    # H2O bookkeeping: each step every head's sums take one float32 row (one
-    # state longer after an append, or as long), and once over k one column
-    # per head is dropped, the same for every head or each head its own; the
-    # (H, S) block equals per-head float64 running sums bit for bit
-    scores = AccumulatedScores(2, n_heads)
-    ref = [[] for _ in range(n_heads)]
+    # H2O bookkeeping: each step every head of both layers takes one float32
+    # row (one state longer after an append, or as long), and once over k
+    # one column per head is dropped, the same for every head of a layer or
+    # each head its own; the (L, H, S) block equals per-head float64 running
+    # sums bit for bit
+    n_layers = 2
+    scores = AccumulatedScores(n_layers, n_heads)
+    ref = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     for _ in range(steps):
-        grow = not ref[0] or data.draw(st.booleans(), label="grow")
-        probs = rng.random((n_heads, len(ref[0]) + grow)).astype(np.float32)
-        scores.accumulate(1, probs)
-        for head, sums in enumerate(ref):
-            sums[:] = [s + float(p) for s, p in zip(sums, probs[head])] + \
-                [float(probs[head, -1])] * grow
-        size = len(ref[0])
+        grow = not ref[0][0] or data.draw(st.booleans(), label="grow")
+        probs = rng.random((n_layers, n_heads, len(ref[0][0]) + grow)).astype(np.float32)
+        scores.accumulate(probs)
+        for layer, heads in enumerate(ref):
+            for head, sums in enumerate(heads):
+                sums[:] = [s + float(p) for s, p in zip(sums, probs[layer, head])] + \
+                    [float(probs[layer, head, -1])] * grow
+        size = len(ref[0][0])
         if size > k:
-            if layerwise:
-                indices = [data.draw(st.integers(0, size - 1), label="index")] * n_heads
-            else:
-                indices = data.draw(st.lists(st.integers(0, size - 1), min_size=n_heads,
-                                             max_size=n_heads), label="indices")
-            scores.drop(1, indices)
-            for sums, index in zip(ref, indices):
-                del sums[index]
-        block = scores.layer(1)
-        assert block.dtype == np.float64 and block.shape == (n_heads, len(ref[0]))
+            indices = []
+            for _layer in range(n_layers):
+                if layerwise:
+                    indices += [data.draw(st.integers(0, size - 1), label="index")] * n_heads
+                else:
+                    indices += data.draw(st.lists(st.integers(0, size - 1), min_size=n_heads,
+                                                  max_size=n_heads), label="indices")
+            scores.drop(indices)
+            for row, index in enumerate(indices):
+                del ref[row // n_heads][row % n_heads][index]
+        block = scores.block
+        assert block.dtype == np.float64 and block.shape == (n_layers, n_heads, len(ref[0][0]))
         assert block.tolist() == ref
-    assert scores.layer(0).shape == (n_heads, 0)
 
 
 increasing_rows = st.integers(1, 4).flatmap(lambda n_rows: st.integers(1, 30).flatmap(

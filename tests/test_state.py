@@ -58,22 +58,23 @@ def test_append_rejects_bad_shapes_and_positions():
 
 
 def test_column_sets_bookkeeping():
-    # head h holds column position * H + h, oldest first; an eviction is
-    # logged as (latest step appended, head, position), as MultiState stamps it
+    # head h holds column position * H + h, oldest first, and every layer
+    # holds one size; an eviction is logged per layer as (latest step
+    # appended, head, position), as MultiState stamps it
     sets = ColumnSets(n_layers=2, n_heads=2, capacity=2)
     for step in range(3):
-        columns = sets.append(1, step)
-    assert columns.tolist() == [[0, 2, 4], [1, 3, 5]]
-    sets.evict_layer(1, [1, 0])
-    assert sets.append(1, 3).tolist() == [[0, 4, 6], [3, 5, 7]]
-    assert sets.append(0, 3).tolist() == [[6], [7]]
-    sets.evict_layer(1, [0, 2])
+        columns = sets.append(step)
+    assert columns.tolist() == [[[0, 2, 4], [1, 3, 5]]] * 2
+    sets.evict_step([0, 0, 1, 0])  # layer 0's heads agree, layer 1's do not
+    assert sets.append(3).tolist() == [[[2, 4, 6], [3, 5, 7]], [[0, 4, 6], [3, 5, 7]]]
+    sets.evict_step([2, 2, 0, 2])
     assert sets.evictions(1).tolist() == [[2, 0, 1], [2, 1, 0], [3, 0, 0], [3, 1, 3]]
-    assert sets.evictions(0).shape == (0, 3) and sets.scores is None
+    assert sets.evictions(0).tolist() == [[2, 0, 0], [2, 1, 0], [3, 0, 3], [3, 1, 3]]
+    assert ColumnSets(1, 1, 1).evictions(0).shape == (0, 3) and sets.scores is None
     # heads that agree drop their column in one shift, logged in head order too
-    assert sets.append(1, 4).tolist() == [[4, 6, 8], [3, 5, 9]]
-    sets.evict_layer(1, [1, 1])
-    assert sets.append(1, 5).tolist() == [[4, 8, 10], [3, 9, 11]]
+    assert sets.append(4).tolist()[1] == [[4, 6, 8], [3, 5, 9]]
+    sets.evict_step([1, 1, 1, 1])
+    assert sets.append(5).tolist() == [[[2, 8, 10], [3, 9, 11]], [[4, 8, 10], [3, 9, 11]]]
     assert sets.evictions(1).tolist()[4:] == [[4, 0, 3], [4, 1, 2]]
 
 
