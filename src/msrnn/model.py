@@ -11,7 +11,9 @@ and last with a whole chunk's rows and keeps no multi-state, so instead of
 under H2O and TOVA, and `band_attention` once over all rows for the window
 family's fixed mask. Keys are rotated once, when they are cached, unless
 positions are remapped: then they are cached unrotated and re-rotated at the
-remapped positions every step.
+remapped positions every step. Integer positions (a decoding step, a chunk's
+rows) read their cos and sin from a table cached per inv_freq; remapped,
+real-valued positions compute theirs. Both give the same bits.
 """
 
 from __future__ import annotations
@@ -314,8 +316,7 @@ def rms_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
 def silu(x: np.ndarray) -> np.ndarray:
     # stable sigmoid: exponentials only of non-positive arguments
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return x * np.where(x >= 0, 1.0 / d, e / d)
+    return x * (np.where(x >= 0, 1.0, e) / (1.0 + e))
 
 
 @lru_cache(maxsize=None)
@@ -323,7 +324,40 @@ def _inv_freq(head_dim: int, rope_base: float) -> np.ndarray:
     return np.power(float(rope_base), -np.arange(0, head_dim, 2, dtype=np.float64) / head_dim)
 
 
-def rotate(vecs: np.ndarray, positions: np.ndarray, inv_freq: np.ndarray) -> np.ndarray:
+# integer positions below this read their angles from a table; later ones
+# compute them. It bounds a table at 2 * 4096 * head_dim float64 values, and
+# the cache holds the tables of at most 8 inv_freq values.
+_ANGLE_ROWS = 4096
+
+
+@lru_cache(maxsize=8)
+def _angle_cache(inv_freq_bytes: bytes) -> list[np.ndarray]:
+    """[(cos, cos), (-sin, sin)] of one float64 inv_freq, as (n, head_dim/2, 2)
+    pair-interleaved rows of positions 0..n-1; empty until `_angle_table` grows it."""
+    pairs = len(inv_freq_bytes) // 8
+    return [np.empty((0, pairs, 2)), np.empty((0, pairs, 2))]
+
+
+def _angle_table(inv_freq: np.ndarray, top: int) -> list[np.ndarray] | None:
+    """`inv_freq`'s cached angle rows, grown by doubling to cover positions
+    0..top, or None when top is negative or past the cap. One vectorised
+    cos and sin call over the float64 products of positions and inv_freq
+    builds them, so they equal the angles rotate computes otherwise."""
+    if not 0 <= top < _ANGLE_ROWS or inv_freq.dtype != np.float64:
+        return None
+    table = _angle_cache(inv_freq.tobytes())
+    if top >= len(table[0]):
+        n = max(len(table[0]), 64)
+        while n <= top:
+            n *= 2
+        ang = np.arange(min(n, _ANGLE_ROWS), dtype=np.float64)[:, None] * inv_freq
+        cos, sin = np.cos(ang), np.sin(ang)
+        table[:] = np.stack((cos, cos), -1), np.stack((-sin, sin), -1)
+    return table
+
+
+def rotate(vecs: np.ndarray, positions: int | float | np.ndarray,
+           inv_freq: np.ndarray) -> np.ndarray:
     """Pairwise 2-D rotation of consecutive coordinate pairs.
 
     `vecs` is float32 with head_dim last; `positions` broadcasts against its
@@ -331,10 +365,31 @@ def rotate(vecs: np.ndarray, positions: np.ndarray, inv_freq: np.ndarray) -> np.
     computed in float64 (positions may be large or real-valued), output cast
     back to float32. Purely element-wise, so batched and per-subset calls
     agree bit-for-bit.
+
+    Integer positions below a cap (a decoding step as a Python int, a
+    chunk's (T, 1) integer rows) read their cos and sin from a table cached
+    per inv_freq value. A Python-int step rotates each (even, odd) pair as
+    (even, odd) * (cos, cos) + (odd, even) * (-sin, sin), from the table's
+    pair-interleaved rows: the computed result bit for bit, since negating a
+    product is exact and addition commutes. Other positions compute their
+    angles.
     """
-    ang = np.asarray(positions, dtype=np.float64)[..., None] * inv_freq
-    cos = np.cos(ang)
-    sin = np.sin(ang)
+    table = None
+    if type(positions) is int:
+        table = _angle_table(inv_freq, positions)
+        if table is not None:
+            pairs = vecs.astype(np.float64).reshape(vecs.shape[:-1] + (-1, 2))
+            out = pairs * table[0][positions] + pairs[..., ::-1] * table[1][positions]
+            return out.reshape(vecs.shape).astype(np.float32)
+    elif (isinstance(positions, np.ndarray) and positions.dtype.kind in "iu"
+          and positions.size and positions.min() >= 0):
+        table = _angle_table(inv_freq, int(positions.max()))
+    if table is not None:
+        cos, sin = table[0][positions, :, 0], table[1][positions, :, 1]
+    else:
+        ang = np.asarray(positions, dtype=np.float64)[..., None] * inv_freq
+        cos = np.cos(ang)
+        sin = np.sin(ang)
     even = vecs[..., 0::2].astype(np.float64)
     odd = vecs[..., 1::2].astype(np.float64)
     out = np.empty(vecs.shape, dtype=np.float32)

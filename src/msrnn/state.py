@@ -89,7 +89,7 @@ class RetentionTrace:
     The store is one int64 table in insertion order, a column per
     TRACE_COLUMNS field (the action as its ACTIONS index). The canonical
     (step, layer, head, append-before-evict, position) order of file output
-    and `sorted_events` is one lexsort, cached until the next `record`.
+    and `sorted_events` is one lexsort, cached until the next row is written.
     """
 
     def __init__(self, n_layers: int, n_heads: int):
@@ -103,11 +103,20 @@ class RetentionTrace:
 
     def record(self, step: int, layer: int, head: int, action: str,
                original_position: int, token_id: int) -> None:
+        """Check one event's action and layer/head, then write it with
+        `_write_row`, the writer a MultiState calls for rows it has checked."""
         if action not in _CODES:
             raise ValueError(f"unknown trace action {action!r}")
         if not (0 <= layer < self.n_layers and 0 <= head < self.n_heads):
             raise ValueError(f"layer/head ({layer}, {head}) out of range")
-        self._log.extend((step, layer, head, _CODES[action], original_position, token_id))
+        self._write_row(step, layer, head, _CODES[action], original_position, token_id)
+
+    def _write_row(self, step: int, layer: int, head: int, code: int,
+                   original_position: int, token_id: int) -> None:
+        """Write one event already checked, with its action as its ACTIONS
+        index: the row writer of `record` and of a MultiState's appends and
+        evicts, which check their rows themselves."""
+        self._log.extend((step, layer, head, code, original_position, token_id))
         if step >= self.n_steps:
             self.n_steps = step + 1
         self._order = None
@@ -277,6 +286,7 @@ def _parse_trace_table(path: str) -> np.ndarray | None:
 
 # metadata columns are (original position, token id)
 _POS = 0
+_APPEND, _EVICT = _CODES[ACTION_APPEND], _CODES[ACTION_EVICT]
 
 
 class MultiState:
@@ -294,9 +304,12 @@ class MultiState:
     one row and evicting shifts the head's tail left by one in place, so
     neither allocates, and the surviving entries never reorder. A policy
     evicts through `evict_step`, which makes one per-head `evict` call for
-    each head of each layer, layer by layer in head order. `scores` holds
-    H2O's `policies.AccumulatedScores`, None until the state's first H2O
-    step.
+    each head of each layer, layer by layer in head order. `append` and
+    `evict` check their arguments, then write the entry through the head's
+    flat views and its trace row through `RetentionTrace._write_row`, so a
+    refused call writes no row and a row is checked once; the trace must
+    have the state's layers and heads. `scores` holds H2O's
+    `policies.AccumulatedScores`, None until the state's first H2O step.
     """
 
     def __init__(self, n_layers: int, n_heads: int, head_dim: int, capacity: int,
@@ -307,6 +320,9 @@ class MultiState:
             raise ValueError("head_dim must be >= 0")
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        if trace is not None and (trace.n_layers, trace.n_heads) != (n_layers, n_heads):
+            raise ValueError(f"a trace of {trace.n_layers} layers and {trace.n_heads} heads "
+                             f"cannot record a state of {n_layers} and {n_heads}")
         self.n_layers = n_layers
         self.n_heads = n_heads
         self.head_dim = head_dim
@@ -343,39 +359,39 @@ class MultiState:
         if position < 0 or token < 0:
             raise ValueError(f"position {position} and token {token} must be non-negative")
         size = self._sizes[layer][head]
-        meta = self._meta
-        if size and position <= meta[layer, head, size - 1, _POS]:
+        keys, values, meta = self._flat[layer][head]
+        if size and position <= meta.item(2 * size - 2):
             raise ValueError(
-                f"position {position} not greater than current "
-                f"maximum {meta[layer, head, size - 1, _POS]}"
-            )
+                f"position {position} not greater than current maximum {meta.item(2 * size - 2)}")
         if size > self.capacity:
             raise ValueError(
                 f"state already holds k+1 = {size} entries at layer "
                 f"{layer}, head {head}; evict before appending"
             )
-        self._keys[layer, head, size] = key
-        self._values[layer, head, size] = value
-        meta[layer, head, size] = (position, token)
+        d = self.head_dim
+        keys[size * d:(size + 1) * d] = key
+        values[size * d:(size + 1) * d] = value
+        meta[2 * size] = position
+        meta[2 * size + 1] = token
         self._sizes[layer][head] = size + 1
         if position > self._last_step:
             self._last_step = position
         if self.trace is not None:
-            self.trace.record(position, layer, head, ACTION_APPEND, position, token)
+            self.trace._write_row(position, layer, head, _APPEND, position, token)
 
     def evict(self, layer: int, head: int, index: int) -> None:
         self._check(layer, head)
         size = self._sizes[layer][head]
         if not (0 <= index < size):
             raise ValueError(f"evict index {index} out of range for size {size}")
-        keys, values, meta_rows = self._flat[layer][head]
+        keys, values, meta = self._flat[layer][head]
         if self.trace is not None:
-            position, token = meta_rows[2 * index:2 * index + 2].tolist()
-            self.trace.record(self._last_step, layer, head, ACTION_EVICT, position, token)
+            self.trace._write_row(self._last_step, layer, head, _EVICT,
+                                  meta.item(2 * index), meta.item(2 * index + 1))
         d = self.head_dim
         keys[index * d:(size - 1) * d] = keys[(index + 1) * d:size * d]
         values[index * d:(size - 1) * d] = values[(index + 1) * d:size * d]
-        meta_rows[2 * index:2 * (size - 1)] = meta_rows[2 * (index + 1):2 * size]
+        meta[2 * index:2 * (size - 1)] = meta[2 * (index + 1):2 * size]
         self._sizes[layer][head] = size - 1
 
     def step_size(self) -> int:

@@ -83,6 +83,13 @@ def test_capacity_must_be_positive():
         MultiState(1, 1, 2, capacity=0)
 
 
+def test_state_refuses_a_trace_of_other_dimensions():
+    # the state checks the layer and head of every row it writes to its trace
+    for trace in (RetentionTrace(1, 2), RetentionTrace(2, 1), RetentionTrace(3, 2)):
+        with pytest.raises(ValueError, match="cannot record"):
+            MultiState(2, 2, 2, capacity=1, trace=trace)
+
+
 def test_trace_records_appends_and_evicts():
     trace = RetentionTrace(n_layers=1, n_heads=1)
     state = MultiState(1, 1, 2, capacity=2, trace=trace)
