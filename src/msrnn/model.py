@@ -325,35 +325,20 @@ def _inv_freq(head_dim: int, rope_base: float) -> np.ndarray:
 
 
 # integer positions below this read their angles from a table; later ones
-# compute them. It bounds a table at 2 * 4096 * head_dim float64 values, and
-# the cache holds the tables of at most 8 inv_freq values.
+# compute them. A table holds 2 * 4096 * head_dim/2 float64 values (0.5 MB at
+# head_dim 16), and the cache keeps the tables of at most 8 inv_freq values.
 _ANGLE_ROWS = 4096
 
 
 @lru_cache(maxsize=8)
-def _angle_cache(inv_freq_bytes: bytes) -> list[np.ndarray]:
-    """[(cos, cos), (-sin, sin)] of one float64 inv_freq, as (n, head_dim/2, 2)
-    pair-interleaved rows of positions 0..n-1; empty until `_angle_table` grows it."""
-    pairs = len(inv_freq_bytes) // 8
-    return [np.empty((0, pairs, 2)), np.empty((0, pairs, 2))]
-
-
-def _angle_table(inv_freq: np.ndarray, top: int) -> list[np.ndarray] | None:
-    """`inv_freq`'s cached angle rows, grown by doubling to cover positions
-    0..top, or None when top is negative or past the cap. One vectorised
-    cos and sin call over the float64 products of positions and inv_freq
-    builds them, so they equal the angles rotate computes otherwise."""
-    if not 0 <= top < _ANGLE_ROWS or inv_freq.dtype != np.float64:
-        return None
-    table = _angle_cache(inv_freq.tobytes())
-    if top >= len(table[0]):
-        n = max(len(table[0]), 64)
-        while n <= top:
-            n *= 2
-        ang = np.arange(min(n, _ANGLE_ROWS), dtype=np.float64)[:, None] * inv_freq
-        cos, sin = np.cos(ang), np.sin(ang)
-        table[:] = np.stack((cos, cos), -1), np.stack((-sin, sin), -1)
-    return table
+def _angle_table(inv_freq_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin) of one float64 inv_freq at positions 0.._ANGLE_ROWS-1, as
+    (_ANGLE_ROWS, head_dim/2) rows. One vectorised cos and sin call over the
+    float64 products of positions and inv_freq builds them, so they equal
+    the angles rotate computes otherwise."""
+    inv_freq = np.frombuffer(inv_freq_bytes, dtype=np.float64)
+    ang = np.arange(_ANGLE_ROWS, dtype=np.float64)[:, None] * inv_freq
+    return np.cos(ang), np.sin(ang)
 
 
 def rotate(vecs: np.ndarray, positions: int | float | np.ndarray,
@@ -366,26 +351,20 @@ def rotate(vecs: np.ndarray, positions: int | float | np.ndarray,
     back to float32. Purely element-wise, so batched and per-subset calls
     agree bit-for-bit.
 
-    Integer positions below a cap (a decoding step as a Python int, a
-    chunk's (T, 1) integer rows) read their cos and sin from a table cached
-    per inv_freq value. A Python-int step rotates each (even, odd) pair as
-    (even, odd) * (cos, cos) + (odd, even) * (-sin, sin), from the table's
-    pair-interleaved rows: the computed result bit for bit, since negating a
-    product is exact and addition commutes. Other positions compute their
-    angles.
+    Integer positions in [0, _ANGLE_ROWS) (a decoding step as a Python int,
+    a chunk's (T, 1) integer rows) read their cos and sin from a table
+    cached per inv_freq value; other positions compute their angles. Both
+    give the same bits.
     """
-    table = None
     if type(positions) is int:
-        table = _angle_table(inv_freq, positions)
-        if table is not None:
-            pairs = vecs.astype(np.float64).reshape(vecs.shape[:-1] + (-1, 2))
-            out = pairs * table[0][positions] + pairs[..., ::-1] * table[1][positions]
-            return out.reshape(vecs.shape).astype(np.float32)
-    elif (isinstance(positions, np.ndarray) and positions.dtype.kind in "iu"
-          and positions.size and positions.min() >= 0):
-        table = _angle_table(inv_freq, int(positions.max()))
-    if table is not None:
-        cos, sin = table[0][positions, :, 0], table[1][positions, :, 1]
+        cached = 0 <= positions < _ANGLE_ROWS
+    else:
+        cached = (isinstance(positions, np.ndarray) and positions.dtype.kind in "iu"
+                  and positions.size > 0 and positions.min() >= 0
+                  and positions.max() < _ANGLE_ROWS)
+    if cached and inv_freq.dtype == np.float64:
+        cos, sin = _angle_table(inv_freq.tobytes())
+        cos, sin = cos[positions], sin[positions]
     else:
         ang = np.asarray(positions, dtype=np.float64)[..., None] * inv_freq
         cos = np.cos(ang)
