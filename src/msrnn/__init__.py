@@ -18,12 +18,10 @@ from .harness import (ChunkResult, PerplexityReport, ScriptedTrace,
                       write_token_stream)
 from .model import (ChecksumMismatchError, MalformedHeaderError, Model,
                     ModelConfig, ModelWeights, ShapeMismatchError,
-                    TruncatedBlobError, WeightFormatError, attention_step,
-                    decode_step, init_random_model, load_weights, rms_norm,
-                    save_weights, zero_model)
-from .policies import (POLICY_FORMS, PolicyKind, apply_policy, parse_policy,
-                       recent_window)
-from .remap import remap_gap, remap_positions
+                    TruncatedBlobError, WeightFormatError, decode_step,
+                    init_random_model, load_weights, save_weights, zero_model)
+from .policies import POLICY_FORMS, PolicyKind, apply_policy, parse_policy
+from .remap import remap_positions
 from .state import (ACTION_APPEND, ACTION_EVICT, MultiState, RetentionTrace,
                     TraceEvent)
 
@@ -34,13 +32,13 @@ __all__ = [
     "POLICY_FORMS", "PerplexityReport", "PolicyKind", "RetentionTrace",
     "ScriptedTrace", "ShapeMismatchError", "TokenStream", "TraceEvent",
     "TruncatedBlobError", "WeightFormatError",
-    "apply_policy", "attention_step", "decode_step",
-    "generate", "init_random_model", "lifetime_by_tag", "load_weights",
-    "marker_rule", "masked_parallel_perplexity", "memory_report",
-    "parse_policy", "read_tag_file", "read_token_stream",
-    "recent_proportion", "recent_window", "remap_gap", "remap_positions",
-    "retention_matrix", "rms_norm", "save_weights", "sequential_perplexity",
-    "simulate_with_rule", "token_lifetime", "trace_driven_simulate",
-    "uniform_rule", "write_matrix_csv", "write_matrix_pgm",
-    "write_memory_csv", "write_token_stream", "zero_model",
+    "apply_policy", "decode_step", "generate", "init_random_model",
+    "lifetime_by_tag", "load_weights", "marker_rule",
+    "masked_parallel_perplexity", "memory_report", "parse_policy",
+    "read_tag_file", "read_token_stream", "recent_proportion",
+    "remap_positions", "retention_matrix", "save_weights",
+    "sequential_perplexity", "simulate_with_rule", "token_lifetime",
+    "trace_driven_simulate", "uniform_rule", "write_matrix_csv",
+    "write_matrix_pgm", "write_memory_csv", "write_token_stream",
+    "zero_model",
 ]

@@ -2,15 +2,17 @@
 scripted policy simulation, and greedy generation.
 
 Sequential mode is the ground truth: one decode_step per token against an
-explicit multi-state, policy applied after each step. Masked-parallel mode
-is layer-major over the same kernel: per layer, the norm, q/k/v projections
-and rotation run over the whole chunk's rows in one `attention_inputs` call;
-then each row's attention mask is the policy's retained set for that layer,
-and no multi-state is built. Under H2O and TOVA those sets are score-driven:
-row by row, a one-layer ColumnSets gives every head the row's column of the
-chunk's K and V, `attention_step` attends over each head's columns, and
-`apply_policy` drops the decided ones. The window family's are the
-fixed band+prefix, so `band_attention` runs the whole chunk at once. Either
+explicit multi-state, policy applied after each step. Scoring and `generate`
+run that one loop, `_decode`, and both scoring modes sum a chunk's NLLs in
+`_score_chunks`. Masked-parallel mode is layer-major over the same kernel:
+per layer, the norm, q/k/v projections and rotation run over the whole
+chunk's rows in one `attention_inputs` call; then each row's attention mask
+is the policy's retained set for that layer, and no multi-state is built.
+Under H2O and TOVA those sets are score-driven: row by row, a one-layer
+ColumnSets gives every head the row's column of the chunk's K and V,
+`attention_step` attends over each head's columns, and `apply_policy` drops
+the decided ones. The window family's are the fixed band+prefix, so
+`band_attention` runs the whole chunk at once. Either
 way the trace gets the layer's events in one `record_block` call. Then W_O
 and the feed-forward block run over all rows in one `layer_output` call, and
 the LM head in one call after the last layer. Row t of every batched kernel
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -130,19 +132,18 @@ def _bounded(kind: PolicyKind | None, steps: int) -> PolicyKind:
     return kind if kind is not None else PolicyKind("window", max(steps, 1))
 
 
-def _decode_chunk_sequential(model: Model, ids: Sequence[int], kind: PolicyKind | None,
-                             remap: bool, trace: RetentionTrace | None) -> float:
+def _decode(model: Model, tokens: Sequence[int], steps: int, kind: PolicyKind | None,
+            remap: bool, trace: RetentionTrace | None) -> Iterator[np.ndarray]:
+    """The multi-state recurrence: yield the logits of each of `steps` decode steps, after
+    that step's policy. Step t reads `tokens[t]` only then, so a caller may append to it."""
     config = model.config
-    kind = _bounded(kind, len(ids))
+    kind = _bounded(kind, steps)
     state = MultiState(config.n_layers, config.n_heads, config.head_dim, kind.k, trace)
     position_fn = remap_positions if remap else None
-    total = 0.0
-    for t, token in enumerate(ids):
-        logits, probs = decode_step(model, state, token, t, position_fn)
-        if t + 1 < len(ids):
-            total += nll_of(logits, ids[t + 1])
+    for t in range(steps):
+        logits, probs = decode_step(model, state, tokens[t], t, position_fn)
         apply_policy(kind, state, probs)
-    return total
+        yield logits
 
 
 def sequential_perplexity(model: Model, stream: TokenStream,
@@ -157,14 +158,16 @@ def sequential_perplexity(model: Model, stream: TokenStream,
     (steps are chunk-local).
     """
     return _score_chunks(model, stream, remap, trace,
-                         lambda ids, tr: _decode_chunk_sequential(model, ids, kind, remap, tr))
+                         lambda ids, tr: _decode(model, ids, len(ids), kind, remap, tr))
 
 
 def _score_chunks(model: Model, stream: TokenStream, remap: bool,
                   trace: RetentionTrace | None,
-                  decode_chunk: Callable[[Sequence[int], RetentionTrace | None], float],
+                  logits_of: Callable[[Sequence[int], RetentionTrace | None],
+                                      Iterable[np.ndarray]],
                   ) -> PerplexityReport:
-    """Score every chunk with `decode_chunk(ids, trace)`; the first one gets the trace."""
+    """Score every chunk from `logits_of(ids, trace)`, whose row t predicts `ids[t + 1]`;
+    the first chunk gets the trace."""
     config = model.config
     for i, tok in enumerate(stream.ids):
         if tok >= config.vocab_size:
@@ -175,7 +178,9 @@ def _score_chunks(model: Model, stream: TokenStream, remap: bool,
                          f"{config.train_context_len}; enable remapping to go longer")
     results = []
     for index, (start, ids) in enumerate(stream.chunks()):
-        nll = decode_chunk(ids, trace if index == 0 else None)
+        nll = 0.0  # zip pulls the rows first, so a decoder's unscored last step still runs
+        for row, target in zip(logits_of(ids, trace if index == 0 else None), ids[1:]):
+            nll += nll_of(row, target)
         results.append(ChunkResult(start=start, n_scored=len(ids) - 1, nll=nll))
     return PerplexityReport(chunks=tuple(results))
 
@@ -230,7 +235,8 @@ def _policy_attention(kind: PolicyKind, q: np.ndarray, k: np.ndarray,
 
 
 def _decode_chunk_parallel(model: Model, ids: Sequence[int], kind: PolicyKind | None,
-                           trace: RetentionTrace | None) -> float:
+                           trace: RetentionTrace | None) -> np.ndarray:
+    """The chunk's (T-1, vocab) logit rows, row t predicting `ids[t + 1]`."""
     config, w = model
     kind = _bounded(kind, len(ids))
     x = w.token_embedding[list(ids)]
@@ -245,11 +251,7 @@ def _decode_chunk_parallel(model: Model, ids: Sequence[int], kind: PolicyKind | 
         if trace is not None:
             trace.record_block(_chunk_events(layer, ids, config.n_heads, evicts))
         x = layer_output(model, layer, x, ctx)
-
-    total = 0.0
-    for row, target in zip(row_matmul(x[:-1], w.lm_head), ids[1:]):
-        total += nll_of(row, target)
-    return total
+    return row_matmul(x[:-1], w.lm_head)
 
 
 def masked_parallel_perplexity(model: Model, stream: TokenStream, kind: PolicyKind | None = None,
@@ -490,14 +492,9 @@ def generate(model: Model, prompt: Sequence[int], max_steps: int,
         raise ValueError("prompt must hold at least one token")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
-    config = model.config
-    kind = _bounded(kind, len(prompt) + max_steps)
-    state = MultiState(config.n_layers, config.n_heads, config.head_dim, kind.k, trace)
-    position_fn = remap_positions if remap else None
+    steps = len(prompt) + max_steps
     out = list(prompt)
-    for t in range(len(prompt) + max_steps):
-        if t >= len(prompt):
+    for done, logits in enumerate(_decode(model, out, steps, kind, remap, trace), start=1):
+        if len(prompt) <= done < steps:
             out.append(int(np.argmax(logits)))
-        logits, probs = decode_step(model, state, out[t], t, position_fn)
-        apply_policy(kind, state, probs)
     return out

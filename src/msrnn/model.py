@@ -275,12 +275,13 @@ def load_weights(path: str) -> tuple[ModelConfig, ModelWeights]:
         if crc != stored:
             raise ChecksumMismatchError(f"{path}: header and blob have CRC-32 {crc:08x}, "
                                         f"the file records {stored:08x}")
+    # astype copies the blob once into a writable array; each block is a view into it
     flat = np.frombuffer(blob, dtype="<f4").astype(np.float32)
     offset = 0
     arrays: dict[str, np.ndarray] = {}
     for name, shape in expected:
         n = int(np.prod(shape))
-        arrays[name] = flat[offset:offset + n].reshape(shape).copy()
+        arrays[name] = flat[offset:offset + n].reshape(shape)
         offset += n
     return config, _assemble(config, arrays)
 

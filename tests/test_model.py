@@ -5,10 +5,10 @@ import pytest
 
 from msrnn import (ChecksumMismatchError, MalformedHeaderError, Model,
                    ModelConfig, MultiState, ShapeMismatchError,
-                   TruncatedBlobError, WeightFormatError, attention_step,
-                   decode_step, init_random_model, load_weights, rms_norm,
-                   save_weights, zero_model)
-from msrnn.model import RMS_EPS, _inv_freq, _iter_blocks, rotate, silu
+                   TruncatedBlobError, WeightFormatError, decode_step,
+                   init_random_model, load_weights, save_weights, zero_model)
+from msrnn.model import (RMS_EPS, _inv_freq, _iter_blocks, attention_step, rms_norm, rotate,
+                         silu)
 
 from conftest import make_config, make_model
 

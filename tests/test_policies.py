@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msrnn import (MultiState, PolicyKind, RetentionTrace, apply_policy, parse_policy,
-                   recent_window)
-from msrnn.policies import AccumulatedScores, accumulate_row, decide_layer
+from msrnn import MultiState, PolicyKind, RetentionTrace, apply_policy, parse_policy
+from msrnn.policies import AccumulatedScores, accumulate_row, decide_layer, recent_window
 from msrnn.state import ColumnSets
 
 

@@ -4,11 +4,12 @@ ones and a list model, the H2O score block against per-head running sums,
 row-wise remapping of position arrays and its bounds, the kernels' rows
 against one-vector calls, cached rotation angles against computed ones,
 remapped attention against separate key and query rotations, sequential
-decoding against masked-parallel evaluation, simulator replay, the
-vectorised retention analyses against a per-event set replay, trace CSV
-round trips and reads against the csv module, CSV writes against
-csv.writer, block trace records against per-event ones, the window band
-kernel against one-row attention, and damaged weight files."""
+decoding against masked-parallel evaluation, greedy generation against
+scoring its output, simulator replay, the vectorised retention analyses
+against a per-event set replay, trace CSV round trips and reads against the
+csv module, CSV writes against csv.writer, block trace records against
+per-event ones, the window band kernel against one-row attention, and
+damaged weight files."""
 
 import csv
 import io
@@ -22,9 +23,9 @@ from hypothesis.extra.numpy import arrays
 
 from msrnn import (ACTION_APPEND, ACTION_EVICT, Model,
                    ModelConfig, MultiState, RetentionTrace, TokenStream,
-                   TraceEvent, WeightFormatError, apply_policy, init_random_model,
+                   TraceEvent, WeightFormatError, apply_policy, generate, init_random_model,
                    lifetime_by_tag, load_weights, masked_parallel_perplexity, parse_policy,
-                   recent_proportion, remap_gap, remap_positions,
+                   recent_proportion, remap_positions,
                    retention_matrix, save_weights, sequential_perplexity,
                    simulate_with_rule, token_lifetime, trace_driven_simulate,
                    zero_model)
@@ -32,6 +33,7 @@ import msrnn.model
 from msrnn.model import (_inv_freq, attend, attention_step, band_attention, rms_norm, rotate,
                          row_matmul, silu, softmax_rows)
 from msrnn.policies import AccumulatedScores
+from msrnn.remap import remap_gap
 from msrnn.state import ACTIONS, TRACE_COLUMNS, ColumnSets, write_csv_rows
 
 
@@ -308,6 +310,37 @@ def test_sequential_equals_masked_parallel(data, n_layers, n_heads, head_dim, fo
     par = masked_parallel_perplexity(model, stream, kind, trace=par_trace)
     assert [c.nll for c in par.chunks] == [c.nll for c in seq.chunks]
     assert par_trace.sorted_events() == seq_trace.sorted_events()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       n_layers=st.integers(1, 2),
+       n_heads=st.integers(1, 3),
+       form=st.sampled_from(POLICY_FORMS + ("none",)),
+       remap=st.booleans(),
+       zero=st.booleans())
+def test_generate_and_scoring_run_one_recurrence(data, n_layers, n_heads, form, remap, zero):
+    # scoring generate's output under the same policy replays its decode
+    # steps: the same appends and evictions, in the same order
+    pinned = form.endswith("+")
+    k = data.draw(st.integers(2 if pinned else 1, 8), label="k")
+    policy = form + str(data.draw(st.integers(1, k - 1), label="pin")) if pinned else form
+    kind = parse_policy(policy, k)
+    config = ModelConfig(n_layers=n_layers, n_heads=n_heads, head_dim=4,
+                         hidden_dim=n_heads * 4, ff_dim=8, vocab_size=8,
+                         train_context_len=40)
+    weights = zero_model(config) if zero else \
+        init_random_model(config, data.draw(st.integers(0, 2**16), label="seed"))
+    model = Model(config, weights)
+    prompt = data.draw(st.lists(st.integers(0, 7), min_size=1, max_size=2 * k), label="prompt")
+    steps = data.draw(st.integers(0 if len(prompt) > 1 else 1, 20), label="steps")
+    gen_trace = RetentionTrace(n_layers, n_heads)
+    out = generate(model, prompt, steps, kind, remap=remap, trace=gen_trace)
+    assert out[:len(prompt)] == prompt and len(out) == len(prompt) + steps
+    score_trace = RetentionTrace(n_layers, n_heads)
+    sequential_perplexity(model, TokenStream(tuple(out), len(out)), kind, remap=remap,
+                          trace=score_trace)
+    assert gen_trace.events == score_trace.events
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from msrnn import remap_gap, remap_positions
+from msrnn import remap_positions
+from msrnn.remap import remap_gap
 
 # frozen high-precision oracle values for the compressed gaps
 LN_LN_11 = 0.874591382923689
