@@ -10,8 +10,9 @@ and last with a whole chunk's rows and keeps no multi-state, so instead of
 `attend` it calls `attention_step` per row over the row's gathered columns
 under H2O and TOVA, and `band_attention` once over all rows for the window
 family's fixed mask. Keys are rotated once, when they are cached, unless
-positions are remapped: then they are cached unrotated and re-rotated at the
-remapped positions every step. Integer positions (a decoding step, a chunk's
+positions are remapped: then they are cached unrotated, and each step
+re-rotates at the remapped positions only the rows from the lowest slot
+evicted since the last step. Integer positions (a decoding step, a chunk's
 rows) read their cos and sin from a table cached per inv_freq; remapped,
 real-valued positions compute theirs. Both give the same bits.
 """
@@ -45,6 +46,10 @@ _BAND_ROWS = 16
 # shape; None means the identity assignment. When every head retains the
 # same positions it gets the one (1, size) row, whose result broadcasts over
 # the heads; the query is rotated with the keys at the row's last value.
+# Element j of a row may depend only on that row's entries 0..j, and a state
+# is decoded with one function throughout: `attend` keeps the rotated keys of
+# the entries below the lowest slot evicted since the last step.
+# `remap.remap_positions` meets this.
 PositionFn = Callable[[np.ndarray], np.ndarray]
 
 
@@ -483,12 +488,15 @@ def attend(model: Model, layer: int, state: MultiState, q: np.ndarray, k: np.nda
     Without `position_fn`, q and k come rotated at the token's position, so
     the key is cached rotated and attention runs over the cached keys as
     they are (rotation is element-wise, so this equals rotating every key
-    at every step). With it, keys are cached unrotated and rotated afresh at
+    at every step). With it, keys are cached unrotated and rotated at
     remapped positions: when every head retains the same positions (always
     under layer-wise policies, and under head-wise ones until the heads
     diverge) the remap runs once on a (1, S) row that broadcasts over the
-    heads, otherwise once on the (H, S) block. q rides in the same rotate
-    call as one more key row at the newest remapped position.
+    heads, otherwise once on the (H, S) block. The state's rotated-key cache
+    keeps the rows below the lowest slot evicted since the layer's last
+    step, whose keys and remapped positions are unchanged; one rotate call
+    re-rotates the rows from that slot up into the cache, with q riding
+    along as one more key row at the newest remapped position.
     """
     for head in range(model.config.n_heads):
         state.append(layer, head, k[head], v[head], position, token)
@@ -498,9 +506,11 @@ def attend(model: Model, layer: int, state: MultiState, q: np.ndarray, k: np.nda
         if (positions == positions[0]).all():
             positions = positions[:1]
         remapped = position_fn(positions)
-        qk = rotate(np.concatenate((keys, q[:, None]), 1),
-                    np.concatenate((remapped, remapped[:, -1:]), 1), inv_freq)
-        keys, q = qk[:, :-1], qk[:, -1]
+        cache, current = state.rotated_keys(layer)
+        qk = rotate(np.concatenate((keys[:, current:], q[:, None]), 1),
+                    np.concatenate((remapped[:, current:], remapped[:, -1:]), 1), inv_freq)
+        cache[:, current:] = qk[:, :-1]
+        keys, q = cache, qk[:, -1]
     return attention_step(q, keys, values)
 
 

@@ -310,6 +310,13 @@ class MultiState:
     refused call writes no row and a row is checked once; the trace must
     have the state's layers and heads. `scores` holds H2O's
     `policies.AccumulatedScores`, None until the state's first H2O step.
+
+    Remapped decoding caches its rotated keys in one more (L, H, k+1, d)
+    buffer, allocated by the state's first `rotated_keys` call, with a count
+    per layer of the leading rows still current. A remapped position is a
+    running sum of the gaps before it, so entries below the lowest index
+    evicted since the layer's last step keep their rotated rows: `evict`
+    lowers the count to its index, and `append` writes past it.
     """
 
     def __init__(self, n_layers: int, n_heads: int, head_dim: int, capacity: int,
@@ -339,6 +346,8 @@ class MultiState:
                         self._meta[layer, head].reshape(-1)) for head in range(n_heads)]
                       for layer in range(n_layers)]
         self._last_step = -1  # latest position appended: the step an eviction is stamped with
+        self._rotated: np.ndarray | None = None
+        self._current = [0] * n_layers
 
     def _check(self, layer: int, head: int) -> None:
         if not (0 <= layer < self.n_layers and 0 <= head < self.n_heads):
@@ -393,6 +402,8 @@ class MultiState:
         values[index * d:(size - 1) * d] = values[(index + 1) * d:size * d]
         meta[2 * index:2 * (size - 1)] = meta[2 * (index + 1):2 * size]
         self._sizes[layer][head] = size - 1
+        if index < self._current[layer]:
+            self._current[layer] = index
 
     def step_size(self) -> int:
         """The size every head of every layer holds; a ValueError names the sizes otherwise."""
@@ -430,6 +441,19 @@ class MultiState:
             raise ValueError(f"heads of layer {layer} differ in size: {sizes}")
         return (self._keys[layer, :, :size], self._values[layer, :, :size],
                 self._meta[layer, :, :size, _POS])
+
+    def rotated_keys(self, layer: int) -> tuple[np.ndarray, int]:
+        """(H, S, d) view of one layer's rotated-key cache and the count of
+        its leading rows still current. The count becomes S: the caller
+        rotates the rows from the old count up into the view before the
+        next append or evict. Every head must hold S entries, as in
+        `layer_view`."""
+        self._check(layer, 0)
+        if self._rotated is None:
+            self._rotated = np.zeros(self._keys.shape, dtype=np.float32)
+        size, current = self._sizes[layer][0], self._current[layer]
+        self._current[layer] = size
+        return self._rotated[layer, :, :size], current
 
     def retained_positions(self, layer: int, head: int) -> list[int]:
         """Original positions currently cached, in list order (strictly increasing)."""

@@ -244,7 +244,9 @@ def test_score_driven_edges_parallel_equals_sequential(policy, k, chunk_len, zer
 def test_remap_runs_once_per_layer(monkeypatch):
     # a remapped step rotates the keys and q in one call per layer, and remaps
     # one (1, S) row while every head retains the same positions: always under
-    # a layer-wise policy, under a head-wise one until its heads diverge
+    # a layer-wise policy, under a head-wise one until its heads diverge. The
+    # call takes the keys from the first slot where any head's positions
+    # differ from the layer's previous step, all S at its first, plus q
     model = make_model(seed=3)
     n_layers, n_heads = model.config.n_layers, model.config.n_heads
     rotations, blocks = [], []
@@ -267,9 +269,15 @@ def test_remap_runs_once_per_layer(monkeypatch):
         assert len(rotations) == len(blocks) == n_layers * 32, name
         heights = [len(block) for block in blocks]
         assert heights[:n_layers] == [1] * n_layers, name
-        for shape, block in zip(rotations, blocks):
-            assert shape[:2] == (n_heads, block.shape[1] + 1), name  # q rides with the keys
-            assert len(block) == 1 or not (block == block[0]).all(), name
+        for layer in range(n_layers):
+            previous = blocks[layer][:, :0]
+            for shape, block in zip(rotations[layer::n_layers], blocks[layer::n_layers]):
+                width = min(previous.shape[1], block.shape[1])
+                differs = (previous[:, :width] != block[:, :width]).any(axis=0)
+                changed = int(np.argmax(differs)) if differs.any() else width
+                assert shape[:2] == (n_heads, block.shape[1] - changed + 1), name
+                assert len(block) == 1 or not (block == block[0]).all(), name
+                previous = block
     assert set(heights) == {1, n_heads}  # the tova-head heads diverged
 
 

@@ -3,13 +3,13 @@ a plain-list model and per-event records, step evictions against per-head
 ones and a list model, the H2O score block against per-head running sums,
 row-wise remapping of position arrays and its bounds, the kernels' rows
 against one-vector calls, cached rotation angles against computed ones,
-remapped attention against separate key and query rotations, sequential
-decoding against masked-parallel evaluation, greedy generation against
-scoring its output, simulator replay, the vectorised retention analyses
-against a per-event set replay, trace CSV round trips and reads against the
-csv module, CSV writes against csv.writer, block trace records against
-per-event ones, the window band kernel against one-row attention, and
-damaged weight files."""
+remapped attention against separate key and query rotations, within a step
+and across steps, sequential decoding against masked-parallel evaluation,
+greedy generation against scoring its output, simulator replay, the
+vectorised retention analyses against a per-event set replay, trace CSV
+round trips and reads against the csv module, CSV writes against
+csv.writer, block trace records against per-event ones, the window band
+kernel against one-row attention, and damaged weight files."""
 
 import csv
 import io
@@ -523,6 +523,52 @@ def test_remapped_attend_equals_separate_rotations(data, n_heads, head_dim, size
     want_ctx, want_probs = attention_step(rotate(q, remapped[:, -1], inv_freq),
                                           rotate(ref_keys, remapped, inv_freq), ref_values)
     assert np.array_equal(ctx, want_ctx) and np.array_equal(probs, want_probs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       n_heads=st.integers(1, 4),
+       head_dim=st.sampled_from([2, 4, 6, 8, 16]),
+       steps=st.integers(1, 24))
+def test_remapped_attend_across_steps_equals_full_rotations(data, n_heads, head_dim, steps):
+    # attend keeps the rotated keys below the lowest slot evicted since the
+    # last step and re-rotates the rest: after every step it equals rotating
+    # the whole layer view afresh, whatever ran in between. Between steps the
+    # state evicts nothing, or up to two entries each at index 0, the last
+    # index, one index for all heads or each head's own, so the remapped row
+    # switches between (1, S) and (H, S); gaps fall on both sides of the knee
+    config = ModelConfig(n_layers=1, n_heads=n_heads, head_dim=head_dim,
+                         hidden_dim=n_heads * head_dim, ff_dim=2, vocab_size=2,
+                         train_context_len=2)
+    model = Model(config, zero_model(config))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    positions = np.cumsum(data.draw(st.lists(st.integers(1, 10**4), min_size=steps,
+                                             max_size=steps), label="gaps"))
+    queries, keys, values = rng.standard_normal((3, steps, n_heads, head_dim)).astype(np.float32)
+    state = MultiState(1, n_heads, head_dim, capacity=steps)
+    inv_freq = _inv_freq(head_dim, config.rope_base)
+    for t in range(steps):
+        ctx, probs = attend(model, 0, state, queries[t], keys[t], values[t],
+                            int(positions[t]), t, remap_positions)
+        view_keys, view_values, retained = state.layer_view(0)
+        remapped = remap_positions(retained)
+        want_ctx, want_probs = attention_step(rotate(queries[t], remapped[:, -1], inv_freq),
+                                              rotate(view_keys, remapped, inv_freq), view_values)
+        assert np.array_equal(ctx, want_ctx) and np.array_equal(probs, want_probs), t
+        for _ in range(data.draw(st.integers(0, 2), label="n_evict")):
+            size = state.size(0, 0)
+            if not size:
+                break
+            where = data.draw(st.sampled_from(["first", "last", "shared", "own"]), label="where")
+            if where == "own":
+                indices = data.draw(st.lists(st.integers(0, size - 1), min_size=n_heads,
+                                             max_size=n_heads), label="indices")
+            else:
+                index = {"first": 0, "last": size - 1}.get(where)
+                if index is None:
+                    index = data.draw(st.integers(0, size - 1), label="index")
+                indices = [index] * n_heads
+            state.evict_step(indices)
 
 
 @settings(max_examples=60, deadline=None)
