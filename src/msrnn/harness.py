@@ -12,12 +12,14 @@ Under H2O and TOVA those sets are score-driven: row by row, a one-layer
 ColumnSets gives every head the row's column of the chunk's K and V,
 `attention_step` attends over each head's columns, and `apply_policy` drops
 the decided ones. The window family's are the fixed band+prefix, so
-`band_attention` runs the whole chunk at once. Either
-way the trace gets the layer's events in one `record_block` call. Then W_O
+`band_attention` runs the whole chunk at once. Then W_O
 and the feed-forward block run over all rows in one `layer_output` call, and
 the LM head in one call after the last layer. Row t of every batched kernel
 call equals the one-token call bit for bit, so probabilities, decisions, and
 perplexities agree exactly; the acceptance tolerance is slack on top.
+
+Each mode hands a trace each layer's events in one `record_chunk` call, so a
+trace lists its events layer block by layer block in all three.
 
 A layer's attention is one (H, S) float32 block throughout: the kernel
 returns it, the policies take it, a ScriptedTrace stores it per (step,
@@ -37,8 +39,8 @@ from .model import (Model, attention_inputs, attention_step, band_attention, dec
                     layer_output, row_matmul)
 from .policies import PolicyKind, apply_policy
 from .remap import remap_positions
-from .state import (TRACE_COLUMNS, ColumnSets, MultiState, RetentionTrace, read_csv_rows,
-                    read_text_lines, write_csv_rows)
+from .state import (ColumnSets, MultiState, RetentionTrace, read_csv_rows, read_text_lines,
+                    write_csv_rows)
 
 # unused here: bench/tracing.py patches these names on this module
 from .model import rms_norm, rotate  # noqa: F401
@@ -132,17 +134,27 @@ def _bounded(kind: PolicyKind | None, steps: int) -> PolicyKind:
     return kind if kind is not None else PolicyKind("window", max(steps, 1))
 
 
+def _check_trace(model: Model, trace: RetentionTrace | None) -> None:
+    layers, heads = model.config.n_layers, model.config.n_heads
+    if trace is not None and (trace.n_layers, trace.n_heads) != (layers, heads):
+        raise ValueError(f"a trace of {trace.n_layers} layers and {trace.n_heads} heads "
+                         f"cannot record a state of {layers} and {heads}")
+
+
 def _decode(model: Model, tokens: Sequence[int], steps: int, kind: PolicyKind | None,
             remap: bool, trace: RetentionTrace | None) -> Iterator[np.ndarray]:
     """The multi-state recurrence: yield the logits of each of `steps` decode steps, after
     that step's policy. Step t reads `tokens[t]` only then, so a caller may append to it."""
     config = model.config
     kind = _bounded(kind, steps)
-    state = MultiState(config.n_layers, config.n_heads, config.head_dim, kind.k, trace)
+    state = MultiState(config.n_layers, config.n_heads, config.head_dim, kind.k)
     position_fn = remap_positions if remap else None
     for t in range(steps):
         logits, probs = decode_step(model, state, tokens[t], t, position_fn)
         apply_policy(kind, state, probs)
+        if trace is not None and t == steps - 1:  # before the last row, where scoring stops
+            for layer in range(config.n_layers):
+                trace.record_chunk(layer, tokens, state.evictions(layer))
         yield logits
 
 
@@ -168,6 +180,7 @@ def _score_chunks(model: Model, stream: TokenStream, remap: bool,
                   ) -> PerplexityReport:
     """Score every chunk from `logits_of(ids, trace)`, whose row t predicts `ids[t + 1]`;
     the first chunk gets the trace."""
+    _check_trace(model, trace)
     config = model.config
     for i, tok in enumerate(stream.ids):
         if tok >= config.vocab_size:
@@ -187,21 +200,6 @@ def _score_chunks(model: Model, stream: TokenStream, remap: bool,
 
 # ---------------------------------------------------------------------------
 # masked-parallel evaluation
-
-
-def _chunk_events(layer: int, ids: Sequence[int], n_heads: int,
-                  evicts: np.ndarray) -> np.ndarray:
-    """A chunk's trace rows at one layer: every head appends row t at step t,
-    and `evicts` is the (n, 3) table of evicted (step, head, position)."""
-    steps = np.repeat(np.arange(len(ids)), n_heads)
-    heads = np.tile(np.arange(n_heads), len(ids))
-    rows = np.zeros((len(steps) + len(evicts), len(TRACE_COLUMNS)), dtype=np.int64)
-    # (step, head, position) of each event, appends first
-    rows[:, [0, 2, 4]] = np.concatenate((np.stack((steps, heads, steps), 1), evicts))
-    rows[:, 1] = layer
-    rows[len(steps):, 3] = 1  # the ACTIONS index of an evict
-    rows[:, 5] = np.asarray(ids, dtype=np.int64)[rows[:, 4]]
-    return rows
 
 
 def _window_evicts(kind: PolicyKind, n_rows: int, n_heads: int) -> np.ndarray:
@@ -249,7 +247,7 @@ def _decode_chunk_parallel(model: Model, ids: Sequence[int], kind: PolicyKind | 
         else:
             ctx, evicts = _policy_attention(kind, q, k, v)
         if trace is not None:
-            trace.record_block(_chunk_events(layer, ids, config.n_heads, evicts))
+            trace.record_chunk(layer, ids, evicts)
         x = layer_output(model, layer, x, ctx)
     return row_matmul(x[:-1], w.lm_head)
 
@@ -420,8 +418,7 @@ def _simulate(layer_rows: Callable[[int, int, np.ndarray], Sequence], kind: Poli
         apply_policy(kind, sets, block)
         yield block
     for layer in layers:
-        trace.record_block(_chunk_events(layer, range(steps), sets.n_heads,
-                                         sets.evictions(layer)))
+        trace.record_chunk(layer, range(steps), sets.evictions(layer))
 
 
 def trace_driven_simulate(script: ScriptedTrace, kind: PolicyKind | None) -> RetentionTrace:
@@ -492,6 +489,7 @@ def generate(model: Model, prompt: Sequence[int], max_steps: int,
         raise ValueError("prompt must hold at least one token")
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
+    _check_trace(model, trace)
     steps = len(prompt) + max_steps
     out = list(prompt)
     for done, logits in enumerate(_decode(model, out, steps, kind, remap, trace), start=1):

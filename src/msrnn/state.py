@@ -4,7 +4,8 @@ The multi-state is the recurrent state of the decoder: preallocated buffers
 of k+1 rows per head that hold each head's ordered key/value rows plus
 metadata (ColumnSets keeps only their positions). Policies shrink it one
 step at a time, dropping one entry from every head of every layer with
-`evict_step`; every append and evict lands in a RetentionTrace.
+`evict_step`, and each layer logs its evictions; a RetentionTrace records a
+layer's appends and logged evictions in one `record_chunk` call.
 """
 
 from __future__ import annotations
@@ -103,20 +104,12 @@ class RetentionTrace:
 
     def record(self, step: int, layer: int, head: int, action: str,
                original_position: int, token_id: int) -> None:
-        """Check one event's action and layer/head, then write it with
-        `_write_row`, the writer a MultiState calls for rows it has checked."""
+        """Check one event's action and layer/head, then write it."""
         if action not in _CODES:
             raise ValueError(f"unknown trace action {action!r}")
         if not (0 <= layer < self.n_layers and 0 <= head < self.n_heads):
             raise ValueError(f"layer/head ({layer}, {head}) out of range")
-        self._write_row(step, layer, head, _CODES[action], original_position, token_id)
-
-    def _write_row(self, step: int, layer: int, head: int, code: int,
-                   original_position: int, token_id: int) -> None:
-        """Write one event already checked, with its action as its ACTIONS
-        index: the row writer of `record` and of a MultiState's appends and
-        evicts, which check their rows themselves."""
-        self._log.extend((step, layer, head, code, original_position, token_id))
+        self._log.extend((step, layer, head, _CODES[action], original_position, token_id))
         if step >= self.n_steps:
             self.n_steps = step + 1
         self._order = None
@@ -143,6 +136,18 @@ class RetentionTrace:
         self._log.frombytes(table.astype(np.int64).tobytes())
         self.n_steps = max(self.n_steps, int(step.max()) + 1)
         self._order = None
+
+    def record_chunk(self, layer: int, tokens: Sequence[int], evictions: np.ndarray) -> None:
+        """Record one layer's events over len(tokens) steps: every head appends position t
+        (token `tokens[t]`) at step t, then the (n, 3) evicted (step, head, position)."""
+        steps, heads = np.divmod(np.arange(len(tokens) * self.n_heads), self.n_heads)
+        rows = np.zeros((len(steps) + len(evictions), len(TRACE_COLUMNS)), dtype=np.int64)
+        # (step, head, position) of each event, appends first
+        rows[:, [0, 2, 4]] = np.concatenate((np.stack((steps, heads, steps), 1), evictions))
+        rows[:, 1] = layer
+        rows[len(steps):, 3] = _CODES[ACTION_EVICT]
+        rows[:, 5] = np.asarray(tokens, dtype=np.int64)[rows[:, 4]]
+        self.record_block(rows)
 
     def _table(self) -> np.ndarray:  # a view: the log cannot grow while one lives
         return np.frombuffer(self._log, dtype=np.int64).reshape(-1, len(TRACE_COLUMNS))
@@ -286,10 +291,25 @@ def _parse_trace_table(path: str) -> np.ndarray | None:
 
 # metadata columns are (original position, token id)
 _POS = 0
-_APPEND, _EVICT = _CODES[ACTION_APPEND], _CODES[ACTION_EVICT]
 
 
-class MultiState:
+class _EvictionLog:
+    """MultiState's and ColumnSets' layer and head counts, H2O's `scores` (None
+    until the first H2O step), and a per-layer log of evicted (step, head,
+    position), each stamped with the latest position appended to the state."""
+
+    def __init__(self, n_layers: int, n_heads: int):
+        self.n_layers, self.n_heads = n_layers, n_heads
+        self.scores = None
+        self._log = [array("q") for _ in range(n_layers)]
+        self._last_step = -1
+
+    def evictions(self, layer: int) -> np.ndarray:
+        """The (n, 3) int64 table of the layer's evicted (step, head, position)."""
+        return np.frombuffer(self._log[layer], dtype=np.int64).reshape(-1, 3).copy()
+
+
+class MultiState(_EvictionLog):
     """Per-layer, per-head ordered multi-state of cached K/V rows.
 
     The state holds one preallocated (L, H, k+1, d) float32 key buffer and one
@@ -306,10 +326,10 @@ class MultiState:
     evicts through `evict_step`, which makes one per-head `evict` call for
     each head of each layer, layer by layer in head order. `append` and
     `evict` check their arguments, then write the entry through the head's
-    flat views and its trace row through `RetentionTrace._write_row`, so a
-    refused call writes no row and a row is checked once; the trace must
-    have the state's layers and heads. `scores` holds H2O's
-    `policies.AccumulatedScores`, None until the state's first H2O step.
+    flat views; `evict` also logs the eviction in `evictions(layer)`, so a
+    refused call logs nothing. The state holds no trace: a driver hands
+    each layer's log to `RetentionTrace.record_chunk`. `scores` holds H2O's
+    `policies.AccumulatedScores`.
 
     Remapped decoding caches its rotated keys in one more (L, H, k+1, d)
     buffer, allocated by the state's first `rotated_keys` call, with a count
@@ -319,23 +339,16 @@ class MultiState:
     lowers the count to its index, and `append` writes past it.
     """
 
-    def __init__(self, n_layers: int, n_heads: int, head_dim: int, capacity: int,
-                 trace: RetentionTrace | None = None):
+    def __init__(self, n_layers: int, n_heads: int, head_dim: int, capacity: int):
         if n_layers < 1 or n_heads < 1:
             raise ValueError("n_layers and n_heads must be >= 1")
         if head_dim < 0:
             raise ValueError("head_dim must be >= 0")
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if trace is not None and (trace.n_layers, trace.n_heads) != (n_layers, n_heads):
-            raise ValueError(f"a trace of {trace.n_layers} layers and {trace.n_heads} heads "
-                             f"cannot record a state of {n_layers} and {n_heads}")
-        self.n_layers = n_layers
-        self.n_heads = n_heads
+        super().__init__(n_layers, n_heads)
         self.head_dim = head_dim
         self.capacity = capacity
-        self.trace = trace
-        self.scores = None
         self._sizes = [[0] * n_heads for _ in range(n_layers)]
         self._keys = np.zeros((n_layers, n_heads, capacity + 1, head_dim), dtype=np.float32)
         self._values = np.zeros(self._keys.shape, dtype=np.float32)
@@ -345,7 +358,6 @@ class MultiState:
                         self._values[layer, head].reshape(-1),
                         self._meta[layer, head].reshape(-1)) for head in range(n_heads)]
                       for layer in range(n_layers)]
-        self._last_step = -1  # latest position appended: the step an eviction is stamped with
         self._rotated: np.ndarray | None = None
         self._current = [0] * n_layers
 
@@ -385,8 +397,6 @@ class MultiState:
         self._sizes[layer][head] = size + 1
         if position > self._last_step:
             self._last_step = position
-        if self.trace is not None:
-            self.trace._write_row(position, layer, head, _APPEND, position, token)
 
     def evict(self, layer: int, head: int, index: int) -> None:
         self._check(layer, head)
@@ -394,9 +404,7 @@ class MultiState:
         if not (0 <= index < size):
             raise ValueError(f"evict index {index} out of range for size {size}")
         keys, values, meta = self._flat[layer][head]
-        if self.trace is not None:
-            self.trace._write_row(self._last_step, layer, head, _EVICT,
-                                  meta.item(2 * index), meta.item(2 * index + 1))
+        self._log[layer].extend((self._last_step, head, meta.item(2 * index)))
         d = self.head_dim
         keys[index * d:(size - 1) * d] = keys[(index + 1) * d:size * d]
         values[index * d:(size - 1) * d] = values[(index + 1) * d:size * d]
@@ -460,19 +468,16 @@ class MultiState:
         return self._meta[layer, head, :self.size(layer, head), _POS].tolist()
 
 
-class ColumnSets:
+class ColumnSets(_EvictionLog):
     """MultiState's bookkeeping with no K/V rows: head h of a layer holds its
     entries as columns position * H + h, oldest first, and all heads of all
-    layers have one size. `evict_step`, its stamps and `scores` are
-    MultiState's, and each layer logs its evictions."""
+    layers have one size. `evict_step`, its eviction log and `scores` are
+    MultiState's."""
 
     def __init__(self, n_layers: int, n_heads: int, capacity: int):
-        self.n_layers, self.n_heads = n_layers, n_heads
-        self.scores = None
+        super().__init__(n_layers, n_heads)
         self._columns = np.empty((n_layers, n_heads, capacity + 1), dtype=np.intp)
         self._size = 0
-        self._log = [array("q") for _ in range(n_layers)]
-        self._last_step = -1
 
     def step_size(self) -> int:
         return self._size
@@ -503,7 +508,3 @@ class ColumnSets:
                     log.extend((step, head, row.item(index) // n_heads))
                     row[index:size - 1] = row[index + 1:size]
         self._size = size - 1
-
-    def evictions(self, layer: int) -> np.ndarray:
-        """The (n, 3) int64 table of the layer's evicted (step, head, position)."""
-        return np.frombuffer(self._log[layer], dtype=np.int64).reshape(-1, 3).copy()

@@ -68,9 +68,8 @@ def reference_nlls(model, ids, masks):
 def engine_nlls(model, ids, kind):
     """Sequential decoding's per-token NLLs and the trace of its retained sets."""
     config = model.config
-    trace = RetentionTrace(config.n_layers, config.n_heads)
     state = MultiState(config.n_layers, config.n_heads, config.head_dim,
-                       capacity=kind.k if kind else len(ids), trace=trace)
+                       capacity=kind.k if kind else len(ids))
     nlls = []
     for t, token in enumerate(ids):
         logits, probs = decode_step(model, state, token, t)
@@ -78,6 +77,9 @@ def engine_nlls(model, ids, kind):
             nlls.append(nll_of(logits, ids[t + 1]))
         if kind is not None:
             apply_policy(kind, state, probs)
+    trace = RetentionTrace(config.n_layers, config.n_heads)
+    for layer in range(config.n_layers):
+        trace.record_chunk(layer, ids, state.evictions(layer))
     return np.array(nlls), trace
 
 

@@ -212,6 +212,7 @@ def test_window_band_edges_parallel_equals_sequential(tiny_model, policy, k, chu
     assert [c.nll for c in par.chunks] == [c.nll for c in seq.chunks]
     assert [c.nll for c in untraced.chunks] == [c.nll for c in par.chunks]
     assert traces[1].sorted_events() == traces[0].sorted_events()
+    assert traces[1].events == traces[0].events  # both list them layer block by layer block
     assert traces[1].n_steps == traces[0].n_steps == chunk_len
 
 
@@ -238,7 +239,25 @@ def test_score_driven_edges_parallel_equals_sequential(policy, k, chunk_len, zer
     assert [c.nll for c in par.chunks] == [c.nll for c in seq.chunks]
     assert [c.nll for c in untraced.chunks] == [c.nll for c in par.chunks]
     assert traces[1].sorted_events() == traces[0].sorted_events()
+    assert traces[1].events == traces[0].events  # both list them layer block by layer block
     assert traces[1].n_steps == traces[0].n_steps == chunk_len
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 1)])
+@pytest.mark.parametrize("mode", ["sequential", "masked-parallel", "generate"])
+def test_trace_of_other_dimensions_is_refused(tiny_model, mode, shape):
+    # a 2-layer, 2-head model: every mode refuses a larger or a smaller trace
+    # where the trace enters, before any step runs
+    stream = make_stream(tiny_model, length=8, chunk_len=8, seed=1)
+    run = {"sequential": lambda trace: sequential_perplexity(tiny_model, stream, trace=trace),
+           "masked-parallel": lambda trace: masked_parallel_perplexity(tiny_model, stream,
+                                                                       trace=trace),
+           "generate": lambda trace: generate(tiny_model, stream.ids, 4, trace=trace)}[mode]
+    trace = RetentionTrace(*shape)
+    with pytest.raises(ValueError, match=f"a trace of {shape[0]} layers and {shape[1]} heads "
+                                         "cannot record a state of 2 and 2"):
+        run(trace)
+    assert trace.events == []
 
 
 def test_remap_runs_once_per_layer(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msrnn import MultiState, PolicyKind, RetentionTrace, apply_policy, parse_policy
+from msrnn import MultiState, PolicyKind, apply_policy, parse_policy
 from msrnn.policies import AccumulatedScores, accumulate_row, decide_layer, recent_window
 from msrnn.state import ColumnSets
 
@@ -132,8 +132,8 @@ def test_decide_layer_requires_scores_for_h2o():
         decide_layer(PolicyKind("h2o-head", 2), np.ones((1, 3), dtype=np.float32) / 3, None)
 
 
-def _filled_state(n_states, capacity, n_layers=1, n_heads=1, trace=None):
-    state = MultiState(n_layers, n_heads, head_dim=2, capacity=capacity, trace=trace)
+def _filled_state(n_states, capacity, n_layers=1, n_heads=1):
+    state = MultiState(n_layers, n_heads, head_dim=2, capacity=capacity)
     row = np.zeros(2, dtype=np.float32)
     for pos in range(n_states):
         for layer in range(n_layers):
@@ -143,8 +143,7 @@ def _filled_state(n_states, capacity, n_layers=1, n_heads=1, trace=None):
 
 
 def test_apply_policy_evicts_and_records():
-    trace = RetentionTrace(1, 2)
-    state = _filled_state(4, capacity=3, n_heads=2, trace=trace)
+    state = _filled_state(4, capacity=3, n_heads=2)
     probs = np.array([
         [0.1, 0.6, 0.05, 0.25],
         [0.4, 0.05, 0.3, 0.25],
@@ -153,8 +152,8 @@ def test_apply_policy_evicts_and_records():
     apply_policy(kind, state, [probs])
     assert state.retained_positions(0, 0) == [0, 1, 3]
     assert state.retained_positions(0, 1) == [0, 2, 3]
-    evicts = [ev for ev in trace.sorted_events() if ev.action == "evict"]
-    assert [(ev.head, ev.original_position) for ev in evicts] == [(0, 2), (1, 1)]
+    assert [(head, position) for _, head, position in state.evictions(0).tolist()] \
+        == [(0, 2), (1, 1)]
 
 
 def test_apply_policy_h2o_accumulates_current_row_before_deciding():

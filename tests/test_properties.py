@@ -1,5 +1,5 @@
-"""Property tests: the layer-buffer multi-state and its trace rows against
-a plain-list model and per-event records, step evictions against per-head
+"""Property tests: the layer-buffer multi-state and its eviction log against
+a plain-list model, step evictions against per-head
 ones and a list model, the H2O score block against per-head running sums,
 row-wise remapping of position arrays and its bounds, the kernels' rows
 against one-vector calls, cached rotation angles against computed ones,
@@ -44,14 +44,17 @@ from msrnn.state import ACTIONS, TRACE_COLUMNS, ColumnSets, write_csv_rows
        head_dim=st.integers(0, 4),
        capacity=st.integers(1, 6))
 def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capacity):
-    trace = RetentionTrace(n_layers, n_heads)
-    state = MultiState(n_layers, n_heads, head_dim, capacity=capacity, trace=trace)
+    state = MultiState(n_layers, n_heads, head_dim, capacity=capacity)
     # reference: per (layer, head) a list of (position, token, key, value); an
-    # entry's position is also its append step. The state's trace rows must
-    # equal one `record` call per event, and a refused call writes no row
+    # entry's position is also its append step. The state's eviction log must
+    # equal a per-layer list of (stamp, head, position), and a refused call
+    # logs nothing
     ref = [[[] for _ in range(n_heads)] for _ in range(n_layers)]
-    events = []
-    recorded = RetentionTrace(n_layers, n_heads)
+    evicted = [[] for _ in range(n_layers)]
+
+    def logs():
+        return [state.evictions(l).tolist() for l in range(n_layers)]
+
     last_step = -1  # evictions carry the latest step appended to the state
     next_pos = 0
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -60,7 +63,7 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
         layer = data.draw(st.integers(0, n_layers - 1), label="layer")
         head = data.draw(st.integers(0, n_heads - 1), label="head")
         entries = ref[layer][head]
-        rows_before = len(trace.events)
+        logs_before = logs()
         if data.draw(st.integers(0, 19), label="bad_call") == 0:
             # an out-of-range layer, a negative token or a key of the wrong
             # width is refused
@@ -72,7 +75,7 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
                         (layer, head, np.zeros(head_dim + 1, np.float32), zeros, next_pos + 1, 0)):
                 with pytest.raises(ValueError):
                     state.append(*bad)
-            assert len(trace.events) == rows_before
+            assert logs() == logs_before
             continue
         if data.draw(st.integers(0, 9), label="op") < 7:
             next_pos += data.draw(st.integers(1, 3), label="gap")
@@ -84,31 +87,27 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
                 stale = entries[-1][0] if entries else -1
                 with pytest.raises(ValueError):
                     state.append(layer, head, key, value, stale, token)
-                assert len(trace.events) == rows_before
+                assert logs() == logs_before
                 continue
             if len(entries) == capacity + 1:
                 with pytest.raises(ValueError, match="k\\+1"):
                     state.append(layer, head, key, value, next_pos, token)
-                assert len(trace.events) == rows_before
+                assert logs() == logs_before
                 continue
             state.append(layer, head, key, value, next_pos, token)
             entries.append((next_pos, token, key, value))
             last_step = max(last_step, next_pos)
-            events.append(TraceEvent(next_pos, layer, head, ACTION_APPEND, next_pos, token))
         else:
             index = data.draw(st.integers(-1, len(entries)), label="index")
             if not 0 <= index < len(entries):
                 with pytest.raises(ValueError):
                     state.evict(layer, head, index)
-                assert len(trace.events) == rows_before
+                assert logs() == logs_before
                 continue
             state.evict(layer, head, index)
-            pos, token, _, _ = entries.pop(index)
-            events.append(TraceEvent(last_step, layer, head, ACTION_EVICT, pos, token))
-        recorded.record(*events[-1])
-        if data.draw(st.booleans(), label="read_order"):
-            # the canonical order, read between events, drops its cached copy
-            assert trace.sorted_events() == recorded.sorted_events()
+            pos, _, _, _ = entries.pop(index)
+            evicted[layer].append([last_step, head, pos])
+            assert logs() == evicted
 
         for l in range(n_layers):
             for h in range(n_heads):
@@ -130,9 +129,7 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
             for h in range(n_heads):
                 assert np.array_equal(keys[h], state.keys(l, h))
                 assert np.array_equal(values[h], state.values(l, h))
-    assert trace.events == recorded.events == events
-    assert trace.n_steps == recorded.n_steps
-    assert trace.sorted_events() == recorded.sorted_events()
+    assert logs() == evicted
 
 
 def test_multistate_keeps_rows_at_capacity():
@@ -162,12 +159,10 @@ def test_evict_step_matches_per_head_evicts(data, n_heads, capacity, steps):
     # random, before) every layer drops one entry per head, every head of a
     # layer the same index or each its own, and the layers the same indices
     # or each their own. MultiState.evict_step leaves the K/V/meta rows,
-    # sizes and trace events of per-head evicts in layer and head order, and
+    # sizes and evictions() of per-head evicts in layer and head order, and
     # ColumnSets.evict_step the columns and evictions() of a list model
     n_layers, head_dim = 2, 3
-    traces = RetentionTrace(n_layers, n_heads), RetentionTrace(n_layers, n_heads)
-    stepped, per_head = (MultiState(n_layers, n_heads, head_dim, capacity, trace)
-                         for trace in traces)
+    stepped, per_head = (MultiState(n_layers, n_heads, head_dim, capacity) for _ in range(2))
     sets = ColumnSets(n_layers, n_heads, capacity)
     ref = [[[] for _ in range(n_heads)] for _ in range(n_layers)]  # retained positions
     log = [[] for _ in range(n_layers)]
@@ -210,9 +205,9 @@ def test_evict_step_matches_per_head_evicts(data, n_heads, capacity, steps):
         assert stepped.step_size() == sets.step_size() == len(ref[0][0])
     for name in ("_keys", "_values", "_meta"):
         assert np.array_equal(getattr(stepped, name), getattr(per_head, name)), name
-    assert traces[0].events == traces[1].events
     for layer in range(n_layers):
-        assert sets.evictions(layer).tolist() == log[layer]
+        assert stepped.evictions(layer).tolist() == per_head.evictions(layer).tolist() \
+            == sets.evictions(layer).tolist() == log[layer]
 
 
 @settings(max_examples=150, deadline=None)
@@ -580,9 +575,9 @@ def test_remapped_attend_across_steps_equals_full_rotations(data, n_heads, head_
        tied=st.booleans())
 def test_replayed_script_gives_the_same_events(data, n_layers, n_heads, steps, form, tied):
     # the script simulate_with_rule records replays to the identical trace,
-    # for every policy form, and to the events of a simulator that appends
-    # empty K/V rows to a MultiState head by head; small integer weights
-    # make ties common
+    # for every policy form, and to the events, in their order, of a
+    # simulator that appends empty K/V rows to a MultiState head by head;
+    # small integer weights make ties common
     pinned = form.endswith("+")
     k = data.draw(st.integers(2 if pinned else 1, 8), label="k")
     policy = form + str(data.draw(st.integers(1, k - 1), label="pin")) if pinned else form
@@ -595,15 +590,17 @@ def test_replayed_script_gives_the_same_events(data, n_layers, n_heads, steps, f
 
     script, trace = simulate_with_rule(rule, kind, steps, n_layers, n_heads)
     assert trace_driven_simulate(script, kind).events == trace.events
-    reference = RetentionTrace(n_layers, n_heads)
-    state = MultiState(n_layers, n_heads, 0, k, reference)
+    state = MultiState(n_layers, n_heads, 0, k)
     empty = np.zeros(0, dtype=np.float32)
     for t, blocks in enumerate(script.rows):
         for layer in range(n_layers):
             for head in range(n_heads):
                 state.append(layer, head, empty, empty, t, t)
         apply_policy(kind, state, blocks)
-    assert reference.sorted_events() == trace.sorted_events()
+    reference = RetentionTrace(n_layers, n_heads)
+    for layer in range(n_layers):
+        reference.record_chunk(layer, range(steps), state.evictions(layer))
+    assert reference.events == trace.events
 
 
 def _replay_order(ev: TraceEvent) -> tuple:

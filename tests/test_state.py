@@ -83,20 +83,17 @@ def test_capacity_must_be_positive():
         MultiState(1, 1, 2, capacity=0)
 
 
-def test_state_refuses_a_trace_of_other_dimensions():
-    # the state checks the layer and head of every row it writes to its trace
-    for trace in (RetentionTrace(1, 2), RetentionTrace(2, 1), RetentionTrace(3, 2)):
-        with pytest.raises(ValueError, match="cannot record"):
-            MultiState(2, 2, 2, capacity=1, trace=trace)
-
-
 def test_trace_records_appends_and_evicts():
-    trace = RetentionTrace(n_layers=1, n_heads=1)
-    state = MultiState(1, 1, 2, capacity=2, trace=trace)
+    # the state logs its evictions, stamped with the latest position
+    # appended; record_chunk adds the appends and the token ids
+    state = MultiState(1, 1, 2, capacity=2)
     row = np.zeros(2, dtype=np.float32)
     for pos in range(3):
         state.append(0, 0, row, row, pos, pos + 10)
     state.evict(0, 0, 0)
+    assert state.evictions(0).tolist() == [[2, 0, 0]]
+    trace = RetentionTrace(n_layers=1, n_heads=1)
+    trace.record_chunk(0, [10, 11, 12], state.evictions(0))
     assert trace.events == [
         TraceEvent(0, 0, 0, ACTION_APPEND, 0, 10),
         TraceEvent(1, 0, 0, ACTION_APPEND, 1, 11),
