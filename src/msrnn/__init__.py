@@ -19,7 +19,7 @@ from .harness import (ChunkResult, PerplexityReport, ScriptedTrace,
 from .model import (ChecksumMismatchError, MalformedHeaderError, Model,
                     ModelConfig, ModelWeights, ShapeMismatchError,
                     TruncatedBlobError, WeightFormatError, decode_step,
-                    init_random_model, load_weights, save_weights, zero_model)
+                    init_random_model, load_weights, save_weights)
 from .policies import POLICY_FORMS, PolicyKind, apply_policy, parse_policy
 from .remap import remap_positions
 from .state import (ACTION_APPEND, ACTION_EVICT, MultiState, RetentionTrace,
@@ -40,5 +40,4 @@ __all__ = [
     "sequential_perplexity", "simulate_with_rule", "token_lifetime",
     "trace_driven_simulate", "uniform_rule", "write_matrix_csv",
     "write_matrix_pgm", "write_memory_csv", "write_token_stream",
-    "zero_model",
 ]

@@ -3,20 +3,22 @@ scripted policy simulation, and greedy generation.
 
 Sequential mode is the ground truth: one decode_step per token against an
 explicit multi-state, policy applied after each step. Scoring and `generate`
-run that one loop, `_decode`, and both scoring modes sum a chunk's NLLs in
-`_score_chunks`. Masked-parallel mode is layer-major over the same kernel:
-per layer, the norm, q/k/v projections and rotation run over the whole
-chunk's rows in one `attention_inputs` call; then each row's attention mask
-is the policy's retained set for that layer, and no multi-state is built.
-Under H2O and TOVA those sets are score-driven: row by row, a one-layer
-ColumnSets gives every head the row's column of the chunk's K and V,
-`attention_step` attends over each head's columns, and `apply_policy` drops
-the decided ones. The window family's are the fixed band+prefix, so
-`band_attention` runs the whole chunk at once. Then W_O
-and the feed-forward block run over all rows in one `layer_output` call, and
-the LM head in one call after the last layer. Row t of every batched kernel
-call equals the one-token call bit for bit, so probabilities, decisions, and
-perplexities agree exactly; the acceptance tolerance is slack on top.
+run that one loop, `_decode`, and both scoring modes sum a chunk's NLLs, from
+blocks of logit rows, in `_score_chunks`. Masked-parallel mode is layer-major
+over the same kernel: per layer, the norm, q/k/v projections and rotation run
+over the whole chunk's rows in one `attention_inputs` call; then each row's
+attention mask is the policy's retained set for that layer, and no
+multi-state is built. Under H2O and TOVA those sets are score-driven: the
+first k rows attend over every earlier row and decide nothing; from row k
+on, each row gives every head its column of the chunk's K and V,
+`attention_step` attends over each head's k+1 columns, and `decide_layer`,
+the rule `apply_policy` applies to a state, picks the column each head drops.
+The window family's are the fixed band+prefix, so `band_attention` runs the
+whole chunk at once. Then W_O and the feed-forward block run over all rows in
+one `layer_output` call, and the LM head in one call after the last layer.
+Row t of every batched kernel call equals the one-token call bit for bit, so
+probabilities, decisions, and perplexities agree exactly; the acceptance
+tolerance is slack on top.
 
 Each mode hands a trace each layer's events in one `record_chunk` call, so a
 trace lists its events layer block by layer block in all three.
@@ -31,23 +33,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .model import (Model, attention_inputs, attention_step, band_attention, decode_step,
                     layer_output, row_matmul)
-from .policies import PolicyKind, apply_policy
+from .policies import PolicyKind, apply_policy, decide_layer
 from .remap import remap_positions
 from .state import (ColumnSets, MultiState, RetentionTrace, read_csv_rows, read_text_lines,
                     write_csv_rows)
 
 # unused here: bench/tracing.py patches these names on this module
 from .model import rms_norm, rotate  # noqa: F401
-from .policies import accumulate_row, decide_layer  # noqa: F401
+from .policies import accumulate_row  # noqa: F401
 
 SCRIPT_COLUMNS = ("step", "layer", "head", "state_slot", "probability")
 ROW_SUM_TOL = 1e-6
+NLL_ROWS = 16  # logit rows per NLL block: few, so a block adds little to one step's latency
 
 
 @dataclass(frozen=True)
@@ -122,11 +126,15 @@ class PerplexityReport:
         return float(math.exp(self.total_nll / self.token_count))
 
 
-def nll_of(logits: np.ndarray, target: int) -> float:
-    """Stable -log softmax(logits)[target] in float64."""
-    x = logits.astype(np.float64)
-    m = float(x.max())
-    return (m + math.log(float(np.exp(x - m).sum()))) - float(x[target])
+def nll_of(logits: np.ndarray, targets: Sequence[int]) -> list[float]:
+    """Stable -log softmax(row)[target] in float64, for each row of a (R, vocab) logit
+    block (or a list of R rows) and its target."""
+    x = np.asarray(logits, dtype=np.float64)
+    top = x.max(axis=1)
+    totals = np.exp(x - top[:, None]).sum(axis=1)
+    picked = x[np.arange(len(x)), list(targets)]
+    return [(m + math.log(s)) - p for m, s, p in zip(top.tolist(), totals.tolist(),
+                                                      picked.tolist())]
 
 
 def _bounded(kind: PolicyKind | None, steps: int) -> PolicyKind:
@@ -191,9 +199,12 @@ def _score_chunks(model: Model, stream: TokenStream, remap: bool,
                          f"{config.train_context_len}; enable remapping to go longer")
     results = []
     for index, (start, ids) in enumerate(stream.chunks()):
-        nll = 0.0  # zip pulls the rows first, so a decoder's unscored last step still runs
-        for row, target in zip(logits_of(ids, trace if index == 0 else None), ids[1:]):
-            nll += nll_of(row, target)
+        rows, nll = iter(logits_of(ids, trace if index == 0 else None)), 0.0
+        for lo in range(1, len(ids), NLL_ROWS):
+            targets = ids[lo:lo + NLL_ROWS]
+            for value in nll_of(list(islice(rows, len(targets))), targets):
+                nll += value
+        next(rows, None)  # a decoder's unscored last step still runs
         results.append(ChunkResult(start=start, n_scored=len(ids) - 1, nll=nll))
     return PerplexityReport(chunks=tuple(results))
 
@@ -202,11 +213,11 @@ def _score_chunks(model: Model, stream: TokenStream, remap: bool,
 # masked-parallel evaluation
 
 
-def _window_evicts(kind: PolicyKind, n_rows: int, n_heads: int) -> np.ndarray:
-    """The window family's evictions in closed form: from step k on, every
-    head evicts position t-k+pin at step t."""
-    steps = np.arange(kind.k, n_rows)[:, None]
-    table = np.broadcast_arrays(steps, np.arange(n_heads), steps - kind.k + kind.pin)
+def _evict_table(first_step: int, positions: np.ndarray) -> np.ndarray:
+    """The (n, 3) (step, head, position) table of (steps, H) positions evicted from step
+    `first_step` on."""
+    steps = np.arange(first_step, first_step + len(positions))[:, None]
+    table = np.broadcast_arrays(steps, np.arange(positions.shape[1]), positions)
     return np.stack(table, -1).reshape(-1, 3)
 
 
@@ -216,20 +227,49 @@ def _policy_attention(kind: PolicyKind, q: np.ndarray, k: np.ndarray,
     (n, 3) table of its evicted (step, head, position).
 
     `q`, `k` and `v` are the chunk's (T, n_heads, head_dim) attention inputs,
-    rotated. Each head's retained entries are ColumnSets columns: column
-    t * n_heads + h is row t of head h in the chunk's K and V. Row t appends
-    its column to every head, attends over the gathered columns with the
-    one-token `attention_step`, and `apply_policy` evicts.
+    rotated. Rows t < k evict nothing and attend over rows 0..t of the
+    chunk's (H, T, d) K and V, as `band_attention`'s first rows do. From row
+    k on, head h keeps its k+1 retained rows as columns h * T + position of
+    that block flattened: row t adds its own column to every head, attends
+    over the gathered columns, and `decide_layer`, the rule `apply_policy`
+    applies to a state, picks the column each head drops. H2O's accumulated
+    scores are one (H, k+1) float64 block shifted with the columns, so they
+    carry `AccumulatedScores`' bits.
     """
     n_rows, n_heads, head_dim = q.shape
-    keys, values = k.reshape(-1, head_dim), v.reshape(-1, head_dim)
-    sets = ColumnSets(1, n_heads, kind.k)
+    keys, values = (np.ascontiguousarray(x.transpose(1, 0, 2)) for x in (k, v))
     ctx = np.empty((n_rows, n_heads * head_dim), dtype=np.float32)
-    for t in range(n_rows):
-        columns = sets.append(t)[0]
+    cap = kind.k
+    sums = np.zeros((n_heads, cap + 1)) if kind.needs_scores else None
+    for t in range(min(cap, n_rows)):
+        ctx[t], probs = attention_step(q[t], keys[:, :t + 1], values[:, :t + 1])
+        if sums is not None:
+            sums[:, :t + 1] += probs
+    offsets = np.arange(n_heads) * n_rows
+    columns = offsets[:, None] + np.arange(cap + 1)
+    arriving = offsets + np.arange(n_rows)[:, None]  # row t's column in every head
+    shifted = (columns,) if sums is None else (columns, sums)  # an eviction shifts both
+    evicted = np.empty((max(n_rows - cap, 0), n_heads), dtype=np.intp)
+    keys, values = keys.reshape(-1, head_dim), values.reshape(-1, head_dim)
+    for t in range(cap, n_rows):
+        columns[:, cap] = arriving[t]
         ctx[t], probs = attention_step(q[t], keys.take(columns, 0), values.take(columns, 0))
-        apply_policy(kind, sets, probs[None])
-    return ctx, sets.evictions(0)
+        if sums is not None:
+            sums += probs
+        drop = decide_layer(kind, probs, sums)
+        first = drop[0]
+        if drop.count(first) == n_heads:  # one 2-D shift
+            evicted[t - cap] = columns[:, first]
+            for block in shifted:
+                block[:, first:cap] = block[:, first + 1:]
+        else:
+            for head, index in enumerate(drop):
+                evicted[t - cap, head] = columns[head, index]
+                for block in shifted:
+                    block[head, index:cap] = block[head, index + 1:]
+        if sums is not None:
+            sums[:, cap] = 0.0
+    return ctx, _evict_table(cap, evicted - offsets)
 
 
 def _decode_chunk_parallel(model: Model, ids: Sequence[int], kind: PolicyKind | None,
@@ -243,7 +283,8 @@ def _decode_chunk_parallel(model: Model, ids: Sequence[int], kind: PolicyKind | 
         q, k, v = attention_inputs(model, layer, x, positions)
         if kind.family == "window":  # a fixed band+prefix mask: no decisions
             ctx = band_attention(q, k, v, kind.k, kind.pin)
-            evicts = _window_evicts(kind, len(ids), config.n_heads)
+            steps = np.arange(kind.k, len(ids))[:, None]
+            evicts = _evict_table(kind.k, np.repeat(steps - kind.k + kind.pin, config.n_heads, 1))
         else:
             ctx, evicts = _policy_attention(kind, q, k, v)
         if trace is not None:
@@ -258,8 +299,8 @@ def masked_parallel_perplexity(model: Model, stream: TokenStream, kind: PolicyKi
 
     Each layer sees the whole chunk before the next layer starts; the
     policy's retained sets act as the attention masks (band+prefix for the
-    window family; for H2O and TOVA, ColumnSets grown row by row and pruned
-    by `apply_policy`). No multi-state is built. Positions stay
+    window family; for H2O and TOVA, column sets grown row by row and pruned
+    by `decide_layer`'s decisions). No multi-state is built. Positions stay
     original (no remapping in this mode). `kind=None` is the unbounded
     topline, as in `sequential_perplexity`: a band as wide as the chunk, so
     row t attends to rows 0..t, a plain causal transformer.

@@ -10,10 +10,10 @@ over a step's (L, H, S) float32 attention block, or one layer's (H, S) block,
 and, for H2O, float64 accumulated scores of the same shape. Past k states,
 window drops a fixed index; the others take one argmin over a family-chosen
 score block and column range, per head or over each layer's head mean.
-`apply_policy` applies it a step at a time, with one `evict_step` call, to a
-MultiState (sequential decoding) or its K/V-less ColumnSets (the simulator,
-and masked-parallel rows under H2O and TOVA), so every mode takes identical
-decisions.
+`apply_policy` applies it to a state a step at a time, with one `evict_step`
+call: a MultiState (sequential decoding) or its K/V-less ColumnSets (the
+simulator); the masked-parallel H2O/TOVA row loop applies it to its own
+column block, so every mode takes identical decisions.
 """
 
 from __future__ import annotations

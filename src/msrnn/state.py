@@ -472,7 +472,7 @@ class ColumnSets(_EvictionLog):
     """MultiState's bookkeeping with no K/V rows: head h of a layer holds its
     entries as columns position * H + h, oldest first, and all heads of all
     layers have one size. `evict_step`, its eviction log and `scores` are
-    MultiState's."""
+    MultiState's. The model-free simulator drives it through `apply_policy`."""
 
     def __init__(self, n_layers: int, n_heads: int, capacity: int):
         super().__init__(n_layers, n_heads)

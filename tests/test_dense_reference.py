@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msrnn import (Model, ModelConfig, MultiState, RetentionTrace, apply_policy,
-                   decode_step, init_random_model, parse_policy, zero_model)
+                   decode_step, init_random_model, parse_policy)
 from msrnn.harness import nll_of
-from msrnn.model import RMS_EPS
+from msrnn.model import RMS_EPS, zero_model
 from msrnn.policies import POLICY_FAMILIES
 
 FORMS = ("window", "window+4", "h2o-head", "h2o-layer",
@@ -74,7 +74,7 @@ def engine_nlls(model, ids, kind):
     for t, token in enumerate(ids):
         logits, probs = decode_step(model, state, token, t)
         if t + 1 < len(ids):
-            nlls.append(nll_of(logits, ids[t + 1]))
+            nlls += nll_of(logits[None], [ids[t + 1]])
         if kind is not None:
             apply_policy(kind, state, probs)
     trace = RetentionTrace(config.n_layers, config.n_heads)

@@ -11,8 +11,9 @@ from msrnn import (Model, MultiState, RetentionTrace, ScriptedTrace,
                    masked_parallel_perplexity, parse_policy,
                    read_token_stream, sequential_perplexity,
                    simulate_with_rule, trace_driven_simulate, uniform_rule,
-                   write_token_stream, zero_model)
-from msrnn.harness import _check_rows, nll_of
+                   write_token_stream)
+from msrnn.harness import NLL_ROWS, _check_rows, _decode, nll_of
+from msrnn.model import zero_model
 
 from conftest import make_config, make_model, make_stream
 
@@ -48,9 +49,24 @@ def test_nll_of_matches_log_softmax():
     logits = np.array([1.0, -2.0, 0.5, 3.0], dtype=np.float32)
     x = logits.astype(np.float64)
     expected = -(x[2] - math.log(np.exp(x).sum()))
-    assert nll_of(logits, 2) == pytest.approx(expected, abs=1e-12)
+    assert nll_of(logits[None], [2])[0] == pytest.approx(expected, abs=1e-12)
     # shift invariance even at large magnitudes
-    assert nll_of(logits + 1000.0, 2) == pytest.approx(expected, rel=1e-9)
+    assert nll_of(logits[None] + 1000.0, [2])[0] == pytest.approx(expected, rel=1e-9)
+
+
+def test_sequential_chunk_nll_sums_row_blocks_left_to_right():
+    # a chunk of more than one NLL block: its NLL is the left-to-right sum of
+    # the per-row NLLs of the decode loop's logits, in either scoring mode
+    length = NLL_ROWS + 40
+    model = make_model(seed=3, n_layers=1, train_context_len=length)
+    stream = make_stream(model, length=length, chunk_len=length, seed=5)
+    kind = parse_policy("h2o-head", 8)
+    expected = 0.0
+    for logits, target in zip(_decode(model, stream.ids, length, kind, False, None),
+                              stream.ids[1:]):
+        expected += nll_of(logits[None], [target])[0]
+    assert [c.nll for c in sequential_perplexity(model, stream, kind).chunks] == [expected]
+    assert [c.nll for c in masked_parallel_perplexity(model, stream, kind).chunks] == [expected]
 
 
 def test_zero_model_perplexity_is_vocab_size():
@@ -225,6 +241,8 @@ def test_window_band_edges_parallel_equals_sequential(tiny_model, policy, k, chu
     ("tova-head", 1, 2, False),
     ("tova-layer+4", 5, 16, False),  # pin = k - 1
     ("tova-head", 4, 16, True),      # zero weights: every per-head argmin is a tie
+    ("h2o-head", 15, 16, False),     # one decision row
+    ("h2o-head", 4, 16, True),       # zero weights: every H2O sum ties
 ])
 def test_score_driven_edges_parallel_equals_sequential(policy, k, chunk_len, zero):
     model = make_model(seed=4, n_heads=3)

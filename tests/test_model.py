@@ -6,9 +6,9 @@ import pytest
 from msrnn import (ChecksumMismatchError, MalformedHeaderError, Model,
                    ModelConfig, MultiState, ShapeMismatchError,
                    TruncatedBlobError, WeightFormatError, decode_step,
-                   init_random_model, load_weights, save_weights, zero_model)
+                   init_random_model, load_weights, save_weights)
 from msrnn.model import (RMS_EPS, _inv_freq, _iter_blocks, attention_step, rms_norm, rotate,
-                         silu)
+                         silu, zero_model)
 
 from conftest import make_config, make_model
 

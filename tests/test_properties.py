@@ -5,14 +5,16 @@ row-wise remapping of position arrays and its bounds, the kernels' rows
 against one-vector calls, cached rotation angles against computed ones,
 remapped attention against separate key and query rotations, within a step
 and across steps, sequential decoding against masked-parallel evaluation,
-greedy generation against scoring its output, simulator replay, the
-vectorised retention analyses against a per-event set replay, trace CSV
-round trips and reads against the csv module, CSV writes against
-csv.writer, block trace records against per-event ones, the window band
-kernel against one-row attention, and damaged weight files."""
+block NLLs against per-row ones, greedy generation against scoring its
+output, simulator replay, the vectorised retention analyses against a
+per-event set replay, trace CSV round trips and reads against the csv
+module, CSV writes against csv.writer, block trace records against
+per-event ones, the window band kernel against one-row attention, and
+damaged weight files."""
 
 import csv
 import io
+import math
 import re
 
 import numpy as np
@@ -27,11 +29,11 @@ from msrnn import (ACTION_APPEND, ACTION_EVICT, Model,
                    lifetime_by_tag, load_weights, masked_parallel_perplexity, parse_policy,
                    recent_proportion, remap_positions,
                    retention_matrix, save_weights, sequential_perplexity,
-                   simulate_with_rule, token_lifetime, trace_driven_simulate,
-                   zero_model)
+                   simulate_with_rule, token_lifetime, trace_driven_simulate)
 import msrnn.model
+from msrnn.harness import NLL_ROWS, nll_of
 from msrnn.model import (_inv_freq, attend, attention_step, band_attention, rms_norm, rotate,
-                         row_matmul, silu, softmax_rows)
+                         row_matmul, silu, softmax_rows, zero_model)
 from msrnn.policies import AccumulatedScores
 from msrnn.remap import remap_gap
 from msrnn.state import ACTIONS, TRACE_COLUMNS, ColumnSets, write_csv_rows
@@ -305,6 +307,32 @@ def test_sequential_equals_masked_parallel(data, n_layers, n_heads, head_dim, fo
     par = masked_parallel_perplexity(model, stream, kind, trace=par_trace)
     assert [c.nll for c in par.chunks] == [c.nll for c in seq.chunks]
     assert par_trace.sorted_events() == seq_trace.sorted_events()
+    assert par_trace.events == seq_trace.events  # both list them layer block by layer block
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       vocab=st.integers(1, 300),
+       n_rows=st.integers(1, 300),
+       offset=st.floats(-1e3, 1e3),
+       tied=st.booleans())
+def test_nll_block_equals_per_row(data, vocab, n_rows, offset, tied):
+    # one float64 max, exp and row-wise sum over a block of rows give each
+    # row's NLL as its own 1-D reductions do, bit for bit, in one block and in
+    # blocks of NLL_ROWS rows as scoring cuts a chunk
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    draw = rng.integers(-2, 3, (n_rows, vocab)) if tied else rng.normal(0, 4, (n_rows, vocab))
+    logits = (draw + offset).astype(np.float32)
+    targets = rng.integers(0, vocab, n_rows).tolist()
+    expected = []
+    for row, target in zip(logits, targets):
+        x = row.astype(np.float64)
+        m = float(x.max())
+        expected.append((m + math.log(float(np.exp(x - m).sum()))) - float(x[target]))
+    assert nll_of(logits, targets) == expected
+    assert [value for lo in range(0, n_rows, NLL_ROWS)
+            for value in nll_of(list(logits[lo:lo + NLL_ROWS]), targets[lo:lo + NLL_ROWS])
+            ] == expected
 
 
 @settings(max_examples=100, deadline=None)
