@@ -41,13 +41,13 @@ import numpy as np
 from .model import (Model, attention_inputs, attention_step, band_attention, decode_step,
                     layer_output, row_matmul)
 from .policies import PolicyKind, apply_policy, decide_layer
-from .remap import remap_positions
 from .state import (ColumnSets, MultiState, RetentionTrace, read_csv_rows, read_text_lines,
                     write_csv_rows)
 
 # unused here: bench/tracing.py patches these names on this module
 from .model import rms_norm, rotate  # noqa: F401
 from .policies import accumulate_row  # noqa: F401
+from .remap import remap_positions  # noqa: F401
 
 SCRIPT_COLUMNS = ("step", "layer", "head", "state_slot", "probability")
 ROW_SUM_TOL = 1e-6
@@ -155,10 +155,9 @@ def _decode(model: Model, tokens: Sequence[int], steps: int, kind: PolicyKind | 
     that step's policy. Step t reads `tokens[t]` only then, so a caller may append to it."""
     config = model.config
     kind = _bounded(kind, steps)
-    state = MultiState(config.n_layers, config.n_heads, config.head_dim, kind.k)
-    position_fn = remap_positions if remap else None
+    state = MultiState(config.n_layers, config.n_heads, config.head_dim, kind.k, remap)
     for t in range(steps):
-        logits, probs = decode_step(model, state, tokens[t], t, position_fn)
+        logits, probs = decode_step(model, state, tokens[t], t)
         apply_policy(kind, state, probs)
         if trace is not None and t == steps - 1:  # before the last row, where scoring stops
             for layer in range(config.n_layers):

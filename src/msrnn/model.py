@@ -10,8 +10,8 @@ and last with a whole chunk's rows and keeps no multi-state, so instead of
 `attend` it calls `attention_step` per row over the row's gathered columns
 under H2O and TOVA, and `band_attention` once over all rows for the window
 family's fixed mask. Keys are rotated once, when they are cached, unless
-positions are remapped: then they are cached unrotated, and each step
-re-rotates at the remapped positions only the rows from the lowest slot
+the multi-state remaps positions: then they are cached unrotated, and each
+step re-rotates at the remapped positions only the rows from the lowest slot
 evicted since the last step. Integer positions (a decoding step, a chunk's
 rows) read their cos and sin from a table cached per inv_freq; remapped,
 real-valued positions compute theirs. Both give the same bits.
@@ -24,7 +24,7 @@ import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
-from typing import Callable, NamedTuple, get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,17 +40,6 @@ RMS_EPS = np.float32(1e-5)
 # band rows per block when band_attention copies a pinned prefix into each
 # row's columns: it bounds the (H, rows, S, head_dim) copies
 _BAND_ROWS = 16
-
-# Callable mapping a layer's (n_heads, size) retained original positions
-# (newest last in each row) to real-valued rotation positions of the same
-# shape; None means the identity assignment. When every head retains the
-# same positions it gets the one (1, size) row, whose result broadcasts over
-# the heads; the query is rotated with the keys at the row's last value.
-# Element j of a row may depend only on that row's entries 0..j, and a state
-# is decoded with one function throughout: `attend` keeps the rotated keys of
-# the entries below the lowest slot evicted since the last step.
-# `remap.remap_positions` meets this.
-PositionFn = Callable[[np.ndarray], np.ndarray]
 
 
 class WeightFormatError(ValueError):
@@ -475,8 +464,7 @@ def attention_inputs(model: Model, layer: int, x: np.ndarray,
 
 
 def attend(model: Model, layer: int, state: MultiState, q: np.ndarray, k: np.ndarray,
-           v: np.ndarray, position: int, token: int, position_fn: PositionFn | None = None,
-           ) -> tuple[np.ndarray, np.ndarray]:
+           v: np.ndarray, position: int, token: int) -> tuple[np.ndarray, np.ndarray]:
     """One token's multi-state update at one layer: append, then attend.
 
     `q`, `k` and `v` are the token's (n_heads, head_dim) attention inputs;
@@ -485,27 +473,23 @@ def attend(model: Model, layer: int, state: MultiState, q: np.ndarray, k: np.nda
     and the (H, S) attention probabilities the policies need. Eviction is
     the caller's job.
 
-    Without `position_fn`, q and k come rotated at the token's position, so
-    the key is cached rotated and attention runs over the cached keys as
-    they are (rotation is element-wise, so this equals rotating every key
-    at every step). With it, keys are cached unrotated and rotated at
-    remapped positions: when every head retains the same positions (always
-    under layer-wise policies, and under head-wise ones until the heads
-    diverge) the remap runs once on a (1, S) row that broadcasts over the
-    heads, otherwise once on the (H, S) block. The state's rotated-key cache
-    keeps the rows below the lowest slot evicted since the layer's last
-    step, whose keys and remapped positions are unchanged; one rotate call
+    On a plain state q and k come rotated at the token's position, so the
+    key is cached rotated and attention runs over the cached keys as they
+    are (rotation is element-wise, so this equals rotating every key at
+    every step). On a state built with `remap` they come unrotated, and the
+    keys are rotated at `state.remapped_positions`: one (1, S) row while the
+    heads agree, else the (H, S) block. The state's rotated-key cache keeps
+    the rows below the lowest slot evicted since the layer's last step,
+    whose keys and remapped positions are unchanged; one rotate call
     re-rotates the rows from that slot up into the cache, with q riding
     along as one more key row at the newest remapped position.
     """
     for head in range(model.config.n_heads):
         state.append(layer, head, k[head], v[head], position, token)
-    keys, values, positions = state.layer_view(layer)
-    if position_fn is not None:
+    keys, values, _ = state.layer_view(layer)
+    if state.remap:
         inv_freq = _inv_freq(model.config.head_dim, model.config.rope_base)
-        if (positions == positions[0]).all():
-            positions = positions[:1]
-        remapped = position_fn(positions)
+        remapped = state.remapped_positions(layer)
         cache, current = state.rotated_keys(layer)
         qk = rotate(np.concatenate((keys[:, current:], q[:, None]), 1),
                     np.concatenate((remapped[:, current:], remapped[:, -1:]), 1), inv_freq)
@@ -522,11 +506,11 @@ def layer_output(model: Model, layer: int, x: np.ndarray, ctx: np.ndarray) -> np
     return x + row_matmul(silu(row_matmul(rms_norm(x, lw.ff_norm), lw.ff_in)), lw.ff_out)
 
 
-def decode_step(model: Model, state: MultiState, token: int, step: int,
-                position_fn: PositionFn | None = None,
-                ) -> tuple[np.ndarray, list[np.ndarray]]:
+def decode_step(model: Model, state: MultiState, token: int,
+                step: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Decode one token against the multi-state, layer by layer.
 
+    Positions are `step`, or remapped on a state built with `remap`.
     Returns the next-token logits and the per-layer (H, S) attention
     probabilities the policies need. Eviction is the caller's job.
     """
@@ -536,8 +520,8 @@ def decode_step(model: Model, state: MultiState, token: int, step: int,
     x = w.token_embedding[token]
     probs = []
     for layer in range(config.n_layers):
-        q, k, v = attention_inputs(model, layer, x, step if position_fn is None else None)
-        ctx, layer_probs = attend(model, layer, state, q, k, v, step, token, position_fn)
+        q, k, v = attention_inputs(model, layer, x, None if state.remap else step)
+        ctx, layer_probs = attend(model, layer, state, q, k, v, step, token)
         x = layer_output(model, layer, x, ctx)
         probs.append(layer_probs)
     return row_matmul(x, w.lm_head), probs

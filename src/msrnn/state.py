@@ -18,6 +18,8 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
+from .remap import remap_positions
+
 ACTION_APPEND = "append"
 ACTION_EVICT = "evict"
 # an action's code is its index, so appends sort before evicts
@@ -331,15 +333,17 @@ class MultiState(_EvictionLog):
     each layer's log to `RetentionTrace.record_chunk`. `scores` holds H2O's
     `policies.AccumulatedScores`.
 
-    Remapped decoding caches its rotated keys in one more (L, H, k+1, d)
-    buffer, allocated by the state's first `rotated_keys` call, with a count
-    per layer of the leading rows still current. A remapped position is a
-    running sum of the gaps before it, so entries below the lowest index
-    evicted since the layer's last step keep their rotated rows: `evict`
-    lowers the count to its index, and `append` writes past it.
+    A state built with `remap` gives a layer's remapped positions through
+    `remapped_positions`, and `rotated_keys` caches its keys rotated at them
+    in one more (L, H, k+1, d) buffer, with a count per layer of the leading
+    rows still current. A remapped position is a running sum of the gaps
+    before it, so entries below the lowest index evicted since the layer's
+    last step keep their rotated rows: `evict` lowers the count to its
+    index, and `append` writes past it. A plain state refuses both calls.
     """
 
-    def __init__(self, n_layers: int, n_heads: int, head_dim: int, capacity: int):
+    def __init__(self, n_layers: int, n_heads: int, head_dim: int, capacity: int,
+                 remap: bool = False):
         if n_layers < 1 or n_heads < 1:
             raise ValueError("n_layers and n_heads must be >= 1")
         if head_dim < 0:
@@ -358,7 +362,8 @@ class MultiState(_EvictionLog):
                         self._values[layer, head].reshape(-1),
                         self._meta[layer, head].reshape(-1)) for head in range(n_heads)]
                       for layer in range(n_layers)]
-        self._rotated: np.ndarray | None = None
+        self.remap = remap
+        self._rotated = np.zeros(self._keys.shape, dtype=np.float32) if remap else None
         self._current = [0] * n_layers
 
     def _check(self, layer: int, head: int) -> None:
@@ -450,6 +455,17 @@ class MultiState(_EvictionLog):
         return (self._keys[layer, :, :size], self._values[layer, :, :size],
                 self._meta[layer, :, :size, _POS])
 
+    def remapped_positions(self, layer: int) -> np.ndarray:
+        """One layer's `remap_positions`: one (1, S) row, which broadcasts over
+        the heads, while every head retains the same positions, else the
+        (H, S) block. Every head must hold S entries, as in `layer_view`."""
+        if not self.remap:
+            raise ValueError("remapped positions need a state built with remap=True")
+        positions = self._meta[layer, :, :self.size(layer, 0), _POS]
+        if (positions == positions[0]).all():
+            positions = positions[:1]
+        return remap_positions(positions)
+
     def rotated_keys(self, layer: int) -> tuple[np.ndarray, int]:
         """(H, S, d) view of one layer's rotated-key cache and the count of
         its leading rows still current. The count becomes S: the caller
@@ -457,8 +473,8 @@ class MultiState(_EvictionLog):
         next append or evict. Every head must hold S entries, as in
         `layer_view`."""
         self._check(layer, 0)
-        if self._rotated is None:
-            self._rotated = np.zeros(self._keys.shape, dtype=np.float32)
+        if not self.remap:
+            raise ValueError("rotated keys need a state built with remap=True")
         size, current = self._sizes[layer][0], self._current[layer]
         self._current[layer] = size
         return self._rotated[layer, :, :size], current

@@ -7,6 +7,11 @@ Its mask for (layer, head) at step t is what the engine's trace retained
 after step t-1, plus position t. Driving the engine token by token through
 `decode_step` and `apply_policy` must then give the same per-token NLLs, for
 the unbounded cache and every policy form.
+
+With `remap`, row t instead rotates its query and each key it sees at that
+key's remapped position within row t's own retained set, by a gap map
+written here from the rule in `remap.py`'s docstring (no `msrnn.remap`
+function), and the engine decodes on a `MultiState` built with `remap`.
 """
 
 import math
@@ -32,18 +37,44 @@ def _rms_norm(x, gain):
     return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + float(RMS_EPS)) * gain
 
 
-def _rope(x, rope_base):
-    """Rotate each consecutive coordinate pair of (T, H, d) rows by t * base**(-2i/d)."""
+def _rotate(x, positions, rope_base):
+    """Rotate each consecutive coordinate pair of x (..., d) by position * base**(-2i/d);
+    `positions` broadcasts against x's leading shape."""
     d = x.shape[-1]
-    angle = np.arange(len(x))[:, None, None] * rope_base ** (-np.arange(0, d, 2) / d)
+    angle = np.asarray(positions, np.float64)[..., None] * rope_base ** (-np.arange(0, d, 2) / d)
     even, odd = x[..., 0::2], x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * np.cos(angle) - odd * np.sin(angle)
-    out[..., 1::2] = even * np.sin(angle) + odd * np.cos(angle)
-    return out
+    pairs = np.stack((even * np.cos(angle) - odd * np.sin(angle),
+                      even * np.sin(angle) + odd * np.cos(angle)), -1)
+    return pairs.reshape(pairs.shape[:-2] + (d,))
 
 
-def reference_nlls(model, ids, masks):
+def _remapped_positions(mask):
+    """(H, T, T): column s's remapped position within row t's retained set. A
+    gap g between neighbouring retained columns counts g up to 10 and
+    ln(ln(g)) above; the row's oldest column sits at 0, the rest at the
+    running sum of the gaps before them."""
+    columns = np.arange(mask.shape[-1])
+    newest = np.maximum.accumulate(np.where(mask, columns, -1), axis=-1)  # at or before s
+    before = np.concatenate((np.full(mask.shape[:-1] + (1,), -1), newest[..., :-1]), -1)
+    gap = np.where(mask & (before >= 0), columns - before, 0)
+    return np.cumsum(np.where(gap > 10, np.log(np.log(np.maximum(gap, 10))), gap), axis=-1)
+
+
+def _scores(q, k, mask, rope_base, remap):
+    """(H, T, T) scaled dot products of the (T, H, d) queries and keys."""
+    d = q.shape[-1]
+    if not remap:
+        rows = np.arange(len(q))[:, None]
+        q, k = _rotate(q, rows, rope_base), _rotate(k, rows, rope_base)
+        return np.einsum("thd,shd->hts", q, k) / math.sqrt(d)
+    positions = _remapped_positions(mask)
+    rows = np.arange(len(q))
+    q = _rotate(q.transpose(1, 0, 2), positions[:, rows, rows], rope_base)  # (H, T, d)
+    k = _rotate(k.transpose(1, 0, 2)[:, None], positions, rope_base)  # (H, T, S, d)
+    return np.einsum("htd,htsd->hts", q, k) / math.sqrt(d)
+
+
+def reference_nlls(model, ids, masks, remap=False):
     """Per-token NLLs of ids[1:]; masks[layer][h, t, s] lets row t of head h see column s."""
     config, w = model
     T, H, d = len(ids), config.n_heads, config.head_dim
@@ -52,8 +83,7 @@ def reference_nlls(model, ids, masks):
         lw = {name: np.asarray(block, np.float64) for name, block in vars(lw).items()}
         h = _rms_norm(x, lw["attn_norm"])
         q, k, v = ((h @ lw[name]).reshape(T, H, d) for name in ("w_q", "w_k", "w_v"))
-        q, k = _rope(q, config.rope_base), _rope(k, config.rope_base)
-        scores = np.where(mask, np.einsum("thd,shd->hts", q, k) / math.sqrt(d), -np.inf)
+        scores = np.where(mask, _scores(q, k, mask, config.rope_base, remap), -np.inf)
         p = np.exp(scores - scores.max(axis=-1, keepdims=True))
         p /= p.sum(axis=-1, keepdims=True)
         x = x + np.einsum("hts,shd->thd", p, v).reshape(T, H * d) @ lw["w_o"]
@@ -65,11 +95,11 @@ def reference_nlls(model, ids, masks):
     return log_z - logits[np.arange(T - 1), list(ids[1:])]
 
 
-def engine_nlls(model, ids, kind):
+def engine_nlls(model, ids, kind, remap=False):
     """Sequential decoding's per-token NLLs and the trace of its retained sets."""
     config = model.config
     state = MultiState(config.n_layers, config.n_heads, config.head_dim,
-                       capacity=kind.k if kind else len(ids))
+                       capacity=kind.k if kind else len(ids), remap=remap)
     nlls = []
     for t, token in enumerate(ids):
         logits, probs = decode_step(model, state, token, t)
@@ -96,9 +126,9 @@ def retained_masks(trace):
     return masks
 
 
-def _gap(model, ids, kind):
-    nlls, trace = engine_nlls(model, ids, kind)
-    return float(np.abs(nlls - reference_nlls(model, ids, retained_masks(trace))).max())
+def _gap(model, ids, kind, remap=False):
+    nlls, trace = engine_nlls(model, ids, kind, remap)
+    return float(np.abs(nlls - reference_nlls(model, ids, retained_masks(trace), remap)).max())
 
 
 def _config(n_layers, n_heads, head_dim, ff_dim, vocab_size, train_context_len):
@@ -107,15 +137,27 @@ def _config(n_layers, n_heads, head_dim, ff_dim, vocab_size, train_context_len):
                        train_context_len=train_context_len)
 
 
+def _gaps_per_form(config, seed, length, remap=False):
+    """_gap of the unbounded cache and every form at k = 8 and 32, by name."""
+    model = Model(config, init_random_model(config, seed))
+    ids = tuple(np.random.default_rng(seed).integers(0, 256, length).tolist())
+    kinds = [None] + [parse_policy(form, k) for form in FORMS for k in (8, 32)]
+    return {f"{kind.name} k={kind.k}" if kind else "none": _gap(model, ids, kind, remap)
+            for kind in kinds}
+
+
 def test_engine_equals_masked_dense_transformer():
     config = _config(4, 4, 16, 128, 256, 128)
     for seed in (0, 1):
-        model = Model(config, init_random_model(config, seed))
-        ids = tuple(np.random.default_rng(seed).integers(0, 256, 128).tolist())
-        kinds = [None] + [parse_policy(form, k) for form in FORMS for k in (8, 32)]
-        gaps = {f"{kind.name} k={kind.k}" if kind else "none": _gap(model, ids, kind)
-                for kind in kinds}
+        gaps = _gaps_per_form(config, seed, 128)
         assert max(gaps.values()) <= TOL, gaps
+
+
+def test_remapped_engine_equals_masked_dense_transformer():
+    # 160 tokens past a trained context of 64: the gaps the policies leave
+    # fall on both sides of the knee, and the positions are real-valued
+    gaps = _gaps_per_form(_config(4, 4, 16, 128, 256, 64), 0, 160, remap=True)
+    assert max(gaps.values()) <= TOL, gaps
 
 
 @settings(max_examples=100, deadline=None)

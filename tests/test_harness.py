@@ -292,11 +292,11 @@ def test_remap_runs_once_per_layer(monkeypatch):
         rotations.append(args[0].shape)
         return _kernel(*args)
 
-    def position_fn(positions, _remap=msrnn.harness.remap_positions):
+    def remap_positions(positions, _remap=msrnn.state.remap_positions):
         blocks.append(positions.copy())
         return _remap(positions)
     monkeypatch.setattr(msrnn.model, "rotate", rotate)
-    monkeypatch.setattr(msrnn.harness, "remap_positions", position_fn)
+    monkeypatch.setattr(msrnn.state, "remap_positions", remap_positions)
     prompt = list(make_stream(model, length=8, chunk_len=8, seed=4).ids)
 
     for name in ("tova-layer", "tova-head"):

@@ -519,7 +519,8 @@ def test_remapped_attend_equals_separate_rotations(data, n_heads, head_dim, size
     positions = np.cumsum(data.draw(st.lists(st.integers(1, 10**4), min_size=size + n_evict,
                                              max_size=size + n_evict), label="gaps"))
     keys, values = rng.standard_normal((2, size + n_evict, n_heads, head_dim)).astype(np.float32)
-    states = [MultiState(1, n_heads, head_dim, capacity=size + n_evict) for _ in range(2)]
+    states = [MultiState(1, n_heads, head_dim, capacity=size + n_evict, remap=True)
+              for _ in range(2)]
     for state in states:
         for t in range(size - 1 + n_evict):
             for head in range(n_heads):
@@ -537,7 +538,7 @@ def test_remapped_attend_equals_separate_rotations(data, n_heads, head_dim, size
     new, position = len(positions) - 1, int(positions[-1])
 
     got, ref = states
-    ctx, probs = attend(model, 0, got, q, keys[new], values[new], position, new, remap_positions)
+    ctx, probs = attend(model, 0, got, q, keys[new], values[new], position, new)
     for head in range(n_heads):
         ref.append(0, head, keys[new, head], values[new, head], position, new)
     ref_keys, ref_values, retained = ref.layer_view(0)
@@ -568,11 +569,11 @@ def test_remapped_attend_across_steps_equals_full_rotations(data, n_heads, head_
     positions = np.cumsum(data.draw(st.lists(st.integers(1, 10**4), min_size=steps,
                                              max_size=steps), label="gaps"))
     queries, keys, values = rng.standard_normal((3, steps, n_heads, head_dim)).astype(np.float32)
-    state = MultiState(1, n_heads, head_dim, capacity=steps)
+    state = MultiState(1, n_heads, head_dim, capacity=steps, remap=True)
     inv_freq = _inv_freq(head_dim, config.rope_base)
     for t in range(steps):
         ctx, probs = attend(model, 0, state, queries[t], keys[t], values[t],
-                            int(positions[t]), t, remap_positions)
+                            int(positions[t]), t)
         view_keys, view_values, retained = state.layer_view(0)
         remapped = remap_positions(retained)
         want_ctx, want_probs = attention_step(rotate(queries[t], remapped[:, -1], inv_freq),

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -76,6 +77,30 @@ def test_column_sets_bookkeeping():
     sets.evict_step([1, 1, 1, 1])
     assert sets.append(5).tolist() == [[[2, 8, 10], [3, 9, 11]], [[4, 8, 10], [3, 9, 11]]]
     assert sets.evictions(1).tolist()[4:] == [[4, 0, 3], [4, 1, 2]]
+
+
+def test_remap_access_needs_a_remapping_state():
+    # a plain state keeps no rotated keys, so it refuses both remap calls
+    # rather than hand out a cache that nothing keeps current
+    row = np.zeros(2, dtype=np.float32)
+    plain, remapping = (MultiState(1, 2, 2, capacity=3, remap=remap) for remap in (False, True))
+    for state in (plain, remapping):
+        for position in (0, 4, 30):
+            for head in range(2):
+                state.append(0, head, row, row, position, 0)
+    assert not plain.remap and remapping.remap
+    with pytest.raises(ValueError, match="remap=True"):
+        plain.rotated_keys(0)
+    with pytest.raises(ValueError, match="remap=True"):
+        plain.remapped_positions(0)
+    # heads that agree share one row; heads that differ get one each
+    assert remapping.remapped_positions(0).tolist() == [[0.0, 4.0, 4.0 + math.log(math.log(26))]]
+    cache, current = remapping.rotated_keys(0)
+    assert cache.shape == (2, 3, 2) and current == 0 and remapping.rotated_keys(0)[1] == 3
+    remapping.evict(0, 1, 1)
+    remapping.evict(0, 0, 2)
+    assert remapping.remapped_positions(0).tolist() == [[0.0, 4.0], [0.0, math.log(math.log(30))]]
+    assert remapping.rotated_keys(0)[1] == 1
 
 
 def test_capacity_must_be_positive():
