@@ -3,8 +3,10 @@
 Neighbor gaps in the retained set are compressed before rotation: a gap g
 stays g up to 10 and collapses to ln(ln(g)) above that, so the remapped span
 of a k-state cache stays below 10*(k-1) no matter how long the stream runs.
-Remapped positions are recomputed from the current retained set every step;
-they are real-valued and start at 0 for the oldest retained state.
+Remapped positions are real-valued and start at 0 for the oldest retained
+state. `remap_positions` remaps a retained set afresh; a remapping
+`MultiState` instead keeps each entry's `remap_gap` and sums the stored gaps,
+which gives the same bits.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .remap import remap_positions
+from .remap import remap_gap
 
 ACTION_APPEND = "append"
 ACTION_EVICT = "evict"
@@ -333,13 +333,18 @@ class MultiState(_EvictionLog):
     each layer's log to `RetentionTrace.record_chunk`. `scores` holds H2O's
     `policies.AccumulatedScores`.
 
-    A state built with `remap` gives a layer's remapped positions through
-    `remapped_positions`, and `rotated_keys` caches its keys rotated at them
+    A state built with `remap` keeps one more (L, H, k+1) float64 buffer:
+    each entry's `remap_gap` of the gap to its predecessor, 0.0 for the
+    oldest. `append` maps the one new gap, and `evict` re-maps the one gap
+    its eviction merges (the next entry's gap becomes 0.0 if the oldest
+    went), so each gap is mapped once, not once per step.
+    `remapped_positions` gives a layer's remapped positions as the running
+    sums of those gaps, and `rotated_keys` caches its keys rotated at them
     in one more (L, H, k+1, d) buffer, with a count per layer of the leading
-    rows still current. A remapped position is a running sum of the gaps
-    before it, so entries below the lowest index evicted since the layer's
-    last step keep their rotated rows: `evict` lowers the count to its
-    index, and `append` writes past it. A plain state refuses both calls.
+    rows still current. Entries below the lowest index evicted since the
+    layer's last step keep their running sums, so they keep their rotated
+    rows: `evict` lowers the count to its index, and `append` writes past
+    it. A plain state refuses both calls.
     """
 
     def __init__(self, n_layers: int, n_heads: int, head_dim: int, capacity: int,
@@ -357,14 +362,16 @@ class MultiState(_EvictionLog):
         self._keys = np.zeros((n_layers, n_heads, capacity + 1, head_dim), dtype=np.float32)
         self._values = np.zeros(self._keys.shape, dtype=np.float32)
         self._meta = np.zeros((n_layers, n_heads, capacity + 1, 2), dtype=np.int64)
+        self.remap = remap
+        self._gaps = np.zeros(self._meta.shape[:3]) if remap else None
+        self._rotated = np.zeros(self._keys.shape, dtype=np.float32) if remap else None
+        self._current = [0] * n_layers
         # 1-D views of each head's rows: a left shift on them is one memmove
         self._flat = [[(self._keys[layer, head].reshape(-1),
                         self._values[layer, head].reshape(-1),
-                        self._meta[layer, head].reshape(-1)) for head in range(n_heads)]
-                      for layer in range(n_layers)]
-        self.remap = remap
-        self._rotated = np.zeros(self._keys.shape, dtype=np.float32) if remap else None
-        self._current = [0] * n_layers
+                        self._meta[layer, head].reshape(-1),
+                        self._gaps[layer, head] if remap else None)
+                       for head in range(n_heads)] for layer in range(n_layers)]
 
     def _check(self, layer: int, head: int) -> None:
         if not (0 <= layer < self.n_layers and 0 <= head < self.n_heads):
@@ -385,7 +392,7 @@ class MultiState(_EvictionLog):
         if position < 0 or token < 0:
             raise ValueError(f"position {position} and token {token} must be non-negative")
         size = self._sizes[layer][head]
-        keys, values, meta = self._flat[layer][head]
+        keys, values, meta, gaps = self._flat[layer][head]
         if size and position <= meta.item(2 * size - 2):
             raise ValueError(
                 f"position {position} not greater than current maximum {meta.item(2 * size - 2)}")
@@ -399,6 +406,8 @@ class MultiState(_EvictionLog):
         values[size * d:(size + 1) * d] = value
         meta[2 * size] = position
         meta[2 * size + 1] = token
+        if gaps is not None:
+            gaps[size] = remap_gap(position - meta.item(2 * size - 2)) if size else 0.0
         self._sizes[layer][head] = size + 1
         if position > self._last_step:
             self._last_step = position
@@ -408,12 +417,17 @@ class MultiState(_EvictionLog):
         size = self._sizes[layer][head]
         if not (0 <= index < size):
             raise ValueError(f"evict index {index} out of range for size {size}")
-        keys, values, meta = self._flat[layer][head]
+        keys, values, meta, gaps = self._flat[layer][head]
         self._log[layer].extend((self._last_step, head, meta.item(2 * index)))
         d = self.head_dim
         keys[index * d:(size - 1) * d] = keys[(index + 1) * d:size * d]
         values[index * d:(size - 1) * d] = values[(index + 1) * d:size * d]
         meta[2 * index:2 * (size - 1)] = meta[2 * (index + 1):2 * size]
+        if gaps is not None and index < size - 1:
+            # the entry now at `index` takes the merged gap, or none if it is the oldest
+            gaps[index + 1:size - 1] = gaps[index + 2:size]
+            gaps[index] = remap_gap(meta.item(2 * index) - meta.item(2 * index - 2)) \
+                if index else 0.0
         self._sizes[layer][head] = size - 1
         if index < self._current[layer]:
             self._current[layer] = index
@@ -441,30 +455,36 @@ class MultiState(_EvictionLog):
         """(size, head_dim) view of one head's cached values; see `keys`."""
         return self._values[layer, head, :self.size(layer, head)]
 
+    def _layer_size(self, layer: int) -> int:
+        """The number S of entries every head of the layer holds; a ValueError
+        names the sizes otherwise."""
+        self._check(layer, 0)
+        sizes = self._sizes[layer]
+        if sizes.count(sizes[0]) != len(sizes):
+            raise ValueError(f"heads of layer {layer} differ in size: {sizes}")
+        return sizes[0]
+
     def layer_view(self, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(keys, values, positions) views of one layer: (H, S, d), (H, S, d), (H, S).
 
         Every head of the layer must hold the same number S of entries. The
         views are valid until the next append or evict on this state.
         """
-        self._check(layer, 0)
-        sizes = self._sizes[layer]
-        size = sizes[0]
-        if any(s != size for s in sizes):
-            raise ValueError(f"heads of layer {layer} differ in size: {sizes}")
+        size = self._layer_size(layer)
         return (self._keys[layer, :, :size], self._values[layer, :, :size],
                 self._meta[layer, :, :size, _POS])
 
     def remapped_positions(self, layer: int) -> np.ndarray:
-        """One layer's `remap_positions`: one (1, S) row, which broadcasts over
-        the heads, while every head retains the same positions, else the
-        (H, S) block. Every head must hold S entries, as in `layer_view`."""
+        """One layer's `remap_positions`, as one cumsum of the stored mapped
+        gaps: one (1, S) row, which broadcasts over the heads, while every
+        head's gaps are equal, else the (H, S) block. Every head must hold
+        S entries, as in `layer_view`."""
         if not self.remap:
             raise ValueError("remapped positions need a state built with remap=True")
-        positions = self._meta[layer, :, :self.size(layer, 0), _POS]
-        if (positions == positions[0]).all():
-            positions = positions[:1]
-        return remap_positions(positions)
+        gaps = self._gaps[layer, :, :self._layer_size(layer)]
+        if (gaps == gaps[0]).all():
+            gaps = gaps[:1]
+        return np.cumsum(gaps, axis=-1)
 
     def rotated_keys(self, layer: int) -> tuple[np.ndarray, int]:
         """(H, S, d) view of one layer's rotated-key cache and the count of
@@ -472,10 +492,9 @@ class MultiState(_EvictionLog):
         rotates the rows from the old count up into the view before the
         next append or evict. Every head must hold S entries, as in
         `layer_view`."""
-        self._check(layer, 0)
         if not self.remap:
             raise ValueError("rotated keys need a state built with remap=True")
-        size, current = self._sizes[layer][0], self._current[layer]
+        size, current = self._layer_size(layer), self._current[layer]
         self._current[layer] = size
         return self._rotated[layer, :, :size], current
 

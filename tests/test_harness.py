@@ -292,11 +292,12 @@ def test_remap_runs_once_per_layer(monkeypatch):
         rotations.append(args[0].shape)
         return _kernel(*args)
 
-    def remap_positions(positions, _remap=msrnn.state.remap_positions):
-        blocks.append(positions.copy())
-        return _remap(positions)
+    def remapped_positions(self, layer, _remap=MultiState.remapped_positions):
+        remapped = _remap(self, layer)
+        blocks.append(self.layer_view(layer)[2][:len(remapped)].copy())
+        return remapped
     monkeypatch.setattr(msrnn.model, "rotate", rotate)
-    monkeypatch.setattr(msrnn.state, "remap_positions", remap_positions)
+    monkeypatch.setattr(MultiState, "remapped_positions", remapped_positions)
     prompt = list(make_stream(model, length=8, chunk_len=8, seed=4).ids)
 
     for name in ("tova-layer", "tova-head"):

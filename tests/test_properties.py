@@ -4,7 +4,8 @@ ones and a list model, the H2O score block against per-head running sums,
 row-wise remapping of position arrays and its bounds, the kernels' rows
 against one-vector calls, cached rotation angles against computed ones,
 remapped attention against separate key and query rotations, within a step
-and across steps, sequential decoding against masked-parallel evaluation,
+and across steps, the multi-state's remapped positions against remapping
+its retained positions afresh, sequential decoding against masked-parallel evaluation,
 block NLLs against per-row ones, greedy generation against scoring its
 output, simulator replay, the vectorised retention analyses against a
 per-event set replay, trace CSV round trips and reads against the csv
@@ -593,6 +594,57 @@ def test_remapped_attend_across_steps_equals_full_rotations(data, n_heads, head_
                     index = data.draw(st.integers(0, size - 1), label="index")
                 indices = [index] * n_heads
             state.evict_step(indices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(),
+       n_heads=st.integers(1, 4),
+       capacity=st.integers(1, 8),
+       steps=st.integers(1, 24))
+def test_remapped_positions_equal_remap_positions(data, n_heads, capacity, steps):
+    # the state keeps each entry's mapped gap and sums them; after every
+    # append and every round of evictions that equals remapping the layer's
+    # retained positions afresh, bit for bit, in one shared row exactly when
+    # the heads' rows are equal. Rounds evict through evict_step or one evict
+    # per head, at slot 0, a middle slot, the last slot or each head's own,
+    # and position steps of 1 to 2,000 fall on both sides of the knee
+    n_layers, row = 2, np.zeros(1, dtype=np.float32)
+    state = MultiState(n_layers, n_heads, 1, capacity, remap=True)
+
+    def check():  # remap_positions refuses an empty set
+        for layer in range(n_layers if state.step_size() else 0):
+            want = remap_positions(state.layer_view(layer)[2])
+            got = state.remapped_positions(layer)
+            assert np.broadcast_to(got, want.shape).tobytes() == want.tobytes(), layer
+            assert (len(got) == 1) == bool((want == want[0]).all()), layer
+
+    position = -1
+    for _ in range(steps):
+        position += data.draw(st.integers(1, 2000), label="position step")
+        for layer in range(n_layers):
+            for head in range(n_heads):
+                state.append(layer, head, row, row, position, 0)
+        check()
+        size = state.step_size()
+        if size <= capacity and not data.draw(st.booleans(), label="early"):
+            continue
+        slots = {"first": 0, "middle": size // 2, "last": size - 1}
+        where = st.sampled_from(["first", "middle", "last", "any"])
+        indices = []
+        for _ in range(n_layers):
+            if data.draw(st.booleans(), label="heads agree"):
+                picks = [data.draw(where, label="where")] * n_heads
+            else:
+                picks = data.draw(st.lists(where, min_size=n_heads, max_size=n_heads),
+                                  label="wheres")
+            indices += [slots[pick] if pick in slots else
+                        data.draw(st.integers(0, size - 1), label="index") for pick in picks]
+        if data.draw(st.booleans(), label="evict_step"):
+            state.evict_step(indices)
+        else:
+            for row_index, index in enumerate(indices):
+                state.evict(*divmod(row_index, n_heads), index)
+        check()
 
 
 @settings(max_examples=60, deadline=None)

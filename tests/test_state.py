@@ -103,6 +103,24 @@ def test_remap_access_needs_a_remapping_state():
     assert remapping.rotated_keys(0)[1] == 1
 
 
+def test_remap_calls_refuse_heads_of_unequal_size():
+    # a layer's remapped positions and rotated keys cover all its heads, so
+    # heads of sizes [3, 2] are refused as layer_view refuses them, rather
+    # than read from head 0's size over the other head's stale rows
+    row = np.zeros(2, dtype=np.float32)
+    state = MultiState(1, 2, 2, capacity=3, remap=True)
+    for position in (0, 5, 9):
+        for head in range(2):
+            state.append(0, head, row, row, position, 0)
+    state.evict(0, 1, 2)
+    for call in (state.layer_view, state.remapped_positions, state.rotated_keys):
+        with pytest.raises(ValueError, match=r"heads of layer 0 differ in size: \[3, 2\]"):
+            call(0)
+    state.evict(0, 0, 2)  # a refused rotated_keys call left the count at 0
+    assert state.rotated_keys(0)[1] == 0
+    assert state.remapped_positions(0).tolist() == [[0.0, 5.0]]
+
+
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         MultiState(1, 1, 2, capacity=0)
