@@ -9,13 +9,15 @@ over the same kernel: per layer, the norm, q/k/v projections and rotation run
 over the whole chunk's rows in one `attention_inputs` call; then each row's
 attention mask is the policy's retained set for that layer, and no
 multi-state is built. Under H2O and TOVA those sets are score-driven: the
-first k rows attend over every earlier row and decide nothing; from row k
+first k rows attend over every earlier row and decide nothing, so they run
+as plain causal attention in one blocked `causal_attention` call; from row k
 on, each row gives every head its column of the chunk's K and V,
 `attention_step` attends over each head's k+1 columns, and `decide_layer`,
 the rule `apply_policy` applies to a state, picks the column each head drops.
 The window family's are the fixed band+prefix, so `band_attention` runs the
-whole chunk at once. Then W_O and the feed-forward block run over all rows in
-one `layer_output` call, and the LM head in one call after the last layer.
+whole chunk at once, its first k rows through `causal_attention` as well.
+Then W_O and the feed-forward block run over all rows in one `layer_output`
+call, and the LM head in one call after the last layer.
 Row t of every batched kernel call equals the one-token call bit for bit, so
 probabilities, decisions, and perplexities agree exactly; the acceptance
 tolerance is slack on top.
@@ -38,8 +40,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import (Model, attention_inputs, attention_step, band_attention, decode_step,
-                    layer_output, row_matmul)
+from .model import (Model, attention_inputs, attention_step, band_attention,
+                    causal_attention, decode_step, layer_output, row_matmul)
 from .policies import PolicyKind, apply_policy, decide_layer
 from .state import (ColumnSets, MultiState, RetentionTrace, read_csv_rows, read_text_lines,
                     write_csv_rows)
@@ -227,23 +229,27 @@ def _policy_attention(kind: PolicyKind, q: np.ndarray, k: np.ndarray,
 
     `q`, `k` and `v` are the chunk's (T, n_heads, head_dim) attention inputs,
     rotated. Rows t < k evict nothing and attend over rows 0..t of the
-    chunk's (H, T, d) K and V, as `band_attention`'s first rows do. From row
-    k on, head h keeps its k+1 retained rows as columns h * T + position of
-    that block flattened: row t adds its own column to every head, attends
-    over the gathered columns, and `decide_layer`, the rule `apply_policy`
-    applies to a state, picks the column each head drops. H2O's accumulated
-    scores are one (H, k+1) float64 block shifted with the columns, so they
-    carry `AccumulatedScores`' bits.
+    chunk's (H, T, d) K and V, so they run through `causal_attention`, as
+    `band_attention`'s first rows do. From row k on, head h keeps its k+1
+    retained rows as columns h * T + position of that block flattened: row t
+    adds its own column to every head, attends over the gathered columns,
+    and `decide_layer`, the rule `apply_policy` applies to a state, picks the
+    column each head drops. H2O's accumulated scores are one (H, k+1) float64
+    block shifted with the columns. A block of causal rows is added to it
+    stacked under the running sums, by one float64 sum down the rows, so
+    each row is added in row order as `AccumulatedScores` adds it, and the
+    block carries that class's bits.
     """
     n_rows, n_heads, head_dim = q.shape
     keys, values = (np.ascontiguousarray(x.transpose(1, 0, 2)) for x in (k, v))
     ctx = np.empty((n_rows, n_heads * head_dim), dtype=np.float32)
     cap = kind.k
     sums = np.zeros((n_heads, cap + 1)) if kind.needs_scores else None
-    for t in range(min(cap, n_rows)):
-        ctx[t], probs = attention_step(q[t], keys[:, :t + 1], values[:, :t + 1])
-        if sums is not None:
-            sums[:, :t + 1] += probs
+    for rows, out, probs in causal_attention(q, keys, values, min(cap, n_rows)):
+        ctx[rows] = out
+        if sums is not None:  # stacked under the sums, so rows add in row order
+            sums[:, :rows.stop] = np.add.reduce(
+                np.concatenate((sums[:, None, :rows.stop], probs), 1), 1)
     offsets = np.arange(n_heads) * n_rows
     columns = offsets[:, None] + np.arange(cap + 1)
     arriving = offsets + np.arange(n_rows)[:, None]  # row t's column in every head

@@ -7,9 +7,11 @@ arithmetic throughout. The layer kernel is three functions: `attention_inputs`
 time) and `layer_output` (W_O and the feed-forward block). `decode_step` calls
 them with one token's vector. The masked-parallel evaluator calls the first
 and last with a whole chunk's rows and keeps no multi-state, so instead of
-`attend` it calls `attention_step` per row over the row's gathered columns
-under H2O and TOVA, and `band_attention` once over all rows for the window
-family's fixed mask. Keys are rotated once, when they are cached, unless
+`attend` it runs the rows before the state fills, which are plain causal
+attention, through `causal_attention` in blocks of rows; under H2O and TOVA
+it then calls `attention_step` per deciding row over the row's gathered
+columns, and for the window family's fixed mask `band_attention` runs all
+the rows at once. Keys are rotated once, when they are cached, unless
 the multi-state remaps positions: then they are cached unrotated, and each
 step re-rotates at the remapped positions only the rows from the lowest slot
 evicted since the last step. Integer positions (a decoding step, a chunk's
@@ -24,7 +26,7 @@ import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
-from typing import NamedTuple, get_type_hints
+from typing import Iterator, NamedTuple, get_type_hints
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,8 +39,9 @@ WEIGHT_MAGIC = "msrnn-weights"
 WEIGHT_VERSION = 2
 FF_GATE_NAME = "silu"
 RMS_EPS = np.float32(1e-5)
-# band rows per block when band_attention copies a pinned prefix into each
-# row's columns: it bounds the (H, rows, S, head_dim) copies
+# rows per block of causal_attention, and of band_attention when it copies a
+# pinned prefix into each row's columns: it bounds the (H, rows, T) scores
+# and the (H, rows, S, head_dim) copies
 _BAND_ROWS = 16
 
 
@@ -397,6 +400,33 @@ def attention_step(q_rot: np.ndarray, keys_rot: np.ndarray,
     return ctx.reshape(-1), probs
 
 
+def causal_attention(q: np.ndarray, keys: np.ndarray, values: np.ndarray, n_rows: int,
+                     ) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Rows t < `n_rows` of causal attention, a block of `_BAND_ROWS` rows at a time.
+
+    `q` holds the chunk's (T, n_heads, head_dim) queries and `keys` and
+    `values` its (n_heads, T, head_dim) blocks, rotated; row t attends to
+    columns 0..t. Yields, for each block of rows [lo, hi), `slice(lo, hi)`,
+    the block's (hi - lo, hidden) context and its (n_heads, hi - lo, hi)
+    float32 probabilities, zero above the diagonal. The block's scores and
+    softmax run over columns 0..hi-1, each row masked to its first t + 1
+    by `where=`, so every row equals `attention_step(q[t], keys[:, :t+1],
+    values[:, :t+1])` bit for bit while the temporaries stay
+    (n_heads, _BAND_ROWS, hi).
+    """
+    scale = np.float32(math.sqrt(keys.shape[2]))
+    queries = q.transpose(1, 0, 2)
+    for lo in range(0, n_rows, _BAND_ROWS):
+        hi = min(lo + _BAND_ROWS, n_rows)
+        mask = np.arange(hi) <= np.arange(lo, hi)[:, None]
+        scores = np.einsum("hsd,hrd->hrs", keys[:, :hi], queries[:, lo:hi]) / scale
+        top = np.maximum.reduce(scores, -1, keepdims=True, initial=-np.inf, where=mask)
+        e = np.exp(scores - top, out=np.zeros_like(scores), where=mask)
+        probs = e / np.add.reduce(e, -1, keepdims=True, where=mask)
+        out = np.einsum("hrs,hsd->hrd", probs, values[:, :hi])
+        yield slice(lo, hi), out.transpose(1, 0, 2).reshape(hi - lo, -1), probs
+
+
 def band_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, capacity: int,
                    pin: int) -> np.ndarray:
     """A chunk's (T, hidden) context under the window family's fixed mask.
@@ -405,18 +435,19 @@ def band_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, capacity: int,
     rotated. Row t attends to rows 0..t while t < capacity, and after that to
     the pinned prefix [0, pin) plus the band [t - capacity + pin, t]: the
     S = capacity + 1 entries a window+pin multi-state holds once row t is
-    appended. The first rows make the one-token `attention_step` call on
-    leading columns laid out as `MultiState.layer_view` lays them out; the
-    band rows run batched over their S gathered columns with the same
-    einsums and softmax, so every row equals the one-token call bit for bit.
-    A pinned prefix is copied in front of the band a block of rows at a time.
+    appended. The first rows are plain causal attention, so they run through
+    `causal_attention`; the band rows run batched over their S gathered
+    columns, laid out as `MultiState.layer_view` lays them out, with the
+    same einsums and softmax as `attention_step`. So every row equals the
+    one-token call bit for bit. A pinned prefix is copied in front of the
+    band a block of rows at a time.
     """
     n_rows, n_heads, head_dim = q.shape
     keys = np.ascontiguousarray(k.transpose(1, 0, 2))
     values = np.ascontiguousarray(v.transpose(1, 0, 2))
     ctx = np.empty((n_rows, n_heads * head_dim), dtype=np.float32)
-    for t in range(min(capacity, n_rows)):
-        ctx[t] = attention_step(q[t], keys[:, :t + 1], values[:, :t + 1])[0]
+    for rows, out, _ in causal_attention(q, keys, values, min(capacity, n_rows)):
+        ctx[rows] = out
     if n_rows <= capacity:
         return ctx
     # (H, R, S - pin, d) views: band row r holds columns pin + r .. capacity + r

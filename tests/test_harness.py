@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import msrnn.harness
 import msrnn.model
 from msrnn import (Model, MultiState, RetentionTrace, ScriptedTrace,
                    TokenStream, generate, marker_rule,
@@ -139,28 +140,37 @@ def test_parallel_equals_sequential_small(tiny_model):
 
 def test_masked_parallel_batches_the_rows(monkeypatch):
     # per chunk and layer, masked-parallel normalises twice and rotates once
-    # over all rows; only attention and the policy's decision may run per
-    # row. Sequential decoding makes the same calls once per token.
+    # over all rows, and the rows before k (every row of the topline) attend
+    # in one blocked causal call; only the H2O and TOVA rows from k on, which
+    # decide, make a one-row attention_step call each, and the window family
+    # makes none. Sequential decoding makes every call once per token.
     model = make_model(seed=3)
-    calls = {"rms_norm": 0, "rotate": 0}
+    calls = dict.fromkeys(("rms_norm", "rotate", "attention_step"), 0)
     for name in calls:
         def counted(*args, _kernel=getattr(msrnn.model, name), _name=name):
             calls[_name] += 1
             return _kernel(*args)
         monkeypatch.setattr(msrnn.model, name, counted)
+    monkeypatch.setattr(msrnn.harness, "attention_step", msrnn.model.attention_step)
     stream = make_stream(model, length=40, chunk_len=16, seed=2)  # chunks of 16, 16, 8
 
-    def counts(score, name):
-        calls.update(rms_norm=0, rotate=0)
-        score(model, stream, parse_policy(name, 4))
+    def counts(score, kind):
+        calls.update(dict.fromkeys(calls, 0))
+        score(model, stream, kind)
         return calls
 
     n_layers = model.config.n_layers
-    for name in ("window", "h2o-head", "tova-layer"):
-        assert counts(masked_parallel_perplexity, name) == {
-            "rms_norm": 2 * n_layers * 3, "rotate": n_layers * 3}, name
-    assert counts(sequential_perplexity, "window") == {
-        "rms_norm": 2 * n_layers * 40, "rotate": n_layers * 40}
+    for name in ("window", "window+2", "h2o-head", "tova-layer"):
+        for k in (4, 10, 16):
+            deciding = 0 if name.startswith("window") else sum(
+                max(len(ids) - k, 0) for _, ids in stream.chunks())
+            assert counts(masked_parallel_perplexity, parse_policy(name, k)) == {
+                "rms_norm": 2 * n_layers * 3, "rotate": n_layers * 3,
+                "attention_step": n_layers * deciding}, (name, k)
+    assert counts(masked_parallel_perplexity, None) == {
+        "rms_norm": 2 * n_layers * 3, "rotate": n_layers * 3, "attention_step": 0}
+    assert counts(sequential_perplexity, parse_policy("window", 4)) == {
+        "rms_norm": 2 * n_layers * 40, "rotate": n_layers * 40, "attention_step": n_layers * 40}
 
 
 def _count_multi_state_calls(monkeypatch) -> dict[str, int]:

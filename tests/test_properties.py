@@ -10,8 +10,9 @@ block NLLs against per-row ones, greedy generation against scoring its
 output, simulator replay, the vectorised retention analyses against a
 per-event set replay, trace CSV round trips and reads against the csv
 module, CSV writes against csv.writer, block trace records against
-per-event ones, the window band kernel against one-row attention, and
-damaged weight files."""
+per-event ones, the window band kernel and the causal prefix kernel (with
+masked-parallel H2O's score sums) against one-row attention, and damaged
+weight files."""
 
 import csv
 import io
@@ -31,11 +32,12 @@ from msrnn import (ACTION_APPEND, ACTION_EVICT, Model,
                    recent_proportion, remap_positions,
                    retention_matrix, save_weights, sequential_perplexity,
                    simulate_with_rule, token_lifetime, trace_driven_simulate)
+import msrnn.harness
 import msrnn.model
-from msrnn.harness import NLL_ROWS, nll_of
-from msrnn.model import (_inv_freq, attend, attention_step, band_attention, rms_norm, rotate,
-                         row_matmul, silu, softmax_rows, zero_model)
-from msrnn.policies import AccumulatedScores
+from msrnn.harness import NLL_ROWS, _policy_attention, nll_of
+from msrnn.model import (_inv_freq, attend, attention_step, band_attention, causal_attention,
+                         rms_norm, rotate, row_matmul, silu, softmax_rows, zero_model)
+from msrnn.policies import AccumulatedScores, decide_layer
 from msrnn.remap import remap_gap
 from msrnn.state import ACTIONS, TRACE_COLUMNS, ColumnSets, write_csv_rows
 
@@ -484,6 +486,73 @@ def test_band_attention_rows_equal_one_row_calls(data, n_heads, head_dim, n_rows
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(msrnn.model, "_BAND_ROWS", rows)
             assert np.array_equal(band_attention(q, k, v, capacity, pin), ctx)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       n_heads=st.integers(1, 5),
+       head_dim=st.integers(1, 32).map(lambda pairs: 2 * pairs),
+       n_rows=st.integers(1, 160),
+       offset=st.integers(0, 15))
+def test_causal_attention_rows_equal_one_row_calls(data, n_heads, head_dim, n_rows, offset):
+    # the masked-parallel prefix kernel: row t of causal_attention equals the
+    # one-token attention_step over columns 0..t, context and probabilities
+    # bit for bit, with zeros above the diagonal, in blocks of any height. The
+    # chunk holds one row more than the kernel reads, so masked-parallel H2O
+    # over it with k = n_rows decides once, on the float64 score sums of every
+    # row added in row order, as `sums[:, :t + 1] += probs` adds them; q, k
+    # and v are cut from buffers at a float offset, so they sit at every
+    # alignment
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    scale = rng.uniform(1e-2, 1e2)
+    n = (n_rows + 1) * n_heads * head_dim
+    q, k, v = ((rng.standard_normal(n + offset) * scale).astype(np.float32)[offset:]
+               .reshape(n_rows + 1, n_heads, head_dim) for _ in range(3))
+    keys, values = (np.ascontiguousarray(x.transpose(1, 0, 2)) for x in (k, v))
+    sums = np.zeros((n_heads, n_rows + 1))
+    blocks = list(causal_attention(q, keys, values, n_rows))
+    assert [rows.start for rows, _, _ in blocks] == list(range(0, n_rows, msrnn.model._BAND_ROWS))
+    for rows, ctx, probs in blocks:
+        assert probs.dtype == np.float32 and probs.shape == (n_heads, len(ctx), rows.stop)
+        for t, row_ctx, row_probs in zip(range(rows.start, rows.stop), ctx,
+                                         probs.transpose(1, 0, 2)):
+            want_ctx, want_probs = attention_step(q[t], keys[:, :t + 1], values[:, :t + 1])
+            assert np.array_equal(row_ctx, want_ctx), t
+            assert np.array_equal(row_probs[:, :t + 1], want_probs), t
+            assert not row_probs[:, t + 1:].any(), t
+            sums[:, :t + 1] += want_probs
+    sums += attention_step(q[n_rows], keys, values)[1]  # the deciding row
+
+    def decided_sums():
+        seen = []
+
+        def spy(kind, probs, scores):
+            seen.append(scores.copy())
+            return decide_layer(kind, probs, scores)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(msrnn.harness, "decide_layer", spy)
+            _policy_attention(parse_policy("h2o-head", n_rows), q, k, v)
+        return seen
+
+    seen = decided_sums()
+    assert len(seen) == 1 and np.array_equal(seen[0], sums)
+
+    # so blocking the rows changes no bit either
+    def dense(blocks):
+        blocks = list(blocks)
+        probs = np.zeros((n_heads, n_rows, n_rows), dtype=np.float32)
+        for rows, _, block in blocks:
+            probs[:, rows, :rows.stop] = block
+        return np.concatenate([ctx for _, ctx, _ in blocks]), probs
+
+    want = dense(blocks)
+    for height in (1, 7):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(msrnn.model, "_BAND_ROWS", height)
+            got = dense(causal_attention(q, keys, values, n_rows))
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), height
+            assert np.array_equal(decided_sums()[0], sums), height
 
 
 @settings(max_examples=200, deadline=None)
