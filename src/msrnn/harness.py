@@ -27,8 +27,8 @@ trace lists its events layer block by layer block in all three.
 
 A layer's attention is one (H, S) float32 block throughout: the kernel
 returns it, the policies take it, a ScriptedTrace stores it per (step,
-layer), and the model-free simulator (on ColumnSets) checks a step's
-(L, H, S) stack of them in one pass and hands it to `apply_policy` whole.
+layer), and the model-free simulator, on retained positions alone (ColumnSets),
+checks a step's (L, H, S) stack in one pass and hands it to `apply_policy` whole.
 """
 
 from __future__ import annotations
@@ -322,11 +322,13 @@ RowRule = Callable[[int, int, int, Sequence[int]], np.ndarray]
 
 @dataclass
 class ScriptedTrace:
-    """Per-step, per-layer probability blocks over the retained states."""
+    """Per-step, per-layer probability blocks over the retained states: step t is
+    a list of (H, S) layer blocks from `read_csv`, one (L, H, S) block from
+    `simulate_with_rule`, and `rows[t][layer][head]` is one head's row in both."""
 
     n_layers: int
     n_heads: int
-    rows: list[list[np.ndarray]]  # [step][layer] -> (n_heads, size) float32
+    rows: list[Sequence[np.ndarray]]  # [step][layer] -> (n_heads, size) float32
 
     @property
     def n_steps(self) -> int:
@@ -379,7 +381,7 @@ class ScriptedTrace:
                                          f"layer {layer}, head {head}")
                     if max(slots) >= len(slots):
                         raise ValueError(f"{path}: state_slot {max(slots)} out of range "
-                                         f"at step {t}")
+                                         f"at step {t}, layer {layer}, head {head}")
                     per_head.append([slots[slot] for slot in range(len(slots))])
                 if len({len(row) for row in per_head}) > 1:
                     raise ValueError(f"{path}: heads hold different slot counts at step {t}, "
@@ -389,81 +391,70 @@ class ScriptedTrace:
         return cls(n_layers=n_layers, n_heads=n_heads, rows=rows)
 
 
-def _check_rows(rows: Sequence, shape: tuple[int, int],
-                where: Callable[[int], str]) -> np.ndarray:
-    """One layer's rows (an (H, S) block or one row per head) as a checked float32 block.
-
-    `shape` is the expected (H, S). One pass over the block checks every row's
-    sum and sign (a NaN fails the sum); an error names `where(head)` for the
-    first bad head, with the check that failed first on that head as the message.
-    """
-    n_heads, size = shape
-    try:
-        block = np.asarray(rows, dtype=np.float32)
-    except ValueError as exc:  # rows of different lengths, or a row that is not numeric
-        if len(rows) == 1:
-            raise ValueError(f"{where(0)}: {exc}") from None
-        block = None
-    if block is None or block.shape != (n_heads, size):
-        if len(rows) != n_heads:
-            raise ValueError(f"{where(min(len(rows), n_heads))}: the rows cover {len(rows)} "
-                             f"heads, the multi-state has {n_heads}")
-        if len(rows) == 1:
-            raise ValueError(f"{where(0)}: row length {np.shape(rows[0])} does not match "
-                             f"multi-state size {size}")
-        # some row is off: check head by head, so the first bad head is named
-        return np.concatenate([_check_rows([row], (1, size), lambda _, head=head: where(head))
-                               for head, row in enumerate(rows)])
-    totals = block.sum(axis=1)
-    lows = block.min(axis=1)
+def _check_sums(rows: np.ndarray, step: int, n_heads: int, first: int = 0) -> None:
+    """Check in one pass that every row of an (n, S) float32 block sums to 1 (a NaN
+    fails) with no negative entry. Row i is (layer, head) divmod(first + i, H); an
+    error names the first bad row, with the check that failed first on it."""
+    totals = rows.sum(axis=1)
+    lows = rows.min(axis=1)
     bad_sum = ~(np.abs(totals.astype(np.float64) - 1.0) <= ROW_SUM_TOL)
     bad = bad_sum | (lows < 0)
     if bad.any():
-        head = int(np.argmax(bad))
-        if bad_sum[head]:
-            raise ValueError(f"{where(head)}: probabilities sum to {float(totals[head])!r}, not 1")
-        raise ValueError(f"{where(head)}: negative probability {float(lows[head])!r}")
-    return block
+        row = int(np.argmax(bad))
+        layer, head = divmod(first + row, n_heads)
+        where = f"step {step}, layer {layer}, head {head}"
+        if bad_sum[row]:
+            raise ValueError(f"{where}: probabilities sum to {float(totals[row])!r}, not 1")
+        raise ValueError(f"{where}: negative probability {float(lows[row])!r}")
 
 
 def _check_step(layers: Sequence[Sequence], shape: tuple[int, int, int],
                 step: int) -> np.ndarray:
-    """A step's rows (one layer's per entry) as a checked (L, H, S) float32 block.
-
-    A block of that shape is checked by one `_check_rows` pass over its
-    (L * H, S) view, whose row order is layer then head, so it names the first
-    bad (layer, head) as the per-layer check does. A ragged or misshapen block
-    goes through `_check_rows` layer by layer.
-    """
+    """A step's rows (an (L, H, S) block, or per layer an (H, S) block or a list of
+    rows) as a checked (L, H, S) float32 block: one `_check_sums` pass over its
+    (L * H, S) rows. A ragged or misshapen step is checked row by row in (layer,
+    head) order, for a layer's head count, then each row's conversion, length, sum
+    and sign; a wrong layer count stacks to a block that `apply_policy` refuses."""
     n_layers, n_heads, size = shape
     try:
         block = np.asarray(layers, dtype=np.float32)
-    except (ValueError, TypeError):  # ragged or not numeric: the fallback names the row
+    except (ValueError, TypeError):  # ragged or not numeric: the row loop names the row
         block = None
     if block is not None and block.shape == shape:
-        return _check_rows(block.reshape(n_layers * n_heads, size), (n_layers * n_heads, size),
-                           lambda row: f"step {step}, layer {row // n_heads}, "
-                                       f"head {row % n_heads}").reshape(shape)
-    return np.stack([_check_rows(rows, shape[1:], lambda head, layer=layer:
-                                 f"step {step}, layer {layer}, head {head}")
-                     for layer, rows in enumerate(layers)])
+        _check_sums(block.reshape(n_layers * n_heads, size), step, n_heads)
+        return block
+    checked = []
+    for layer, rows in enumerate(layers):
+        if len(rows) != n_heads:
+            raise ValueError(f"step {step}, layer {layer}, head {min(len(rows), n_heads)}: the "
+                             f"rows cover {len(rows)} heads, the multi-state has {n_heads}")
+        for head, row in enumerate(rows):
+            where = f"step {step}, layer {layer}, head {head}"
+            try:  # as a one-row (1, S) block, the shape `_check_sums` takes
+                one = np.asarray([row], dtype=np.float32)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if one.shape != (1, size):
+                raise ValueError(f"{where}: row length {np.shape(row)} does not match "
+                                 f"multi-state size {size}")
+            _check_sums(one, step, n_heads, layer * n_heads + head)
+            checked.append(one[0])
+    return np.stack(checked).reshape(-1, n_heads, size)
 
 
-def _simulate(layer_rows: Callable[[int, int, np.ndarray], Sequence], kind: PolicyKind | None,
+def _simulate(step_rows: Callable[[int, np.ndarray], Sequence], kind: PolicyKind | None,
               steps: int, trace: RetentionTrace) -> Iterator[np.ndarray]:
     """Run `steps` model-free steps into `trace` (each layer's events in one block at the
-    end), yielding each step's checked (L, H, S) block, whose layer `layer` is
-    `layer_rows(t, layer, (H, S) columns)`."""
+    end), yielding each step's checked (L, H, S) block of `step_rows(t, positions)`, where
+    `positions` is the (L, H, S) block of retained positions."""
     kind = _bounded(kind, steps)
     sets = ColumnSets(trace.n_layers, trace.n_heads, kind.k)
-    layers = range(sets.n_layers)
     for t in range(steps):
-        columns = sets.append(t)
-        block = _check_step([layer_rows(t, layer, columns[layer]) for layer in layers],
-                            columns.shape, t)
+        positions = sets.append(t)
+        block = _check_step(step_rows(t, positions), positions.shape, t)
         apply_policy(kind, sets, block)
         yield block
-    for layer in layers:
+    for layer in range(sets.n_layers):
         trace.record_chunk(layer, range(steps), sets.evictions(layer))
 
 
@@ -475,8 +466,7 @@ def trace_driven_simulate(script: ScriptedTrace, kind: PolicyKind | None) -> Ret
     step (appends use position = step = token id).
     """
     trace = RetentionTrace(script.n_layers, script.n_heads)
-    for _ in _simulate(lambda t, layer, columns: script.rows[t][layer], kind,
-                       script.n_steps, trace):
+    for _ in _simulate(lambda t, positions: script.rows[t], kind, script.n_steps, trace):
         pass
     return trace
 
@@ -486,13 +476,13 @@ def simulate_with_rule(rule: RowRule, kind: PolicyKind | None, steps: int,
                        ) -> tuple[ScriptedTrace, RetentionTrace]:
     """Run a probability rule through a policy, materializing the script it made.
 
-    The returned ScriptedTrace replays to the identical RetentionTrace via
-    trace_driven_simulate (blocks are recorded exactly as consumed).
+    Step t of the script is the (L, H, S) block the simulator checked, so it
+    replays to the identical RetentionTrace via trace_driven_simulate.
     """
     trace = RetentionTrace(n_layers, n_heads)
-    rows = [list(block) for block in _simulate(lambda t, layer, columns: [
-        rule(t, layer, head, positions)  # a head's retained positions are its columns // H
-        for head, positions in enumerate((columns // n_heads).tolist())], kind, steps, trace)]
+    rows = list(_simulate(lambda t, positions: [
+        [rule(t, layer, head, retained) for head, retained in enumerate(per_layer)]
+        for layer, per_layer in enumerate(positions.tolist())], kind, steps, trace))
     return ScriptedTrace(n_layers=n_layers, n_heads=n_heads, rows=rows), trace
 
 

@@ -331,7 +331,7 @@ class MultiState(_EvictionLog):
     flat views; `evict` also logs the eviction in `evictions(layer)`, so a
     refused call logs nothing. The state holds no trace: a driver hands
     each layer's log to `RetentionTrace.record_chunk`. `scores` holds H2O's
-    `policies.AccumulatedScores`.
+    `policies.AccumulatedScores`. A deepcopy or a pickle round trip runs on as the state would.
 
     A state built with `remap` keeps one more (L, H, k+1) float64 buffer:
     each entry's `remap_gap` of the gap to its predecessor, 0.0 for the
@@ -366,12 +366,22 @@ class MultiState(_EvictionLog):
         self._gaps = np.zeros(self._meta.shape[:3]) if remap else None
         self._rotated = np.zeros(self._keys.shape, dtype=np.float32) if remap else None
         self._current = [0] * n_layers
+        self._make_flat()
+
+    def _make_flat(self) -> None:
         # 1-D views of each head's rows: a left shift on them is one memmove
         self._flat = [[(self._keys[layer, head].reshape(-1),
                         self._values[layer, head].reshape(-1),
                         self._meta[layer, head].reshape(-1),
-                        self._gaps[layer, head] if remap else None)
-                       for head in range(n_heads)] for layer in range(n_layers)]
+                        self._gaps[layer, head] if self.remap else None)
+                       for head in range(self.n_heads)] for layer in range(self.n_layers)]
+
+    def __getstate__(self) -> dict:  # a copied view holds its own data, apart from the buffers
+        return {name: value for name, value in self.__dict__.items() if name != "_flat"}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._make_flat()
 
     def _check(self, layer: int, head: int) -> None:
         if not (0 <= layer < self.n_layers and 0 <= head < self.n_heads):
@@ -504,42 +514,41 @@ class MultiState(_EvictionLog):
 
 
 class ColumnSets(_EvictionLog):
-    """MultiState's bookkeeping with no K/V rows: head h of a layer holds its
-    entries as columns position * H + h, oldest first, and all heads of all
-    layers have one size. `evict_step`, its eviction log and `scores` are
-    MultiState's. The model-free simulator drives it through `apply_policy`."""
+    """MultiState's bookkeeping with no K/V rows: head h of a layer holds the
+    positions of its entries, oldest first, and all heads of all layers have
+    one size. `evict_step`, its eviction log and `scores` are MultiState's.
+    The model-free simulator drives it through `apply_policy`."""
 
     def __init__(self, n_layers: int, n_heads: int, capacity: int):
         super().__init__(n_layers, n_heads)
-        self._columns = np.empty((n_layers, n_heads, capacity + 1), dtype=np.intp)
+        self._positions = np.empty((n_layers, n_heads, capacity + 1), dtype=np.intp)
         self._size = 0
 
     def step_size(self) -> int:
         return self._size
 
     def append(self, step: int) -> np.ndarray:
-        """Give head h of every layer column step * H + h, in one assignment;
-        the (L, H, S) columns, as a view."""
-        size, n_heads = self._size, self.n_heads
-        self._columns[:, :, size] = np.arange(step * n_heads, (step + 1) * n_heads)
-        self._size = size + 1
+        """Give every head of every layer position `step`, in one assignment;
+        the (L, H, S) retained positions, as a view."""
+        self._positions[:, :, self._size] = step
+        self._size += 1
         self._last_step = max(self._last_step, step)
-        return self._columns[:, :, :size + 1]
+        return self._positions[:, :, :self._size]
 
     def evict_step(self, indices: list[int]) -> None:
-        """Drop column indices[layer * H + h] from head h of every layer, logging
+        """Drop entry indices[layer * H + h] from head h of every layer, logging
         each layer's heads in order: one 2-D shift for a layer whose heads drop
         the same index, else one shift per head."""
         size, step, n_heads = self._size, self._last_step, self.n_heads
-        for layer, (rows, log) in enumerate(zip(self._columns, self._log)):
+        for layer, (rows, log) in enumerate(zip(self._positions, self._log)):
             mine = indices[layer * n_heads:(layer + 1) * n_heads]
             first = mine[0]
             if mine.count(first) == n_heads:
-                for head, column in enumerate(rows[:, first].tolist()):
-                    log.extend((step, head, column // n_heads))
+                for head, position in enumerate(rows[:, first].tolist()):
+                    log.extend((step, head, position))
                 rows[:, first:size - 1] = rows[:, first + 1:size]
             else:
                 for head, (row, index) in enumerate(zip(rows, mine)):
-                    log.extend((step, head, row.item(index) // n_heads))
+                    log.extend((step, head, row.item(index)))
                     row[index:size - 1] = row[index + 1:size]
         self._size = size - 1

@@ -13,7 +13,7 @@ from msrnn import (Model, MultiState, RetentionTrace, ScriptedTrace,
                    read_token_stream, sequential_perplexity,
                    simulate_with_rule, trace_driven_simulate, uniform_rule,
                    write_token_stream)
-from msrnn.harness import NLL_ROWS, _check_rows, _decode, nll_of
+from msrnn.harness import NLL_ROWS, _check_step, _decode, nll_of
 from msrnn.model import zero_model
 
 from conftest import make_config, make_model, make_stream
@@ -418,32 +418,29 @@ def test_scripted_trace_validation(tmp_path):
 
 
 def test_check_row_rejects_nan_and_negative_entries():
-    def where(head):
-        return f"here {head}"
-
-    good = _check_rows([np.array([0.25, 0.75])], (1, 2), where)
-    assert good.dtype == np.float32 and good.shape == (1, 2)
+    good = _check_step([[np.array([0.25, 0.75])]], (1, 1, 2), 3)
+    assert good.dtype == np.float32 and good.shape == (1, 1, 2)
     for bad in ([np.nan, 1.0], [-0.5, 1.5], [-1e-7, 1.0 + 1e-7], [0.5, 0.4]):
-        with pytest.raises(ValueError, match="^here 0: "):
-            _check_rows([np.array(bad)], (1, 2), where)
+        with pytest.raises(ValueError, match="^step 3, layer 0, head 0: "):
+            _check_step([[np.array(bad)]], (1, 1, 2), 3)
     with pytest.raises(ValueError, match="row length"):
-        _check_rows([np.array([1.0])], (1, 2), where)
+        _check_step([[np.array([1.0])]], (1, 1, 2), 3)
 
 
 def test_check_rows_names_the_first_bad_head():
     # the first bad head wins, with the check that fails first on it
     good, short, unsummed, negative = [0.5, 0.5], [1.0], [0.5, 0.4], [-0.5, 1.5]
     for rows, message in [
-        ([good, unsummed, short], "^h1: probabilities sum to"),
-        ([good, short, unsummed], "^h1: row length \\(1,\\)"),
-        ([good, negative, unsummed], "^h1: negative probability -0.5"),
-        ([good, good, [np.nan, 1.0]], "^h2: probabilities sum to nan"),
-        ([good, ["x", 1.0]], "^h1: could not convert string to float"),
+        ([good, unsummed, short], "head 1: probabilities sum to"),
+        ([good, short, unsummed], "head 1: row length \\(1,\\)"),
+        ([good, negative, unsummed], "head 1: negative probability -0.5"),
+        ([good, good, [np.nan, 1.0]], "head 2: probabilities sum to nan"),
+        ([good, ["x", 1.0]], "head 1: could not convert string to float"),
     ]:
-        with pytest.raises(ValueError, match=message):
-            _check_rows([np.array(r) for r in rows], (len(rows), 2), lambda head: f"h{head}")
-    block = _check_rows([good, [0.25, 0.75]], (2, 2), lambda head: f"h{head}")
-    assert block.dtype == np.float32 and block.tolist() == [good, [0.25, 0.75]]
+        with pytest.raises(ValueError, match="^step 0, layer 0, " + message):
+            _check_step([[np.array(r) for r in rows]], (1, len(rows), 2), 0)
+    block = _check_step([[good, [0.25, 0.75]]], (1, 2, 2), 0)
+    assert block.dtype == np.float32 and block.tolist() == [[good, [0.25, 0.75]]]
 
 
 def test_block_row_sums_equal_per_row_sums():
@@ -531,6 +528,9 @@ def test_scripted_trace_rejects_malformed_rows(tmp_path):
         # heads of one (step, layer) must hold the same number of slots
         ("0,0,0,0,1.0\n0,0,1,0,0.5\n0,0,1,1,0.5\n",
          "bad.csv: heads hold different slot counts at step 0, layer 0: \\[1, 2\\]"),
+        # a head's slots must be 0..n-1
+        ("0,0,0,0,1.0\n0,0,1,0,0.5\n0,0,1,2,0.5\n",
+         "bad.csv: state_slot 2 out of range at step 0, layer 0, head 1$"),
         # the first missing head fails, before anything is sized by the huge indices
         ("0,0,0,0,1.0\n0,0,999999999999,0,1.0\n0,999999999999,0,0,1.0\n",
          "bad.csv: missing row for step 0, layer 0, head 1$"),

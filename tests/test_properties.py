@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from msrnn import (ACTION_APPEND, ACTION_EVICT, Model,
-                   ModelConfig, MultiState, RetentionTrace, TokenStream,
+                   ModelConfig, MultiState, RetentionTrace, ScriptedTrace, TokenStream,
                    TraceEvent, WeightFormatError, apply_policy, generate, init_random_model,
                    lifetime_by_tag, load_weights, masked_parallel_perplexity, parse_policy,
                    recent_proportion, remap_positions,
@@ -165,17 +165,16 @@ def test_evict_step_matches_per_head_evicts(data, n_heads, capacity, steps):
     # layer the same index or each its own, and the layers the same indices
     # or each their own. MultiState.evict_step leaves the K/V/meta rows,
     # sizes and evictions() of per-head evicts in layer and head order, and
-    # ColumnSets.evict_step the columns and evictions() of a list model
+    # ColumnSets.evict_step the positions and evictions() of a list model
     n_layers, head_dim = 2, 3
     stepped, per_head = (MultiState(n_layers, n_heads, head_dim, capacity) for _ in range(2))
     sets = ColumnSets(n_layers, n_heads, capacity)
     ref = [[[] for _ in range(n_heads)] for _ in range(n_layers)]  # retained positions
     log = [[] for _ in range(n_layers)]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    for step in range(steps + 1):  # the extra append shows the last step's columns
+    for step in range(steps + 1):  # the extra append shows the last step's positions
         assert sets.append(step).tolist() == [
-            [[p * n_heads + h for p in ref[layer][h] + [step]] for h in range(n_heads)]
-            for layer in range(n_layers)]
+            [ref[layer][h] + [step] for h in range(n_heads)] for layer in range(n_layers)]
         if step == steps:
             continue
         for layer in range(n_layers):
@@ -723,11 +722,14 @@ def test_remapped_positions_equal_remap_positions(data, n_heads, capacity, steps
        steps=st.integers(1, 24),
        form=st.sampled_from(POLICY_FORMS),
        tied=st.booleans())
-def test_replayed_script_gives_the_same_events(data, n_layers, n_heads, steps, form, tied):
-    # the script simulate_with_rule records replays to the identical trace,
-    # for every policy form, and to the events, in their order, of a
-    # simulator that appends empty K/V rows to a MultiState head by head;
-    # small integer weights make ties common
+def test_replayed_script_gives_the_same_events(tmp_path_factory, data, n_layers, n_heads, steps,
+                                               form, tied):
+    # the script simulate_with_rule records, whose steps are (L, H, S)
+    # blocks, replays to the identical trace, for every policy form, and so
+    # does its write_csv/read_csv round trip, whose steps are lists of layer
+    # blocks; both give the events, in their order, of a simulator that
+    # appends empty K/V rows to a MultiState head by head; small integer
+    # weights make ties common
     pinned = form.endswith("+")
     k = data.draw(st.integers(2 if pinned else 1, 8), label="k")
     policy = form + str(data.draw(st.integers(1, k - 1), label="pin")) if pinned else form
@@ -740,6 +742,9 @@ def test_replayed_script_gives_the_same_events(data, n_layers, n_heads, steps, f
 
     script, trace = simulate_with_rule(rule, kind, steps, n_layers, n_heads)
     assert trace_driven_simulate(script, kind).events == trace.events
+    path = tmp_path_factory.mktemp("script") / "script.csv"
+    script.write_csv(path)
+    assert trace_driven_simulate(ScriptedTrace.read_csv(path), kind).events == trace.events
     state = MultiState(n_layers, n_heads, 0, k)
     empty = np.zeros(0, dtype=np.float32)
     for t, blocks in enumerate(script.rows):

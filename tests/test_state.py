@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 import warnings
 
@@ -59,23 +61,23 @@ def test_append_rejects_bad_shapes_and_positions():
 
 
 def test_column_sets_bookkeeping():
-    # head h holds column position * H + h, oldest first, and every layer
+    # every head holds its retained positions, oldest first, and every layer
     # holds one size; an eviction is logged per layer as (latest step
     # appended, head, position), as MultiState stamps it
     sets = ColumnSets(n_layers=2, n_heads=2, capacity=2)
     for step in range(3):
-        columns = sets.append(step)
-    assert columns.tolist() == [[[0, 2, 4], [1, 3, 5]]] * 2
+        positions = sets.append(step)
+    assert positions.tolist() == [[[0, 1, 2], [0, 1, 2]]] * 2
     sets.evict_step([0, 0, 1, 0])  # layer 0's heads agree, layer 1's do not
-    assert sets.append(3).tolist() == [[[2, 4, 6], [3, 5, 7]], [[0, 4, 6], [3, 5, 7]]]
+    assert sets.append(3).tolist() == [[[1, 2, 3], [1, 2, 3]], [[0, 2, 3], [1, 2, 3]]]
     sets.evict_step([2, 2, 0, 2])
     assert sets.evictions(1).tolist() == [[2, 0, 1], [2, 1, 0], [3, 0, 0], [3, 1, 3]]
     assert sets.evictions(0).tolist() == [[2, 0, 0], [2, 1, 0], [3, 0, 3], [3, 1, 3]]
     assert ColumnSets(1, 1, 1).evictions(0).shape == (0, 3) and sets.scores is None
-    # heads that agree drop their column in one shift, logged in head order too
-    assert sets.append(4).tolist()[1] == [[4, 6, 8], [3, 5, 9]]
+    # heads that agree drop their entry in one shift, logged in head order too
+    assert sets.append(4).tolist()[1] == [[2, 3, 4], [1, 2, 4]]
     sets.evict_step([1, 1, 1, 1])
-    assert sets.append(5).tolist() == [[[2, 8, 10], [3, 9, 11]], [[4, 8, 10], [3, 9, 11]]]
+    assert sets.append(5).tolist() == [[[1, 4, 5], [1, 4, 5]], [[2, 4, 5], [1, 4, 5]]]
     assert sets.evictions(1).tolist()[4:] == [[4, 0, 3], [4, 1, 2]]
 
 
@@ -119,6 +121,41 @@ def test_remap_calls_refuse_heads_of_unequal_size():
     state.evict(0, 0, 2)  # a refused rotated_keys call left the count at 0
     assert state.rotated_keys(0)[1] == 0
     assert state.remapped_positions(0).tolist() == [[0.0, 5.0]]
+
+
+@pytest.mark.parametrize("remap", [False, True])
+def test_copied_state_runs_on_as_the_original(remap):
+    # a deepcopy and a pickle round trip of a state taken mid-run take the
+    # same appends and evictions as a control state that never stopped, and
+    # leave the original as it was; gaps of up to 20 make remapping map them
+    n_layers, n_heads, head_dim, capacity, steps = 2, 3, 4, 3, 12
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((steps, n_layers, n_heads, 2, head_dim)).astype(np.float32)
+    positions = np.cumsum(rng.integers(1, 20, steps)).tolist()
+
+    def run(state, span):
+        for t in span:
+            for layer in range(n_layers):
+                for head in range(n_heads):
+                    key, value = rows[t, layer, head]
+                    state.append(layer, head, key, value, positions[t], t)
+            if state.step_size() > capacity:  # layer 0's heads agree, layer 1's differ
+                state.evict_step([t % 2] * n_heads + [(t + h) % (capacity + 1)
+                                                      for h in range(n_heads)])
+
+    def snapshot(state):
+        return [(*(x.tolist() for x in state.layer_view(layer)), state.evictions(layer).tolist(),
+                 state.remapped_positions(layer).tolist() if remap else None)
+                for layer in range(n_layers)]
+
+    control, state = (MultiState(n_layers, n_heads, head_dim, capacity, remap) for _ in range(2))
+    run(control, range(steps))
+    run(state, range(steps // 2))
+    before = snapshot(state)
+    for copied in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        run(copied, range(steps // 2, steps))
+        assert snapshot(copied) == snapshot(control)
+    assert snapshot(state) == before
 
 
 def test_capacity_must_be_positive():
