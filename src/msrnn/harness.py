@@ -432,7 +432,7 @@ def _check_step(layers: Sequence[Sequence], shape: tuple[int, int, int],
             where = f"step {step}, layer {layer}, head {head}"
             try:  # as a one-row (1, S) block, the shape `_check_sums` takes
                 one = np.asarray([row], dtype=np.float32)
-            except ValueError as exc:
+            except (ValueError, TypeError) as exc:
                 raise ValueError(f"{where}: {exc}") from None
             if one.shape != (1, size):
                 raise ValueError(f"{where}: row length {np.shape(row)} does not match "

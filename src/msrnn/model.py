@@ -3,8 +3,9 @@
 Single-token decoding against an explicit multi-state: pre-norm attention and
 feed-forward blocks with residual connections, rotary-style positions, float32
 arithmetic throughout. The layer kernel is three functions: `attention_inputs`
-(norm, q/k/v projections, rotation), `attend` (append, attend; one token at a
-time) and `layer_output` (W_O and the feed-forward block). `decode_step` calls
+(norm, one q/k/v projection call against the layer's stacked W_Q/W_K/W_V block,
+one rotation call), `attend` (append, attend; one token at a time) and
+`layer_output` (W_O and the feed-forward block). `decode_step` calls
 them with one token's vector. The masked-parallel evaluator calls the first
 and last with a whole chunk's rows and keeps no multi-state, so instead of
 `attend` it runs the rows before the state fills, which are plain causal
@@ -16,7 +17,9 @@ the multi-state remaps positions: then they are cached unrotated, and each
 step re-rotates at the remapped positions only the rows from the lowest slot
 evicted since the last step. Integer positions (a decoding step, a chunk's
 rows) read their cos and sin from a table cached per inv_freq; remapped,
-real-valued positions compute theirs. Both give the same bits.
+real-valued positions compute theirs. A decoding step turns each coordinate
+pair as a whole, in fewer numpy calls than the even and odd halves the other
+positions take. All give the same bits.
 """
 
 from __future__ import annotations
@@ -96,13 +99,16 @@ class ModelConfig:
 @dataclass
 class LayerWeights:
     attn_norm: np.ndarray  # (hidden,)
-    w_q: np.ndarray        # (hidden, hidden)
-    w_k: np.ndarray
-    w_v: np.ndarray
-    w_o: np.ndarray
+    w_qkv: np.ndarray      # (3, hidden, hidden): W_Q, W_K and W_V, one matmul's operand
+    w_o: np.ndarray        # (hidden, hidden)
     ff_norm: np.ndarray    # (hidden,)
     ff_in: np.ndarray      # (hidden, ff)
     ff_out: np.ndarray     # (ff, hidden)
+
+    # views of w_qkv, so an in-place edit of one reaches the kernel
+    w_q = property(lambda self: self.w_qkv[0])
+    w_k = property(lambda self: self.w_qkv[1])
+    w_v = property(lambda self: self.w_qkv[2])
 
 
 @dataclass
@@ -188,10 +194,13 @@ def zero_model(config: ModelConfig) -> ModelWeights:
 
 
 def _assemble(config: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelWeights:
-    """Validated weights from blocks keyed by their weight-file names."""
-    layers = [LayerWeights(**{name: arrays[f"layer{i}.{name}"]
-                              for name, _ in _layer_block_shapes(config)})
-              for i in range(config.n_layers)]
+    """Validated weights from blocks keyed by their weight-file names; each
+    layer's W_Q, W_K and W_V are copied into its stacked w_qkv block."""
+    layers = []
+    for i in range(config.n_layers):
+        blocks = {name: arrays[f"layer{i}.{name}"] for name, _ in _layer_block_shapes(config)}
+        blocks["w_qkv"] = np.stack([blocks.pop(name) for name in ("w_q", "w_k", "w_v")])
+        layers.append(LayerWeights(**blocks))
     weights = ModelWeights(arrays["token_embedding"], layers, arrays["lm_head"])
     weights.validate(config)
     return weights
@@ -290,7 +299,9 @@ def load_weights(path: str) -> tuple[ModelConfig, ModelWeights]:
 # decisions) come out identical whichever mode feeds the tokens. One-vector
 # calls stay one-dimensional: array-shaped scalars, keyword ufunc arguments
 # and 3-D matmuls each cost up to a microsecond per call, which sequential
-# decoding would pay several times per layer and token.
+# decoding would pay several times per layer and token. The one exception,
+# the q/k/v projection against a stacked (3, hidden, hidden) block, is one
+# call where three would be.
 
 
 def row_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -323,20 +334,24 @@ def _inv_freq(head_dim: int, rope_base: float) -> np.ndarray:
 
 
 # integer positions below this read their angles from a table; later ones
-# compute them. A table holds 2 * 4096 * head_dim/2 float64 values (0.5 MB at
+# compute them. A table holds 4 * 4096 * head_dim/2 float64 values (1 MB at
 # head_dim 16), and the cache keeps the tables of at most 8 inv_freq values.
 _ANGLE_ROWS = 4096
 
 
 @lru_cache(maxsize=8)
-def _angle_table(inv_freq_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """(cos, sin) of one float64 inv_freq at positions 0.._ANGLE_ROWS-1, as
-    (_ANGLE_ROWS, head_dim/2) rows. One vectorised cos and sin call over the
-    float64 products of positions and inv_freq builds them, so they equal
-    the angles rotate computes otherwise."""
+def _angle_table(inv_freq_bytes: bytes) -> tuple[np.ndarray, ...]:
+    """The angles of one float64 inv_freq at positions 0.._ANGLE_ROWS-1, in
+    pair layout: (_ANGLE_ROWS, head_dim/2, 2) blocks whose pair i holds
+    (cos, cos) and (-sin, sin), then (_ANGLE_ROWS, head_dim/2) strided cos
+    and sin views of them. One vectorised cos and sin call over the float64
+    products of positions and inv_freq builds them, so they equal the angles
+    rotate computes otherwise."""
     inv_freq = np.frombuffer(inv_freq_bytes, dtype=np.float64)
     ang = np.arange(_ANGLE_ROWS, dtype=np.float64)[:, None] * inv_freq
-    return np.cos(ang), np.sin(ang)
+    cos, sin = np.cos(ang), np.sin(ang)
+    cos_pairs, sin_pairs = np.stack((cos, cos), -1), np.stack((-sin, sin), -1)
+    return cos_pairs, sin_pairs, cos_pairs[..., 0], sin_pairs[..., 1]
 
 
 def rotate(vecs: np.ndarray, positions: int | float | np.ndarray,
@@ -351,17 +366,25 @@ def rotate(vecs: np.ndarray, positions: int | float | np.ndarray,
 
     Integer positions in [0, _ANGLE_ROWS) (a decoding step as a Python int,
     a chunk's (T, 1) integer rows) read their cos and sin from a table
-    cached per inv_freq value; other positions compute their angles. Both
-    give the same bits.
+    cached per inv_freq value; other positions compute their angles. A step
+    rotates each (even, odd) pair as a whole, pair * (cos, cos) plus the
+    swapped pair * (-sin, sin), in fewer numpy calls than the even and odd
+    halves; since e*c + o*(-s) rounds as e*c - o*s and the sum commutes,
+    every kind of position gives the same bits.
     """
-    if type(positions) is int:
+    step = type(positions) is int
+    if step:
         cached = 0 <= positions < _ANGLE_ROWS
     else:
         cached = (isinstance(positions, np.ndarray) and positions.dtype.kind in "iu"
                   and positions.size > 0 and positions.min() >= 0
                   and positions.max() < _ANGLE_ROWS)
     if cached and inv_freq.dtype == np.float64:
-        cos, sin = _angle_table(inv_freq.tobytes())
+        cos_pairs, sin_pairs, cos, sin = _angle_table(inv_freq.tobytes())
+        if step:
+            pairs = vecs.astype(np.float64).reshape(vecs.shape[:-1] + (-1, 2))
+            out = pairs * cos_pairs[positions] + pairs[..., ::-1] * sin_pairs[positions]
+            return out.reshape(vecs.shape).astype(np.float32)
         cos, sin = cos[positions], sin[positions]
     else:
         ang = np.asarray(positions, dtype=np.float64)[..., None] * inv_freq
@@ -478,19 +501,25 @@ def attention_inputs(model: Model, layer: int, x: np.ndarray,
     giving (n_heads, head_dim) q, k and v, or (T, hidden) rows, giving
     (T, n_heads, head_dim). With `positions` (a scalar for one token, a
     (T, 1) array for rows) q and k come back rotated; None leaves them
-    unrotated, for `attend` to rotate at remapped positions.
+    unrotated, for `attend` to rotate at remapped positions. One matmul
+    projects q, k and v against the layer's stacked (3, hidden, hidden)
+    w_qkv, each matrix (and each row) its own vector-matrix product, so
+    every output equals `row_matmul` with that one matrix bit for bit; one
+    rotate call turns the (2, ...) q/k slice of the result.
     """
     config, w = model
     lw = w.layers[layer]
     h = rms_norm(x, lw.attn_norm)
-    heads = x.shape[:-1] + (config.n_heads, config.head_dim)
-    q = row_matmul(h, lw.w_q).reshape(heads)
-    k = row_matmul(h, lw.w_k).reshape(heads)
-    v = row_matmul(h, lw.w_v).reshape(heads)
-    if positions is not None:
-        qk = rotate(np.concatenate((q, k), -2), positions,
-                    _inv_freq(config.head_dim, config.rope_base))
-        q, k = qk[..., :config.n_heads, :], qk[..., config.n_heads:, :]
+    if x.ndim == 1:
+        qkv = h @ lw.w_qkv
+    else:  # (3, T, 1, hidden): q, k and v stay contiguous (T, ...) blocks
+        qkv = np.matmul(h[:, None, :], lw.w_qkv[:, None])
+    qkv = qkv.reshape((3,) + x.shape[:-1] + (config.n_heads, config.head_dim))
+    if positions is None:
+        q, k, v = qkv
+    else:
+        q, k = rotate(qkv[:2], positions, _inv_freq(config.head_dim, config.rope_base))
+        v = qkv[2]
     return q, k, v
 
 

@@ -92,7 +92,8 @@ class RetentionTrace:
     The store is one int64 table in insertion order, a column per
     TRACE_COLUMNS field (the action as its ACTIONS index). The canonical
     (step, layer, head, append-before-evict, position) order of file output
-    and `sorted_events` is one lexsort, cached until the next row is written.
+    and `sorted_events` is one lexsort, and the analyses read `lifespans`;
+    both are cached until the next row is written.
     """
 
     def __init__(self, n_layers: int, n_heads: int):
@@ -103,6 +104,7 @@ class RetentionTrace:
         self.n_steps = 0
         self._log = array("q")
         self._order: np.ndarray | None = None
+        self._lifespans: tuple[np.ndarray, ...] | None = None
 
     def record(self, step: int, layer: int, head: int, action: str,
                original_position: int, token_id: int) -> None:
@@ -114,7 +116,7 @@ class RetentionTrace:
         self._log.extend((step, layer, head, _CODES[action], original_position, token_id))
         if step >= self.n_steps:
             self.n_steps = step + 1
-        self._order = None
+        self._order = self._lifespans = None
 
     def record_block(self, rows: np.ndarray) -> None:
         """Record an (n, 6) integer table of events in TRACE_COLUMNS order, each
@@ -137,7 +139,7 @@ class RetentionTrace:
             raise ValueError(f"layer/head ({layer[i]}, {head[i]}) out of range")
         self._log.frombytes(table.astype(np.int64).tobytes())
         self.n_steps = max(self.n_steps, int(step.max()) + 1)
-        self._order = None
+        self._order = self._lifespans = None
 
     def record_chunk(self, layer: int, tokens: Sequence[int], evictions: np.ndarray) -> None:
         """Record one layer's events over len(tokens) steps: every head appends position t
@@ -180,7 +182,10 @@ class RetentionTrace:
 
         The end is the evict step, or n_steps if never evicted. One lexsort lines
         up each (layer, head, position)'s events; an irregular one raises ValueError.
+        The read-only columns are cached until the next row is written.
         """
+        if self._lifespans is not None:
+            return self._lifespans
         if not self._log:
             raise ValueError("trace holds no events")
         table = self._table()[np.lexsort(self._table().T[[3, 0, 4, 2, 1]])]  # last key first
@@ -198,7 +203,11 @@ class RetentionTrace:
                              f"{position[i]}: {got}; each needs one append and at most one "
                              f"evict, no earlier, at steps >= 0 and positions 0..n_steps-1")
         ends = np.where(np.append(same[1:], False), np.roll(step, -1), self.n_steps)
-        return tuple(column[action == 0] for column in (layer, head, position, step, ends))
+        spans = tuple(column[action == 0] for column in (layer, head, position, step, ends))
+        for column in spans:
+            column.flags.writeable = False
+        self._lifespans = spans
+        return spans
 
     def retained_counts(self, layer: int, head: int | None = None) -> np.ndarray:
         """(n_steps, n_steps) count of the heads, `head` alone or all, that retain

@@ -74,13 +74,17 @@ def _scores(q, k, mask, rope_base, remap):
     return np.einsum("htd,htsd->hts", q, k) / math.sqrt(d)
 
 
+# a layer's weight blocks, by the names the weight file gives them
+_BLOCKS = ("attn_norm", "w_q", "w_k", "w_v", "w_o", "ff_norm", "ff_in", "ff_out")
+
+
 def reference_nlls(model, ids, masks, remap=False):
     """Per-token NLLs of ids[1:]; masks[layer][h, t, s] lets row t of head h see column s."""
     config, w = model
     T, H, d = len(ids), config.n_heads, config.head_dim
     x = w.token_embedding[list(ids)].astype(np.float64)
     for lw, mask in zip(w.layers, masks):
-        lw = {name: np.asarray(block, np.float64) for name, block in vars(lw).items()}
+        lw = {name: np.asarray(getattr(lw, name), np.float64) for name in _BLOCKS}
         h = _rms_norm(x, lw["attn_norm"])
         q, k, v = ((h @ lw[name]).reshape(T, H, d) for name in ("w_q", "w_k", "w_v"))
         scores = np.where(mask, _scores(q, k, mask, config.rope_base, remap), -np.inf)

@@ -443,6 +443,16 @@ def test_check_rows_names_the_first_bad_head():
     assert block.dtype == np.float32 and block.tolist() == [[good, [0.25, 0.75]]]
 
 
+def test_check_rows_names_a_row_of_non_numeric_objects():
+    # float() refuses a dict or a plain object with a TypeError; the step
+    # check reports it as a ValueError that names the row
+    with pytest.raises(ValueError, match="^step 0, layer 0, head 1: float\\(\\) argument"):
+        _check_step([[[0.5, 0.5], {}]], (1, 2, 2), 0)
+    with pytest.raises(ValueError, match="^step 0, layer 0, head 0: float\\(\\) argument"):
+        simulate_with_rule(lambda t, layer, head, retained: [object()] * len(retained),
+                           None, 2)
+
+
 def test_block_row_sums_equal_per_row_sums():
     # the block check sums a layer's rows with one call; on float32 that is
     # bit for bit each row's own sum, so the 1e-6 tolerance sees the same value

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -55,10 +56,42 @@ def test_weight_file_round_trip(tmp_path):
             assert np.array_equal(a, b), name
 
 
-def _saved_bytes(tmp_path):
+def test_saved_bytes_are_pinned_and_survive_a_round_trip(tmp_path):
+    # each layer keeps W_Q, W_K and W_V stacked in one block, yet the file
+    # holds them as three blocks in the frozen order: the bytes of a seeded
+    # model are pinned, and a loaded file saves back to the same bytes
+    path, data = _saved_bytes(tmp_path, seed=0)
+    assert hashlib.sha256(data).hexdigest() == \
+        "cd0742f15cf48eb4f42762cd673d332a2de441a3d47658d3f450f497f041b8d6"
+    config, weights = load_weights(path)
+    for lw in weights.layers:
+        assert all(np.shares_memory(m, lw.w_qkv) for m in (lw.w_q, lw.w_k, lw.w_v))
+    save_weights(tmp_path / "again.bin", config, weights)
+    assert (tmp_path / "again.bin").read_bytes() == data
+
+
+def test_in_place_weight_edit_reaches_the_next_decode():
+    # w_k is a view of the stacked block the kernel projects with, so an edit
+    # made in place after a decode changes the next decode as much as the
+    # same edit made before any decode does
+    def decoded(model):
+        state = MultiState(model.config.n_layers, model.config.n_heads,
+                           model.config.head_dim, capacity=4)
+        return [decode_step(model, state, token, step)[0] for step, token in enumerate((3, 1, 4))]
+
+    edited, fresh = make_model(seed=2), make_model(seed=2)
+    before = decoded(edited)
+    edited.weights.layers[1].w_k[:] *= -2.0
+    fresh.weights.layers[1].w_k[:] *= -2.0
+    after = decoded(edited)
+    assert all(np.array_equal(a, b) for a, b in zip(after, decoded(fresh)))
+    assert not all(np.array_equal(a, b) for a, b in zip(after, before))
+
+
+def _saved_bytes(tmp_path, seed=9):
     config = make_config()
     path = tmp_path / "model.bin"
-    save_weights(path, config, init_random_model(config, seed=9))
+    save_weights(path, config, init_random_model(config, seed=seed))
     return path, path.read_bytes()
 
 

@@ -35,8 +35,9 @@ from msrnn import (ACTION_APPEND, ACTION_EVICT, Model,
 import msrnn.harness
 import msrnn.model
 from msrnn.harness import NLL_ROWS, _policy_attention, nll_of
-from msrnn.model import (_inv_freq, attend, attention_step, band_attention, causal_attention,
-                         rms_norm, rotate, row_matmul, silu, softmax_rows, zero_model)
+from msrnn.model import (_inv_freq, attend, attention_inputs, attention_step, band_attention,
+                         causal_attention, rms_norm, rotate, row_matmul, silu, softmax_rows,
+                         zero_model)
 from msrnn.policies import AccumulatedScores, decide_layer
 from msrnn.remap import remap_gap
 from msrnn.state import ACTIONS, TRACE_COLUMNS, ColumnSets, write_csv_rows
@@ -412,6 +413,41 @@ def test_row_kernels_equal_one_vector_calls(data, n_rows, width, offset):
             assert np.array_equal(out[t], rotate(vector, position, inv_freq))
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       n_heads=st.integers(1, 4),
+       pairs=st.integers(1, 16),
+       n_rows=st.integers(1, 130),
+       scale=st.floats(1e-3, 1e3))
+def test_stacked_projection_equals_per_matrix_products(data, n_heads, pairs, n_rows, scale):
+    # attention_inputs projects q, k and v with one matmul against the
+    # layer's (3, hidden, hidden) w_qkv: for one vector each is `h @ w`, for
+    # rows `row_matmul(h, w)` of its own matrix, bit for bit; with positions,
+    # q and k are those products rotated
+    config = ModelConfig(n_layers=1, n_heads=n_heads, head_dim=2 * pairs,
+                         hidden_dim=2 * pairs * n_heads, ff_dim=4, vocab_size=2,
+                         train_context_len=2)
+    model = Model(config, init_random_model(config, data.draw(st.integers(0, 2**16), label="seed")))
+    lw = model.weights.layers[0]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="rng"))
+    x = (rng.standard_normal((n_rows, config.hidden_dim)) * scale).astype(np.float32)
+    first = data.draw(st.integers(0, 5000), label="first")
+    inv_freq = _inv_freq(config.head_dim, config.rope_base)
+    for block, positions in ((x, np.arange(first, first + n_rows)[:, None]), (x[0], first)):
+        h = rms_norm(block, lw.attn_norm)
+        want = [row_matmul(h, w).reshape(block.shape[:-1] + (n_heads, -1))
+                for w in (lw.w_q, lw.w_k, lw.w_v)]
+        if block.ndim == 1:
+            assert all(np.array_equal(h @ w, one.reshape(-1))
+                       for w, one in zip((lw.w_q, lw.w_k, lw.w_v), want))
+        assert all(np.array_equal(got, one)
+                   for got, one in zip(attention_inputs(model, 0, block, None), want))
+        q, k, v = attention_inputs(model, 0, block, positions)
+        assert np.array_equal(q, rotate(want[0], positions, inv_freq))
+        assert np.array_equal(k, rotate(want[1], positions, inv_freq))
+        assert np.array_equal(v, want[2])
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(),
        setups=st.lists(st.tuples(st.integers(1, 32).map(lambda pairs: 2 * pairs),
@@ -436,7 +472,10 @@ def test_rotate_angle_table_equals_computed_angles(data, setups):
         heads = data.draw(st.integers(1, 8), label="heads")
         if data.draw(st.booleans(), label="step"):
             position = data.draw(positions_st, label="position")
-            shape = (heads, head_dim) if data.draw(st.booleans(), label="block") else (head_dim,)
+            # one vector, a block of heads, and the (2, heads, head_dim) q/k
+            # slice attention_inputs rotates
+            shape = data.draw(st.sampled_from([(head_dim,), (heads, head_dim),
+                                               (2, heads, head_dim)]), label="shape")
             vecs = (rng.standard_normal(shape) * rng.uniform(1e-3, 1e3)).astype(np.float32)
             assert np.array_equal(rotate(vecs, position, inv_freq),
                                   rotate(vecs, float(position), inv_freq))

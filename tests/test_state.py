@@ -184,6 +184,25 @@ def test_trace_records_appends_and_evicts():
     assert trace.retained_sets(0, 0) == [{0}, {0, 1}, {1, 2}]
 
 
+def test_trace_lifespans_are_cached_until_the_next_write():
+    # repeated reads share one read-only result; record_block and record
+    # both drop it, so the next read sees the new events and n_steps
+    trace = RetentionTrace(n_layers=1, n_heads=1)
+    trace.record_chunk(0, [10, 11], np.zeros((0, 3), dtype=np.int64))
+    spans = trace.lifespans()
+    assert trace.lifespans() is spans
+    assert [column.tolist() for column in spans] == [[0, 0], [0, 0], [0, 1], [0, 1], [2, 2]]
+    for column in spans:
+        with pytest.raises(ValueError):
+            column[0] = 5
+    trace.record_block(np.array([[2, 0, 0, 0, 2, 12], [2, 0, 0, 1, 0, 10]]))
+    assert [column.tolist() for column in trace.lifespans()] == \
+        [[0, 0, 0], [0, 0, 0], [0, 1, 2], [0, 1, 2], [2, 3, 3]]
+    assert trace.retained_sets(0, 0) == [{0}, {0, 1}, {1, 2}]
+    trace.record(3, 0, 0, ACTION_EVICT, 1, 11)
+    assert trace.lifespans()[4].tolist() == [2, 3, 4]
+
+
 def test_trace_canonical_order_is_insertion_independent():
     a = RetentionTrace(2, 1)
     b = RetentionTrace(2, 1)
