@@ -26,14 +26,16 @@ Each mode hands a trace each layer's events in one `record_chunk` call, so a
 trace lists its events layer block by layer block in all three.
 
 A layer's attention is one (H, S) float32 block throughout: the kernel
-returns it, the policies take it, a ScriptedTrace stores it per (step,
-layer), and the model-free simulator, on retained positions alone (ColumnSets),
-checks a step's (L, H, S) stack in one pass and hands it to `apply_policy` whole.
+returns it, the policies take it, a ScriptedTrace stores a step's (L, H, S)
+stack of them, and the model-free simulator, on retained positions alone
+(ColumnSets), checks a step's stack in one pass and hands it to `apply_policy`
+whole.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
@@ -43,8 +45,8 @@ import numpy as np
 from .model import (Model, attention_inputs, attention_step, band_attention,
                     causal_attention, decode_step, layer_output, row_matmul)
 from .policies import PolicyKind, apply_policy, decide_layer
-from .state import (ColumnSets, MultiState, RetentionTrace, read_csv_rows, read_text_lines,
-                    write_csv_rows)
+from .state import (ColumnSets, MultiState, RetentionTrace, _parse_table, read_csv_rows,
+                    read_text_lines, write_csv_rows)
 
 # unused here: bench/tracing.py patches these names on this module
 from .model import rms_norm, rotate  # noqa: F401
@@ -322,13 +324,13 @@ RowRule = Callable[[int, int, int, Sequence[int]], np.ndarray]
 
 @dataclass
 class ScriptedTrace:
-    """Per-step, per-layer probability blocks over the retained states: step t is
-    a list of (H, S) layer blocks from `read_csv`, one (L, H, S) block from
-    `simulate_with_rule`, and `rows[t][layer][head]` is one head's row in both."""
+    """Per-step probability blocks over the retained states: step t is one
+    (L, H, S) float32 block from both `read_csv` and `simulate_with_rule`, and
+    `rows[t][layer][head]` is one head's row."""
 
     n_layers: int
     n_heads: int
-    rows: list[Sequence[np.ndarray]]  # [step][layer] -> (n_heads, size) float32
+    rows: list[np.ndarray]  # [step] -> (n_layers, n_heads, size) float32
 
     @property
     def n_steps(self) -> int:
@@ -338,57 +340,77 @@ class ScriptedTrace:
         # (t, layer, head, slot) and probability of every cell, in row-major
         # order; the empty first pieces keep a script of no steps writable
         index, probs = [np.empty((0, 4), dtype=np.int64)], [np.empty((0, 1), dtype=np.float32)]
-        for t, per_layer in enumerate(self.rows):
-            for layer, block in enumerate(per_layer):
-                grid = np.indices((1, 1) + np.shape(block)).reshape(4, -1).T
-                index.append(grid + (t, layer, 0, 0))
-                probs.append(np.reshape(block, (-1, 1)))
+        for t, block in enumerate(self.rows):
+            index.append(np.indices((1,) + np.shape(block)).reshape(4, -1).T + (t, 0, 0, 0))
+            probs.append(np.reshape(block, (-1, 1)))
         write_csv_rows(path, SCRIPT_COLUMNS, [(np.concatenate(index), str),
                                               (np.concatenate(probs), "{:.9g}".format)])
 
     @classmethod
     def read_csv(cls, path: str) -> "ScriptedTrace":
-        cells: dict[tuple[int, int, int], dict[int, float]] = {}
-        for lineno, row in read_csv_rows(path, SCRIPT_COLUMNS):
-            where = f"{path}:{lineno}"
-            try:  # a short or long row fails the unpacking
-                t, layer, head, slot, p = row
-                t, layer, head, slot, p = int(t), int(layer), int(head), int(slot), float(p)
-            except ValueError:
-                raise ValueError(f"{where}: expected {len(SCRIPT_COLUMNS)} numeric fields "
-                                 f"{SCRIPT_COLUMNS}, got {row}") from None
-            if min(t, layer, head, slot) < 0:
-                raise ValueError(f"{where}: negative index in {row}")
-            slots = cells.setdefault((t, layer, head), {})
-            if slot in slots:
-                raise ValueError(f"{where}: duplicate row for step {t}, layer {layer}, "
-                                 f"head {head}, state_slot {slot}")
-            slots[slot] = p
-        if not cells:
+        """Read a script CSV: one `_parse_table` call, or the read_csv_rows loop, which
+        names a bad line, for a body that call refuses or that holds a negative index
+        or a duplicate cell. With the cells sorted, one loop over (step, layer, head)
+        groups checks the grid is full before anything is sized by an index."""
+        rows = _parse_table(path, SCRIPT_COLUMNS, _SCRIPT_ROW)
+        cells, probs = _read_script_rows(path) if rows is None else (
+            np.column_stack([rows[name] for name in SCRIPT_COLUMNS[:4]]), rows["probability"])
+        order = np.lexsort(cells.T[::-1])
+        cells, probs = cells[order], probs[order]
+        if (cells < 0).any() or (cells[1:] == cells[:-1]).all(1).any():
+            _read_script_rows(path)  # the row loop names the first such row
+        if not len(cells):
             raise ValueError(f"scripted trace {path} holds no rows")
-        n_steps = max(key[0] for key in cells) + 1
-        n_layers = max(key[1] for key in cells) + 1
-        n_heads = max(key[2] for key in cells) + 1
-        rows = []
-        for t in range(n_steps):
-            per_layer = []
-            for layer in range(n_layers):
-                per_head = []
-                for head in range(n_heads):  # lazily: the first missing head fails
-                    slots = cells.get((t, layer, head))
-                    if slots is None:
-                        raise ValueError(f"{path}: missing row for step {t}, "
-                                         f"layer {layer}, head {head}")
-                    if max(slots) >= len(slots):
-                        raise ValueError(f"{path}: state_slot {max(slots)} out of range "
-                                         f"at step {t}, layer {layer}, head {head}")
-                    per_head.append([slots[slot] for slot in range(len(slots))])
-                if len({len(row) for row in per_head}) > 1:
-                    raise ValueError(f"{path}: heads hold different slot counts at step {t}, "
-                                     f"layer {layer}: {[len(row) for row in per_head]}")
-                per_layer.append(np.array(per_head, dtype=np.float32))
-            rows.append(per_layer)
-        return cls(n_layers=n_layers, n_heads=n_heads, rows=rows)
+        starts = np.flatnonzero(np.append(True, (cells[1:, :3] != cells[:-1, :3]).any(1)))
+        widths = np.diff(np.append(starts, len(cells))).tolist()
+        n_steps, n_layers, n_heads = (int(column.max()) + 1 for column in cells.T[:3])
+        # group g of the cells must be cell g of the full (step, layer, head) grid
+        for g, ((t, layer, head), width, last) in enumerate(zip(
+                cells[starts, :3].tolist(), widths, cells[starts + widths - 1, 3].tolist())):
+            if (t * n_layers + layer) * n_heads + head != g:
+                break
+            if last >= width:
+                raise ValueError(f"{path}: state_slot {last} out of range "
+                                 f"at step {t}, layer {layer}, head {head}")
+            if head == n_heads - 1 and widths[g + 1 - n_heads:g + 1].count(width) < n_heads:
+                raise ValueError(f"{path}: heads hold different slot counts at step {t}, "
+                                 f"layer {layer}: {widths[g + 1 - n_heads:g + 1]}")
+            if head == n_heads - 1 and width != widths[g + 1 - (layer + 1) * n_heads]:
+                raise ValueError(f"{path}: layers hold different slot counts at step {t}: "
+                                 f"{widths[g + 1 - (layer + 1) * n_heads:g + 1:n_heads]}")
+        else:  # every group is in place
+            g = len(widths)
+        if g < n_steps * n_layers * n_heads:
+            (t, layer), head = divmod(g // n_heads, n_layers), g % n_heads
+            raise ValueError(f"{path}: missing row for step {t}, layer {layer}, head {head}")
+        blocks = np.split(probs.astype(np.float32), starts[n_layers * n_heads::n_layers * n_heads])
+        return cls(n_layers=n_layers, n_heads=n_heads,
+                   rows=[block.reshape(n_layers, n_heads, -1) for block in blocks])
+
+
+# one script CSV row; a probability parses as float() reads it, before the float32 cast
+_SCRIPT_ROW = np.dtype([(name, np.int64) for name in SCRIPT_COLUMNS[:4]] + [("probability", "f8")])
+
+
+def _read_script_rows(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The row loop's (n, 4) int64 cells and float64 probabilities; a bad row names its line."""
+    index, probs, seen = array("q"), array("d"), set()
+    for lineno, row in read_csv_rows(path, SCRIPT_COLUMNS):
+        try:  # a short or long row fails the unpacking, an index beyond int64 the extend
+            t, layer, head, slot, p = row
+            cell = (int(t), int(layer), int(head), int(slot))
+            index.extend(cell)
+            probs.append(float(p))
+        except (ValueError, OverflowError):
+            raise ValueError(f"{path}:{lineno}: expected {len(SCRIPT_COLUMNS)} numeric fields "
+                             f"{SCRIPT_COLUMNS}, got {row}") from None
+        if min(cell) < 0:
+            raise ValueError(f"{path}:{lineno}: negative index in {row}")
+        if cell in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate row for step {cell[0]}, layer "
+                             f"{cell[1]}, head {cell[2]}, state_slot {cell[3]}")
+        seen.add(cell)
+    return np.frombuffer(index, dtype=np.int64).reshape(-1, 4), np.frombuffer(probs)
 
 
 def _check_sums(rows: np.ndarray, step: int, n_heads: int, first: int = 0) -> None:

@@ -214,19 +214,22 @@ def _assemble(config: ModelConfig, arrays: dict[str, np.ndarray]) -> ModelWeight
 _CONFIG_TYPES = get_type_hints(ModelConfig)
 
 
-def _header(config: ModelConfig, version: int = WEIGHT_VERSION) -> str:
-    """The weight-file header, one LF-ended line per item: save_weights writes
-    it and load_weights accepts no other text for the config it reads."""
-    lines = [f"{WEIGHT_MAGIC} {version}"]
-    lines += [f"{name} {kind(getattr(config, name))!r}" for name, kind in _CONFIG_TYPES.items()]
-    lines.append(f"ff_gate {FF_GATE_NAME}")
-    lines += [f"block {name} {' '.join(map(str, shape))}" for name, shape in _block_shapes(config)]
-    return "\n".join(lines + ["end", ""])
+def _header_lines(config: ModelConfig, version: int = WEIGHT_VERSION) -> Iterator[str]:
+    """The lines of the weight-file header, LF-joined, one at a time: save_weights
+    writes them and load_weights accepts no other text for the config it reads,
+    stopping at the first line that differs."""
+    yield f"{WEIGHT_MAGIC} {version}"
+    for name, kind in _CONFIG_TYPES.items():
+        yield f"{name} {kind(getattr(config, name))!r}"
+    yield f"ff_gate {FF_GATE_NAME}"
+    for name, shape in _block_shapes(config):
+        yield f"block {name} {' '.join(map(str, shape))}"
+    yield from ("end", "")
 
 
 def save_weights(path: str, config: ModelConfig, weights: ModelWeights) -> None:
     weights.validate(config)
-    data = _header(config).encode("ascii") + b"".join(
+    data = "\n".join(_header_lines(config)).encode("ascii") + b"".join(
         np.ascontiguousarray(arr, dtype="<f4").tobytes()
         for _, arr, _ in _iter_blocks(config, weights))
     with open(path, "wb") as fh:
@@ -264,7 +267,7 @@ def load_weights(path: str) -> tuple[ModelConfig, ModelWeights]:
                                 for (name, kind), value in zip(_CONFIG_TYPES.items(), values)})
     except ValueError as exc:
         raise MalformedHeaderError(f"{path}: invalid config values ({exc})") from None
-    for i, (got, want) in enumerate(zip_longest(lines, _header(config, version).split("\n"))):
+    for i, (got, want) in enumerate(zip_longest(lines, _header_lines(config, version))):
         if got != want:  # the lines after magic, config and ff_gate are blocks
             error = ShapeMismatchError if i > 1 + len(_CONFIG_TYPES) else MalformedHeaderError
             raise error(f"{path}: header line {i + 1} reads {got!r}, config implies {want!r}")
@@ -281,13 +284,13 @@ def load_weights(path: str) -> tuple[ModelConfig, ModelWeights]:
         if crc != stored:
             raise ChecksumMismatchError(f"{path}: header and blob have CRC-32 {crc:08x}, "
                                         f"the file records {stored:08x}")
-    # astype copies the blob once into a writable array; each block is a view into it
-    flat = np.frombuffer(blob, dtype="<f4").astype(np.float32)
+    # each block is its own writable copy, so the W_Q, W_K and W_V that
+    # _assemble stacks into w_qkv leave no dead memory behind
     offset = 0
     arrays: dict[str, np.ndarray] = {}
     for name, shape in expected:
         n = int(np.prod(shape))
-        arrays[name] = flat[offset:offset + n].reshape(shape)
+        arrays[name] = np.frombuffer(blob, "<f4", n, 4 * offset).reshape(shape).astype(np.float32)
         offset += n
     return config, _assemble(config, arrays)
 
@@ -524,7 +527,7 @@ def attention_inputs(model: Model, layer: int, x: np.ndarray,
 
 
 def attend(model: Model, layer: int, state: MultiState, q: np.ndarray, k: np.ndarray,
-           v: np.ndarray, position: int, token: int) -> tuple[np.ndarray, np.ndarray]:
+           v: np.ndarray, position: int) -> tuple[np.ndarray, np.ndarray]:
     """One token's multi-state update at one layer: append, then attend.
 
     `q`, `k` and `v` are the token's (n_heads, head_dim) attention inputs;
@@ -545,7 +548,7 @@ def attend(model: Model, layer: int, state: MultiState, q: np.ndarray, k: np.nda
     along as one more key row at the newest remapped position.
     """
     for head in range(model.config.n_heads):
-        state.append(layer, head, k[head], v[head], position, token)
+        state.append(layer, head, k[head], v[head], position)
     keys, values, _ = state.layer_view(layer)
     if state.remap:
         inv_freq = _inv_freq(model.config.head_dim, model.config.rope_base)
@@ -581,7 +584,7 @@ def decode_step(model: Model, state: MultiState, token: int,
     probs = []
     for layer in range(config.n_layers):
         q, k, v = attention_inputs(model, layer, x, None if state.remap else step)
-        ctx, layer_probs = attend(model, layer, state, q, k, v, step, token)
+        ctx, layer_probs = attend(model, layer, state, q, k, v, step)
         x = layer_output(model, layer, x, ctx)
         probs.append(layer_probs)
     return row_matmul(x, w.lm_head), probs

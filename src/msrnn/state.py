@@ -1,9 +1,9 @@
 """Bounded multi-state storage and the retention event trace.
 
 The multi-state is the recurrent state of the decoder: preallocated buffers
-of k+1 rows per head that hold each head's ordered key/value rows plus
-metadata (ColumnSets keeps only their positions). Policies shrink it one
-step at a time, dropping one entry from every head of every layer with
+of k+1 rows per head that hold each head's ordered key/value rows and their
+original positions (ColumnSets keeps only the positions). Policies shrink it
+one step at a time, dropping one entry from every head of every layer with
 `evict_step`, and each layer logs its evictions; a RetentionTrace records a
 layer's appends and logged evictions in one `record_chunk` call.
 """
@@ -236,14 +236,19 @@ class RetentionTrace:
 
     @classmethod
     def read_csv(cls, path: str) -> "RetentionTrace":
-        """Read a trace CSV. A canonical file is parsed in whole-table passes: one
-        np.loadtxt call into records with a text action, then one comparison per
+        """Read a trace CSV. A canonical file is parsed in whole-table passes:
+        `_parse_table` into records with a text action, then one comparison per
         action to code them. Any body those refuse (an empty one, a bad row, an
         action that is not exactly append or evict, a cell such as `1_0` that
         int() reads) goes through the read_csv_rows loop, which names a bad line.
         Both give the same table, so the checks after it are the same."""
-        table = _parse_trace_table(path)
-        if table is None:
+        rows = _parse_table(path, TRACE_COLUMNS, _TRACE_ROW)
+        codes = -1 if rows is None else np.select(
+            [rows["action"] == action for action in ACTIONS], range(len(ACTIONS)), -1)
+        if np.all(codes >= 0):
+            table = np.column_stack([codes if name == "action" else rows[name]
+                                     for name in TRACE_COLUMNS])
+        else:
             log = array("q")
             for lineno, row in read_csv_rows(path, TRACE_COLUMNS):
                 try:  # a short or long row fails the unpacking
@@ -271,18 +276,15 @@ _TRACE_ROW = np.dtype([(name, f"U{max(map(len, ACTIONS)) + 1}" if name == "actio
                         else np.int64) for name in TRACE_COLUMNS])
 
 
-def _parse_trace_table(path: str) -> np.ndarray | None:
-    """The (n, 6) int64 table of a trace CSV, or None where the parse might read
-    the body otherwise than the row loop. One np.loadtxt call reads the rows
-    into _TRACE_ROW records, and one comparison per action maps the action
-    texts to codes. None when loadtxt refuses (an odd or bad cell, a wrong
-    field count) or warns (an empty body), when an action is not exactly one
-    of ACTIONS, or when the body holds \\x00, which a U field drops from the
-    end, or an ASCII separator \\x1c-\\x1f, which loadtxt skips as space and
-    int() does not."""
+def _parse_table(path: str, header: Sequence[str], dtype: np.dtype) -> np.ndarray | None:
+    """`dtype` records of a `header` CSV's body from one np.loadtxt call, or None
+    where that call might read the body otherwise than the read_csv_rows loop:
+    loadtxt refuses it (an odd or bad cell, a wrong field count) or warns (it is
+    empty), or it holds \\x00, which a U field drops from the end, or an ASCII
+    separator \\x1c-\\x1f, which loadtxt skips as space and int() does not."""
     try:
         with _text_file(path) as fh:
-            if fh.readline().rstrip("\n").split(",") != list(TRACE_COLUMNS):
+            if fh.readline().rstrip("\n").split(",") != list(header):
                 return None
             body = fh.read()
         if any(sep in body for sep in "\x00\x1c\x1d\x1e\x1f"):
@@ -290,18 +292,10 @@ def _parse_trace_table(path: str) -> np.ndarray | None:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # the lines are str; encoding=None keeps numpy < 2 from its bytes default
-            rows = np.loadtxt(body.split("\n"), delimiter=",", dtype=_TRACE_ROW,
+            return np.loadtxt(body.split("\n"), delimiter=",", dtype=dtype,
                               comments=None, ndmin=1, encoding=None)
     except (ValueError, OverflowError, Warning):
         return None
-    codes = np.select([rows["action"] == action for action in ACTIONS], range(len(ACTIONS)), -1)
-    if (codes < 0).any():
-        return None
-    return np.column_stack([codes if name == "action" else rows[name] for name in TRACE_COLUMNS])
-
-
-# metadata columns are (original position, token id)
-_POS = 0
 
 
 class _EvictionLog:
@@ -324,8 +318,8 @@ class MultiState(_EvictionLog):
     """Per-layer, per-head ordered multi-state of cached K/V rows.
 
     The state holds one preallocated (L, H, k+1, d) float32 key buffer and one
-    value buffer, an aligned (L, H, k+1, 2) int64 metadata buffer (original
-    position, token id) and a size per head; head h of layer l holds its
+    value buffer, an aligned (L, H, k+1) int64 buffer of original positions
+    and a size per head; head h of layer l holds its
     entries in rows 0..size-1, oldest first. Capacity k gives the bounded
     g(t)=min(t,k) regime: callers append first and policies evict afterwards,
     so a head holds k+1 entries transiently within a step, never more. The
@@ -370,9 +364,9 @@ class MultiState(_EvictionLog):
         self._sizes = [[0] * n_heads for _ in range(n_layers)]
         self._keys = np.zeros((n_layers, n_heads, capacity + 1, head_dim), dtype=np.float32)
         self._values = np.zeros(self._keys.shape, dtype=np.float32)
-        self._meta = np.zeros((n_layers, n_heads, capacity + 1, 2), dtype=np.int64)
+        self._meta = np.zeros(self._keys.shape[:3], dtype=np.int64)
         self.remap = remap
-        self._gaps = np.zeros(self._meta.shape[:3]) if remap else None
+        self._gaps = np.zeros(self._meta.shape) if remap else None
         self._rotated = np.zeros(self._keys.shape, dtype=np.float32) if remap else None
         self._current = [0] * n_layers
         self._make_flat()
@@ -381,7 +375,7 @@ class MultiState(_EvictionLog):
         # 1-D views of each head's rows: a left shift on them is one memmove
         self._flat = [[(self._keys[layer, head].reshape(-1),
                         self._values[layer, head].reshape(-1),
-                        self._meta[layer, head].reshape(-1),
+                        self._meta[layer, head],
                         self._gaps[layer, head] if self.remap else None)
                        for head in range(self.n_heads)] for layer in range(self.n_layers)]
 
@@ -401,20 +395,20 @@ class MultiState(_EvictionLog):
         return self._sizes[layer][head]
 
     def append(self, layer: int, head: int, key: np.ndarray, value: np.ndarray,
-               position: int, token: int) -> None:
+               position: int) -> None:
         self._check(layer, head)
         if np.shape(key) != (self.head_dim,) or np.shape(value) != (self.head_dim,):
             raise ValueError(
                 f"key/value rows must have shape ({self.head_dim},), "
                 f"got {np.shape(key)} and {np.shape(value)}"
             )
-        if position < 0 or token < 0:
-            raise ValueError(f"position {position} and token {token} must be non-negative")
+        if position < 0:
+            raise ValueError(f"position {position} must be non-negative")
         size = self._sizes[layer][head]
-        keys, values, meta, gaps = self._flat[layer][head]
-        if size and position <= meta.item(2 * size - 2):
+        keys, values, positions, gaps = self._flat[layer][head]
+        if size and position <= positions.item(size - 1):
             raise ValueError(
-                f"position {position} not greater than current maximum {meta.item(2 * size - 2)}")
+                f"position {position} not greater than current maximum {positions.item(size - 1)}")
         if size > self.capacity:
             raise ValueError(
                 f"state already holds k+1 = {size} entries at layer "
@@ -423,10 +417,9 @@ class MultiState(_EvictionLog):
         d = self.head_dim
         keys[size * d:(size + 1) * d] = key
         values[size * d:(size + 1) * d] = value
-        meta[2 * size] = position
-        meta[2 * size + 1] = token
+        positions[size] = position
         if gaps is not None:
-            gaps[size] = remap_gap(position - meta.item(2 * size - 2)) if size else 0.0
+            gaps[size] = remap_gap(position - positions.item(size - 1)) if size else 0.0
         self._sizes[layer][head] = size + 1
         if position > self._last_step:
             self._last_step = position
@@ -436,16 +429,16 @@ class MultiState(_EvictionLog):
         size = self._sizes[layer][head]
         if not (0 <= index < size):
             raise ValueError(f"evict index {index} out of range for size {size}")
-        keys, values, meta, gaps = self._flat[layer][head]
-        self._log[layer].extend((self._last_step, head, meta.item(2 * index)))
+        keys, values, positions, gaps = self._flat[layer][head]
+        self._log[layer].extend((self._last_step, head, positions.item(index)))
         d = self.head_dim
         keys[index * d:(size - 1) * d] = keys[(index + 1) * d:size * d]
         values[index * d:(size - 1) * d] = values[(index + 1) * d:size * d]
-        meta[2 * index:2 * (size - 1)] = meta[2 * (index + 1):2 * size]
+        positions[index:size - 1] = positions[index + 1:size]
         if gaps is not None and index < size - 1:
             # the entry now at `index` takes the merged gap, or none if it is the oldest
             gaps[index + 1:size - 1] = gaps[index + 2:size]
-            gaps[index] = remap_gap(meta.item(2 * index) - meta.item(2 * index - 2)) \
+            gaps[index] = remap_gap(positions.item(index) - positions.item(index - 1)) \
                 if index else 0.0
         self._sizes[layer][head] = size - 1
         if index < self._current[layer]:
@@ -491,7 +484,7 @@ class MultiState(_EvictionLog):
         """
         size = self._layer_size(layer)
         return (self._keys[layer, :, :size], self._values[layer, :, :size],
-                self._meta[layer, :, :size, _POS])
+                self._meta[layer, :, :size])
 
     def remapped_positions(self, layer: int) -> np.ndarray:
         """One layer's `remap_positions`, as one cumsum of the stored mapped
@@ -519,7 +512,7 @@ class MultiState(_EvictionLog):
 
     def retained_positions(self, layer: int, head: int) -> list[int]:
         """Original positions currently cached, in list order (strictly increasing)."""
-        return self._meta[layer, head, :self.size(layer, head), _POS].tolist()
+        return self._meta[layer, head, :self.size(layer, head)].tolist()
 
 
 class ColumnSets(_EvictionLog):

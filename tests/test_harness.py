@@ -538,6 +538,9 @@ def test_scripted_trace_rejects_malformed_rows(tmp_path):
         # heads of one (step, layer) must hold the same number of slots
         ("0,0,0,0,1.0\n0,0,1,0,0.5\n0,0,1,1,0.5\n",
          "bad.csv: heads hold different slot counts at step 0, layer 0: \\[1, 2\\]"),
+        # a step's layers must hold the same number of slots, one (L, H, S) block
+        ("0,0,0,0,0.5\n0,0,0,1,0.5\n0,1,0,0,1.0\n",
+         "bad.csv: layers hold different slot counts at step 0: \\[2, 1\\]$"),
         # a head's slots must be 0..n-1
         ("0,0,0,0,1.0\n0,0,1,0,0.5\n0,0,1,2,0.5\n",
          "bad.csv: state_slot 2 out of range at step 0, layer 0, head 1$"),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,22 @@ def test_saved_bytes_are_pinned_and_survive_a_round_trip(tmp_path):
     assert (tmp_path / "again.bin").read_bytes() == data
 
 
+def test_loaded_blocks_hold_no_dead_memory(tmp_path):
+    # W_Q, W_K and W_V live only in the stacked w_qkv block, so the buffers
+    # behind a loaded model's blocks hold no more bytes than the blocks do
+    path, _ = _saved_bytes(tmp_path, seed=0)
+    _, weights = load_weights(path)
+    blocks = [weights.token_embedding, weights.lm_head] + [
+        block for lw in weights.layers
+        for block in (lw.attn_norm, lw.w_qkv, lw.w_o, lw.ff_norm, lw.ff_in, lw.ff_out)]
+    bases = {}
+    for block in blocks:
+        while isinstance(block.base, np.ndarray):
+            block = block.base
+        bases[id(block)] = block.nbytes
+    assert sum(bases.values()) <= sum(block.nbytes for block in blocks)
+
+
 def test_in_place_weight_edit_reaches_the_next_decode():
     # w_k is a view of the stacked block the kernel projects with, so an edit
     # made in place after a decode changes the next decode as much as the
@@ -127,6 +144,24 @@ def test_shape_mismatch_error(tmp_path):
     weights.layers.pop()
     with pytest.raises(ShapeMismatchError):
         save_weights(str(tmp_path / "short.bin"), config, weights)
+
+
+def test_header_claiming_many_layers_fails_at_its_first_differing_line(tmp_path):
+    # the header lines a config implies are compared as they are made, so a
+    # small file that claims 100000 layers fails at the line after its one
+    # layer's blocks without building the 800000 block lines it implies
+    config = make_config(n_layers=1)
+    path = tmp_path / "model.bin"
+    save_weights(path, config, init_random_model(config, seed=0))
+    path.write_bytes(path.read_bytes().replace(b"\nn_layers 1\n", b"\nn_layers 100000\n", 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeMismatchError, match="header line 20 reads 'block lm_head "):
+            load_weights(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_truncated_blob_error(tmp_path):

@@ -138,7 +138,7 @@ def _filled_state(n_states, capacity, n_layers=1, n_heads=1):
     for pos in range(n_states):
         for layer in range(n_layers):
             for head in range(n_heads):
-                state.append(layer, head, row, row, pos, pos)
+                state.append(layer, head, row, row, pos)
     return state
 
 
@@ -199,7 +199,7 @@ def test_state_scores_equal_hand_driven_scores():
         for t in range(9):
             for layer in range(2):
                 for head in range(2):
-                    state.append(layer, head, row, row, t, t)
+                    state.append(layer, head, row, row, t)
             block = rng.random((2, 2, min(t + 1, 4))).astype(np.float32)
             block /= block.sum(axis=-1, keepdims=True)
             for layer, scores in enumerate(by_hand):

@@ -8,9 +8,9 @@ and across steps, the multi-state's remapped positions against remapping
 its retained positions afresh, sequential decoding against masked-parallel evaluation,
 block NLLs against per-row ones, greedy generation against scoring its
 output, simulator replay, the vectorised retention analyses against a
-per-event set replay, trace CSV round trips and reads against the csv
-module, CSV writes against csv.writer, block trace records against
-per-event ones, the window band kernel and the causal prefix kernel (with
+per-event set replay, trace CSV round trips and trace and script reads
+against the csv module, CSV writes against csv.writer, block trace records
+against per-event ones, the window band kernel and the causal prefix kernel (with
 masked-parallel H2O's score sums) against one-row attention, and damaged
 weight files."""
 
@@ -34,7 +34,7 @@ from msrnn import (ACTION_APPEND, ACTION_EVICT, Model,
                    simulate_with_rule, token_lifetime, trace_driven_simulate)
 import msrnn.harness
 import msrnn.model
-from msrnn.harness import NLL_ROWS, _policy_attention, nll_of
+from msrnn.harness import NLL_ROWS, SCRIPT_COLUMNS, _policy_attention, nll_of
 from msrnn.model import (_inv_freq, attend, attention_inputs, attention_step, band_attention,
                          causal_attention, rms_norm, rotate, row_matmul, silu, softmax_rows,
                          zero_model)
@@ -51,7 +51,7 @@ from msrnn.state import ACTIONS, TRACE_COLUMNS, ColumnSets, write_csv_rows
        capacity=st.integers(1, 6))
 def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capacity):
     state = MultiState(n_layers, n_heads, head_dim, capacity=capacity)
-    # reference: per (layer, head) a list of (position, token, key, value); an
+    # reference: per (layer, head) a list of (position, key, value); an
     # entry's position is also its append step. The state's eviction log must
     # equal a per-layer list of (stamp, head, position), and a refused call
     # logs nothing
@@ -71,37 +71,34 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
         entries = ref[layer][head]
         logs_before = logs()
         if data.draw(st.integers(0, 19), label="bad_call") == 0:
-            # an out-of-range layer, a negative token or a key of the wrong
-            # width is refused
+            # an out-of-range layer or a key of the wrong width is refused
             zeros = np.zeros(head_dim, dtype=np.float32)
             with pytest.raises(ValueError):
                 state.evict(n_layers, head, 0)
-            for bad in ((n_layers, head, zeros, zeros, next_pos + 1, 0),
-                        (layer, head, zeros, zeros, next_pos + 1, -1),
-                        (layer, head, np.zeros(head_dim + 1, np.float32), zeros, next_pos + 1, 0)):
+            for bad in ((n_layers, head, zeros, zeros, next_pos + 1),
+                        (layer, head, np.zeros(head_dim + 1, np.float32), zeros, next_pos + 1)):
                 with pytest.raises(ValueError):
                     state.append(*bad)
             assert logs() == logs_before
             continue
         if data.draw(st.integers(0, 9), label="op") < 7:
             next_pos += data.draw(st.integers(1, 3), label="gap")
-            token = int(rng.integers(0, 1000))
             key = rng.standard_normal(head_dim).astype(np.float32)
             value = rng.standard_normal(head_dim).astype(np.float32)
             if data.draw(st.integers(0, 9), label="stale") == 0:
                 # a negative position, or one not above the head's newest, is refused
                 stale = entries[-1][0] if entries else -1
                 with pytest.raises(ValueError):
-                    state.append(layer, head, key, value, stale, token)
+                    state.append(layer, head, key, value, stale)
                 assert logs() == logs_before
                 continue
             if len(entries) == capacity + 1:
                 with pytest.raises(ValueError, match="k\\+1"):
-                    state.append(layer, head, key, value, next_pos, token)
+                    state.append(layer, head, key, value, next_pos)
                 assert logs() == logs_before
                 continue
-            state.append(layer, head, key, value, next_pos, token)
-            entries.append((next_pos, token, key, value))
+            state.append(layer, head, key, value, next_pos)
+            entries.append((next_pos, key, value))
             last_step = max(last_step, next_pos)
         else:
             index = data.draw(st.integers(-1, len(entries)), label="index")
@@ -111,7 +108,7 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
                 assert logs() == logs_before
                 continue
             state.evict(layer, head, index)
-            pos, _, _, _ = entries.pop(index)
+            pos, _, _ = entries.pop(index)
             evicted[layer].append([last_step, head, pos])
             assert logs() == evicted
 
@@ -123,8 +120,8 @@ def test_multistate_matches_list_model(data, n_layers, n_heads, head_dim, capaci
                 keys, values = state.keys(l, h), state.values(l, h)
                 assert keys.shape == values.shape == (len(expected), head_dim)
                 for row, e in enumerate(expected):
-                    assert np.array_equal(keys[row], e[2])
-                    assert np.array_equal(values[row], e[3])
+                    assert np.array_equal(keys[row], e[1])
+                    assert np.array_equal(values[row], e[2])
             sizes = {len(es) for es in ref[l]}
             if len(sizes) > 1:
                 with pytest.raises(ValueError):
@@ -144,14 +141,14 @@ def test_multistate_keeps_rows_at_capacity():
     rows = np.arange(41 * 3, dtype=np.float32).reshape(41, 3)
     for pos in range(41):
         for head in range(2):
-            state.append(0, head, rows[pos], -rows[pos], pos, pos)
+            state.append(0, head, rows[pos], -rows[pos], pos)
     state.evict(0, 1, 0)
     assert np.array_equal(state.keys(0, 0), rows)
     assert np.array_equal(state.values(0, 1), -rows[1:])
     assert state.retained_positions(0, 1) == list(range(1, 41))
     with pytest.raises(ValueError):
-        state.append(0, 0, rows[0], rows[0], 41, 0)
-    state.append(0, 1, rows[0], rows[0], 41, 0)
+        state.append(0, 0, rows[0], rows[0], 41)
+    state.append(0, 1, rows[0], rows[0], 41)
     assert state.size(0, 1) == 41
 
 
@@ -182,7 +179,7 @@ def test_evict_step_matches_per_head_evicts(data, n_heads, capacity, steps):
             rows = rng.standard_normal((n_heads, head_dim)).astype(np.float32)
             for state in (stepped, per_head):
                 for head in range(n_heads):
-                    state.append(layer, head, rows[head], -rows[head], step, step + 100)
+                    state.append(layer, head, rows[head], -rows[head], step)
             for positions in ref[layer]:
                 positions.append(step)
         size = len(ref[0][0])
@@ -511,7 +508,7 @@ def test_band_attention_rows_equal_one_row_calls(data, n_heads, head_dim, n_rows
     state = MultiState(1, n_heads, head_dim, capacity=capacity)
     for t in range(n_rows):
         for head in range(n_heads):
-            state.append(0, head, k[t, head], v[t, head], t, 0)
+            state.append(0, head, k[t, head], v[t, head], t)
         keys, values, positions = state.layer_view(0)
         band = range(max(pin, t - capacity + pin), t + 1)
         assert positions.tolist() == [list(range(min(pin, t + 1))) + list(band)] * n_heads
@@ -632,7 +629,7 @@ def test_remapped_attend_equals_separate_rotations(data, n_heads, head_dim, size
     for state in states:
         for t in range(size - 1 + n_evict):
             for head in range(n_heads):
-                state.append(0, head, keys[t, head], values[t, head], int(positions[t]), t)
+                state.append(0, head, keys[t, head], values[t, head], int(positions[t]))
     for remaining in range(size - 1 + n_evict, size - 1, -1):
         if diverge:
             indices = data.draw(st.lists(st.integers(0, remaining - 1), min_size=n_heads,
@@ -646,9 +643,9 @@ def test_remapped_attend_equals_separate_rotations(data, n_heads, head_dim, size
     new, position = len(positions) - 1, int(positions[-1])
 
     got, ref = states
-    ctx, probs = attend(model, 0, got, q, keys[new], values[new], position, new)
+    ctx, probs = attend(model, 0, got, q, keys[new], values[new], position)
     for head in range(n_heads):
-        ref.append(0, head, keys[new, head], values[new, head], position, new)
+        ref.append(0, head, keys[new, head], values[new, head], position)
     ref_keys, ref_values, retained = ref.layer_view(0)
     remapped = remap_positions(retained)
     inv_freq = _inv_freq(head_dim, config.rope_base)
@@ -681,7 +678,7 @@ def test_remapped_attend_across_steps_equals_full_rotations(data, n_heads, head_
     inv_freq = _inv_freq(head_dim, config.rope_base)
     for t in range(steps):
         ctx, probs = attend(model, 0, state, queries[t], keys[t], values[t],
-                            int(positions[t]), t)
+                            int(positions[t]))
         view_keys, view_values, retained = state.layer_view(0)
         remapped = remap_positions(retained)
         want_ctx, want_probs = attention_step(rotate(queries[t], remapped[:, -1], inv_freq),
@@ -730,7 +727,7 @@ def test_remapped_positions_equal_remap_positions(data, n_heads, capacity, steps
         position += data.draw(st.integers(1, 2000), label="position step")
         for layer in range(n_layers):
             for head in range(n_heads):
-                state.append(layer, head, row, row, position, 0)
+                state.append(layer, head, row, row, position)
         check()
         size = state.step_size()
         if size <= capacity and not data.draw(st.booleans(), label="early"):
@@ -765,7 +762,7 @@ def test_replayed_script_gives_the_same_events(tmp_path_factory, data, n_layers,
                                                form, tied):
     # the script simulate_with_rule records, whose steps are (L, H, S)
     # blocks, replays to the identical trace, for every policy form, and so
-    # does its write_csv/read_csv round trip, whose steps are lists of layer
+    # does its write_csv/read_csv round trip, whose steps are the same
     # blocks; both give the events, in their order, of a simulator that
     # appends empty K/V rows to a MultiState head by head; small integer
     # weights make ties common
@@ -789,7 +786,7 @@ def test_replayed_script_gives_the_same_events(tmp_path_factory, data, n_layers,
     for t, blocks in enumerate(script.rows):
         for layer in range(n_layers):
             for head in range(n_heads):
-                state.append(layer, head, empty, empty, t, t)
+                state.append(layer, head, empty, empty, t)
         apply_policy(kind, state, blocks)
     reference = RetentionTrace(n_layers, n_heads)
     for layer in range(n_layers):
@@ -1077,6 +1074,122 @@ def test_trace_csv_reader_agrees_with_csv_module(tmp_path_factory, rows, ends):
             RetentionTrace.read_csv(path)
     else:
         assert RetentionTrace.read_csv(path).events == [TraceEvent(*r) for r in expected]
+
+
+def _csv_module_script(path) -> list[np.ndarray] | str:
+    # the csv-module reader of the dict-of-slots script loader: the (L, H, S)
+    # blocks, or the error's start (path:line and its kind for a bad row);
+    # layers of one step must hold one slot count
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == list(SCRIPT_COLUMNS)
+        cells = {}
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}: "
+            try:
+                t, layer, head, slot, p = row
+                key, slot, p = (int(t), int(layer), int(head)), int(slot), float(p)
+                if not all(-2**63 <= v < 2**63 for v in key + (slot,)):
+                    raise ValueError(key)  # a script's indices are int64
+            except ValueError:
+                return where + "expected"
+            if min(key + (slot,)) < 0:
+                return where + "negative"
+            if slot in cells.setdefault(key, {}):
+                return where + "duplicate"
+            cells[key][slot] = p
+    if not cells:
+        return f"scripted trace {path} holds no rows"
+    n_steps, n_layers, n_heads = (max(key[i] for key in cells) + 1 for i in range(3))
+    steps = []
+    for t in range(n_steps):
+        block = []
+        for layer in range(n_layers):
+            heads = []
+            for head in range(n_heads):
+                slots = cells.get((t, layer, head))
+                where = f"step {t}, layer {layer}, head {head}"
+                if slots is None:
+                    return f"{path}: missing row for {where}"
+                if max(slots) >= len(slots):
+                    return f"{path}: state_slot {max(slots)} out of range at {where}"
+                heads.append([slots[slot] for slot in range(len(slots))])
+            if len({len(row) for row in heads}) > 1:
+                return (f"{path}: heads hold different slot counts at step {t}, layer {layer}: "
+                        f"{[len(row) for row in heads]}")
+            block.append(heads)
+            if len(heads[0]) != len(block[0][0]):  # a step is one (L, H, S) block
+                return (f"{path}: layers hold different slot counts at step {t}: "
+                        f"{[len(rows[0]) for rows in block]}")
+        steps.append(np.array(block, dtype=np.float32))
+    return steps
+
+
+# odd cells for any field: int() or float() reads some; none is quoted
+SCRIPT_CELLS = (" 3", "+4", "1_0", "\u0663", "3.0", "", "nan", "-0", "inf", "1e400", "1e-46",
+                "0x1p-1", "\t0.5", "9223372036854775808", "-1", "-9223372036854775809")
+# texts of an index that int() reads as it
+INDEX_FORMS = (str, " {}".format, "+{}".format, "{}\t".format, "0_{}".format,
+               lambda v: "".join(chr(0x660 + int(c)) for c in str(v)))
+# the row edits of a clean script, a script with gaps and one with any bad row
+EDITS = (("keep",), ("keep",) * 4 + ("drop",),
+         ("keep",) * 8 + ("odd", "drop", "double", "short", "long"))
+
+
+@st.composite
+def _script_lines(draw) -> list[str]:
+    # a full (step, layer, head) grid of slot rows in any order; in some
+    # scripts the indices take any form int() reads and the probabilities
+    # odd cells, and in some rows are dropped, which leaves gaps in the grid,
+    # or each row may get an odd cell, be dropped or doubled, or lose or gain
+    # a field
+    rows = []
+    n_layers = draw(st.integers(1, 2), label="layers")
+    n_heads = draw(st.integers(1, 2), label="heads")
+    odd, edits = draw(st.booleans(), label="odd"), draw(st.sampled_from(EDITS), label="edits")
+    probs = st.one_of(st.floats(width=32).map("{:.9g}".format), st.floats().map(repr),
+                      *[st.sampled_from(SCRIPT_CELLS)] * odd)
+    forms = st.sampled_from(INDEX_FORMS if odd else (str,))
+    for t in range(draw(st.integers(1, 3), label="steps")):
+        width = draw(st.integers(1, 3), label="width")
+        for cell in np.ndindex(n_layers, n_heads, width):
+            rows.append([draw(forms)(v) for v in (t,) + cell] + [draw(probs)])
+    lines = []
+    for row in draw(st.permutations(rows)):
+        edit = draw(st.sampled_from(edits), label="edit")
+        if edit == "odd":
+            row[draw(st.integers(0, 4))] = draw(st.sampled_from(SCRIPT_CELLS))
+        lines += {"drop": [], "short": [row[:4]], "long": [row + ["0"]],
+                  "double": [row, row]}.get(edit, [row])
+        if draw(st.integers(0, 9)) == 0:
+            lines.append([])
+    return [",".join(row) for row in lines]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_script_lines(), ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                                              min_size=60, max_size=60))
+def test_script_csv_reader_agrees_with_csv_module(tmp_path_factory, lines, ends):
+    # LF, CRLF and CR rows, blank lines, odd cells, bad rows and gaps in the
+    # grid: the same float32 blocks bit for bit, or the same error, at the
+    # same path:line for a bad row, as the csv module and float() give; a
+    # probability beyond float32 becomes inf on both, with numpy's warning
+    path = tmp_path_factory.mktemp("script") / "s.csv"
+    path.write_bytes((",".join(SCRIPT_COLUMNS) + "\r\n" + "".join(
+        line + ends[i % len(ends)] for i, line in enumerate(lines))).encode())
+    with np.errstate(over="ignore"):
+        expected = _csv_module_script(path)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match="^" + re.escape(expected)):
+                ScriptedTrace.read_csv(path)
+            return
+        got = ScriptedTrace.read_csv(path).rows
+    assert [block.shape for block in got] == [block.shape for block in expected]
+    for block, want in zip(got, expected):
+        assert block.dtype == np.float32
+        assert block.view(np.int32).tolist() == want.view(np.int32).tolist()
 
 
 def test_damaged_weight_files_load_or_fail_cleanly(tmp_path):

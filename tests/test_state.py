@@ -7,22 +7,22 @@ import warnings
 import numpy as np
 import pytest
 
+import msrnn.harness
 import msrnn.state
 from msrnn import (ACTION_APPEND, ACTION_EVICT, MultiState, RetentionTrace,
                    TraceEvent)
-from msrnn.harness import SCRIPT_COLUMNS, ScriptedTrace
+from msrnn.harness import SCRIPT_COLUMNS, ScriptedTrace, simulate_with_rule, uniform_rule
+from msrnn.policies import parse_policy
 from msrnn.state import ACTIONS, TRACE_COLUMNS, ColumnSets
 
 
-def test_append_validates_position_and_token():
+def test_append_validates_position():
     state = MultiState(n_layers=1, n_heads=1, head_dim=2, capacity=1)
     row = np.zeros(2, dtype=np.float32)
     with pytest.raises(ValueError, match="non-negative"):
-        state.append(0, 0, row, row, -1, 0)
-    with pytest.raises(ValueError, match="non-negative"):
-        state.append(0, 0, row, row, 0, -1)
+        state.append(0, 0, row, row, -1)
     assert state.size(0, 0) == 0
-    state.append(0, 0, row, row, 3, 1)
+    state.append(0, 0, row, row, 3)
     assert state.retained_positions(0, 0) == [3]
 
 
@@ -30,7 +30,7 @@ def test_append_and_evict_bookkeeping():
     state = MultiState(n_layers=1, n_heads=2, head_dim=3, capacity=4)
     key = np.arange(3, dtype=np.float32)
     for pos in range(4):
-        state.append(0, 0, key + pos, key - pos, pos, 0)
+        state.append(0, 0, key + pos, key - pos, pos)
     assert state.size(0, 0) == 4
     assert state.size(0, 1) == 0
     assert state.retained_positions(0, 0) == [0, 1, 2, 3]
@@ -48,12 +48,12 @@ def test_append_rejects_bad_shapes_and_positions():
     state = MultiState(n_layers=1, n_heads=1, head_dim=3, capacity=1)
     good = np.zeros(3, dtype=np.float32)
     with pytest.raises(ValueError):
-        state.append(0, 0, np.zeros(4), good, 0, 0)
-    state.append(0, 0, good, good, 5, 0)
+        state.append(0, 0, np.zeros(4), good, 0)
+    state.append(0, 0, good, good, 5)
     with pytest.raises(ValueError):
-        state.append(0, 0, good, good, 5, 0)
+        state.append(0, 0, good, good, 5)
     with pytest.raises(ValueError):
-        state.append(0, 0, good, good, 3, 0)
+        state.append(0, 0, good, good, 3)
     with pytest.raises(ValueError):
         state.evict(0, 0, 1)
     with pytest.raises(ValueError):
@@ -89,7 +89,7 @@ def test_remap_access_needs_a_remapping_state():
     for state in (plain, remapping):
         for position in (0, 4, 30):
             for head in range(2):
-                state.append(0, head, row, row, position, 0)
+                state.append(0, head, row, row, position)
     assert not plain.remap and remapping.remap
     with pytest.raises(ValueError, match="remap=True"):
         plain.rotated_keys(0)
@@ -113,7 +113,7 @@ def test_remap_calls_refuse_heads_of_unequal_size():
     state = MultiState(1, 2, 2, capacity=3, remap=True)
     for position in (0, 5, 9):
         for head in range(2):
-            state.append(0, head, row, row, position, 0)
+            state.append(0, head, row, row, position)
     state.evict(0, 1, 2)
     for call in (state.layer_view, state.remapped_positions, state.rotated_keys):
         with pytest.raises(ValueError, match=r"heads of layer 0 differ in size: \[3, 2\]"):
@@ -138,7 +138,7 @@ def test_copied_state_runs_on_as_the_original(remap):
             for layer in range(n_layers):
                 for head in range(n_heads):
                     key, value = rows[t, layer, head]
-                    state.append(layer, head, key, value, positions[t], t)
+                    state.append(layer, head, key, value, positions[t])
             if state.step_size() > capacity:  # layer 0's heads agree, layer 1's differ
                 state.evict_step([t % 2] * n_heads + [(t + h) % (capacity + 1)
                                                       for h in range(n_heads)])
@@ -169,7 +169,7 @@ def test_trace_records_appends_and_evicts():
     state = MultiState(1, 1, 2, capacity=2)
     row = np.zeros(2, dtype=np.float32)
     for pos in range(3):
-        state.append(0, 0, row, row, pos, pos + 10)
+        state.append(0, 0, row, row, pos)
     state.evict(0, 0, 0)
     assert state.evictions(0).tolist() == [[2, 0, 0]]
     trace = RetentionTrace(n_layers=1, n_heads=1)
@@ -271,6 +271,28 @@ def test_written_trace_skips_the_row_loop(tmp_path, monkeypatch, newline):
     back = RetentionTrace.read_csv(path)
     assert (back.n_layers, back.n_heads, back.n_steps) == (2, 3, 6)
     assert back.events == trace.sorted_events()
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\n", "\r"])
+def test_written_script_skips_the_row_loop(tmp_path, monkeypatch, newline):
+    # every file ScriptedTrace.write_csv writes, in any line end and with
+    # blank lines, is parsed in one vectorised call: a replayed script and a
+    # step of -0.0, a subnormal, NaN and the infinities
+    script, _ = simulate_with_rule(uniform_rule, parse_policy("h2o-head", 3), 6, 2, 3)
+    odd = np.array([-0.0, 1e-45, np.nan, np.inf, -np.inf, 0.1], dtype=np.float32)
+    script.rows.append(np.resize(odd, (2, 3, 6)))
+    path = tmp_path / "script.csv"
+    script.write_csv(path)
+    lines = path.read_bytes().decode().split("\r\n")
+    lines[3:3] = ["", ""]
+    path.write_bytes(newline.join(lines).encode())
+    monkeypatch.setattr(msrnn.state, "read_csv_rows", _no_row_loop)
+    monkeypatch.setattr(msrnn.harness, "read_csv_rows", _no_row_loop)
+    back = ScriptedTrace.read_csv(path)
+    assert (back.n_layers, back.n_heads, back.n_steps) == (2, 3, 7)
+    for got, block in zip(back.rows, script.rows):
+        assert got.dtype == np.float32 and got.shape == block.shape
+        assert got.view(np.int32).tolist() == block.view(np.int32).tolist()
 
 
 def test_odd_trace_cells_read_as_the_row_loop_reads_them(tmp_path):
